@@ -53,6 +53,7 @@ from .montecarlo import (
     process_from_config,
     sample_many,
     sample_poisson,
+    window_from_config,
     z_score,
 )
 from .transforms import (
@@ -72,6 +73,8 @@ EXACT_GATE = 1e-9
 EXPANSION_GATE = 1e-10
 Z_GATE = 4.0
 P_GATE = 1e-3
+# window of the mc-poisson, mc-gibbs and mc-identity suites when none is given
+UNIT_WINDOW = {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0}
 
 
 @dataclass
@@ -301,19 +304,9 @@ def _run_ddd0(config: SuiteConfig):
         yield _identity_record(report, i, EXPANSION_GATE)
 
 
-def _window_from(parameters: dict) -> Window:
-    raw = parameters.get("window")
-    if raw is None:
-        return Window(0.0, 1.0, 0.0, 1.0)
-    return Window(
-        float(raw["x_min"]), float(raw["x_max"]),
-        float(raw["y_min"]), float(raw["y_max"]),
-    )
-
-
 def _run_mc_poisson(config: SuiteConfig):
     replicates = config.instance_count or 100_000
-    window = _window_from(config.parameters)
+    window = window_from_config(config.parameters.get("window") or UNIT_WINDOW)
     intensity = float(config.parameters.get("intensity", 3.0 / window.area))
     orders = config.parameters.get("orders", [1, 2, 3])
     target_mean = intensity * window.area
@@ -344,7 +337,7 @@ def _run_mc_poisson(config: SuiteConfig):
 
 
 def _run_mc_gibbs(config: SuiteConfig):
-    window = _window_from(config.parameters)
+    window = window_from_config(config.parameters.get("window") or UNIT_WINDOW)
     beta = float(config.parameters.get("beta", 30.0 / window.area))
     gamma = float(config.parameters.get("gamma", 0.5))
     radius = float(config.parameters.get("r", 0.05))
@@ -391,7 +384,7 @@ def _run_mc_gibbs(config: SuiteConfig):
 def _run_mc_identity(config: SuiteConfig):
     experiments = config.parameters.get("experiments")
     if experiments is None:
-        window = _window_from(config.parameters)
+        window = window_from_config(config.parameters.get("window") or UNIT_WINDOW)
         n_samples = config.instance_count or 20_000
         experiments = [
             {
@@ -484,7 +477,7 @@ def _run_transform_invariance(config: SuiteConfig):
     window = (
         Window(-1.05, 1.05, -1.05, 1.05)
         if window_raw is None
-        else _window_from(params)
+        else window_from_config(window_raw)
     )
     regions = [region_from_config(r) for r in params.get("regions", _DEFAULT_REGIONS)]
     report = invariance_suite(
@@ -533,7 +526,7 @@ def _run_rho_tau(config: SuiteConfig):
     window = (
         Window(-1.05, 1.05, -1.05, 1.05)
         if window_raw is None
-        else _window_from(params)
+        else window_from_config(window_raw)
     )
     report = rho_tau_check(
         TransformSpec(offset), window, intensity, replicates, config.seed,

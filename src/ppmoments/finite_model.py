@@ -12,16 +12,27 @@ Functionals, random sets and kernels are plain callables:
     Functional: Configuration -> float
     RandomSet:  (site, Configuration) -> bool
     Kernel:     (site, Configuration) -> float
+
+Inside the engine a configuration is a bitmask (bit x set when site x is
+present) indexing numpy tables: q, the probabilities, and one table per
+callable. The log-density is evaluated once per configuration at
+construction; functionals and kernels are evaluated once per support
+configuration (positive density), kernels only at the sites of the
+configuration. Expectations and identity sides are array expressions over
+those tables, added with math.fsum. Frozensets are built only while a table
+is filled and none is kept: there is no configuration cache. The
+hereditary check is exhaustive at every size.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random as _stdlib_random
-from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
+
+import numpy as np
 
 Configuration = frozenset
 Functional = Callable[[Configuration], float]
@@ -29,9 +40,8 @@ RandomSet = Callable[[object, Configuration], bool]
 Kernel = Callable[[object, Configuration], float]
 
 MAX_SITES = 22
-_CONFIG_CACHE_LIMIT = 16
-_HEREDITARY_SAMPLE_LIMIT = 16
-_HEREDITARY_SAMPLES = 1000
+# configurations per block of a chunked sum: bounds the temporaries at large m
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -70,41 +80,29 @@ class FiniteModel:
             raise ValueError(f"at most {MAX_SITES} sites supported, got {m}")
         self.space = space
         self.log_density = log_density
-        n_conf = 1 << m
+        self._weights = np.array(space.weights)
 
-        q = array("d", bytes(8 * n_conf))
-        for mask in range(n_conf):
-            value = log_density(_mask_to_config(mask))
-            q[mask] = 0.0 if value == -math.inf else math.exp(value)
-            if not math.isfinite(q[mask]):
-                raise ValueError("density overflow at a configuration")
+        masks = np.arange(1 << m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = np.exp(self._values(log_density, masks))
+        if not np.isfinite(q).all():
+            raise ValueError("density overflow at a configuration")
         if not q[0] > 0.0:
             raise ValueError("q(empty) must be strictly positive")
         self._q = q
 
         self._check_hereditary()
 
-        w = array("d", bytes(8 * n_conf))
-        w[0] = 1.0
-        for mask in range(1, n_conf):
-            low = mask & -mask
-            w[mask] = w[mask ^ low] * space.weights[low.bit_length() - 1]
-        z = 0.0
-        for mask in range(n_conf):
-            z += q[mask] * w[mask]
+        # w[mask] = prod of the weights of the sites in mask, by doubling
+        w = np.ones(1)
+        for sigma in space.weights:
+            w = np.concatenate((w, w * sigma))
+        z = _fsum(q * w)
         if not (math.isfinite(z) and z > 0.0):
             raise ValueError("partition constant must be positive and finite")
         self.partition_constant = z
-
-        prob = array("d", bytes(8 * n_conf))
-        for mask in range(n_conf):
-            prob[mask] = q[mask] * w[mask] / z
-        self._prob = prob
-        self._support = array("q", (m for m in range(n_conf) if prob[m] > 0.0))
-
-        self._configs: list[Configuration] | None = None
-        if m <= _CONFIG_CACHE_LIMIT:
-            self._configs = [_mask_to_config(mask) for mask in range(n_conf)]
+        self._prob = q * w / z
+        self._support = np.flatnonzero(q > 0.0)
 
     # -- structure ---------------------------------------------------------
 
@@ -117,9 +115,7 @@ class FiniteModel:
         return self.space.weights
 
     def config(self, mask: int) -> Configuration:
-        if self._configs is not None:
-            return self._configs[mask]
-        return _mask_to_config(mask)
+        return frozenset(x for x in range(self.m) if mask >> x & 1)
 
     def mask(self, config: Configuration) -> int:
         mask = 0
@@ -130,51 +126,82 @@ class FiniteModel:
         return mask
 
     def q(self, config: Configuration) -> float:
-        return self._q[self.mask(config)]
+        return float(self._q[self.mask(config)])
 
     @property
-    def support(self):
-        """Bitmasks of all configurations with positive probability."""
+    def support(self) -> np.ndarray:
+        """Bitmasks of all configurations with positive density, which are
+        the configurations of positive probability."""
         return self._support
 
     def _check_hereditary(self):
-        m = self.space.m
-        q = self._q
-        if m <= _HEREDITARY_SAMPLE_LIMIT:
-            # single-point removals cover all eta < omega pairs by induction
-            for mask in range(1 << m):
-                if q[mask] <= 0.0:
-                    continue
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    if q[mask ^ low] <= 0.0:
-                        raise ValueError("density is not hereditary")
-                    rest ^= low
-        else:
-            rng = _stdlib_random.Random(0)
-            n_conf = 1 << m
-            for _ in range(_HEREDITARY_SAMPLES):
-                mask = rng.randrange(n_conf)
-                if q[mask] <= 0.0:
-                    continue
-                sub = mask & rng.randrange(n_conf)
-                if q[sub] <= 0.0:
-                    raise ValueError("density is not hereditary (sampled check)")
+        # single-point removals cover all eta < omega pairs by induction;
+        # axis 1 of the view splits each mask pair by bit x
+        allowed = self._q > 0.0
+        for x in range(self.m):
+            pairs = allowed.reshape(-1, 2, 1 << x)
+            if (pairs[:, 1] & ~pairs[:, 0]).any():
+                raise ValueError("density is not hereditary")
+
+    # -- tables --------------------------------------------------------------
+
+    def _configs(self, masks: np.ndarray):
+        """(sorted sites, frozenset) of each bitmask, built one at a time."""
+        low, high, shift = _site_halves(self.m)
+        cut = (1 << shift) - 1
+        for mask in masks.tolist():
+            sites = low[mask & cut] + high[mask >> shift]
+            yield sites, frozenset(sites)
+
+    def _values(self, functional: Functional, masks: np.ndarray) -> np.ndarray:
+        """functional(omega) for each bitmask, one call per mask."""
+        values = (functional(config) for _, config in self._configs(masks))
+        return np.fromiter(values, float, len(masks))
+
+    def _site_values(self, kernel: Kernel, masks: np.ndarray, dtype=float):
+        """kernel(x, omega) for every site x of every configuration in masks.
+
+        Returns (rows, sites, values): the pair's index into masks, its
+        site and its value, ordered by configuration and then by site.
+        """
+        rows, sites = np.nonzero((masks[:, None] >> np.arange(self.m)) & 1)
+        values = (
+            kernel(x, config) for points, config in self._configs(masks) for x in points
+        )
+        return rows, sites, np.fromiter(values, dtype, len(rows))
+
+    def _table(self, functional: Functional) -> np.ndarray:
+        """F[mask] on the support, 0 elsewhere."""
+        table = np.zeros(1 << self.m)
+        table[self._support] = self._values(functional, self._support)
+        return table
+
+    def _site_table(self, kernel: Kernel, dtype=float) -> np.ndarray:
+        """U[x, mask] for x in omega and omega in the support, 0 elsewhere."""
+        table = np.zeros((self.m, 1 << self.m), dtype)
+        rows, sites, values = self._site_values(kernel, self._support, dtype)
+        table[sites, self._support[rows]] = values
+        return table
+
+    def _full_site_table(self, region: RandomSet) -> np.ndarray:
+        """R[x, mask] at every site and every configuration, allowed or not."""
+        m = self.m
+        configs = self._configs(np.arange(1 << m))
+        values = (region(x, config) for _, config in configs for x in range(m))
+        return np.fromiter(values, bool, m << m).reshape(1 << m, m).T.copy()
 
     # -- probabilistic quantities -------------------------------------------
 
     def probability(self, config: Configuration) -> float:
         """P(omega) = q(omega) prod_{x in omega} sigma_x / Z."""
-        return self._prob[self.mask(config)]
+        return float(self._prob[self.mask(config)])
 
     def expectation(self, functional: Functional) -> float:
         """Exact expectation by enumeration over all configurations."""
-        total = 0.0
-        prob = self._prob
-        for mask in self._support:
-            total += prob[mask] * functional(self.config(mask))
-        return total
+        return math.fsum(
+            _fsum(self._prob[masks] * self._values(functional, masks))
+            for masks in _blocks(self._support)
+        )
 
     def papangelou(self, x, config: Configuration) -> float:
         """Papangelou density c(x, omega) = q(omega u {x}) / q(omega).
@@ -183,16 +210,7 @@ class FiniteModel:
         the atomic Georgii-Nguyen-Zessin identity exact) and 0 on forbidden
         configurations.
         """
-        return self._papangelou_mask(x, self.mask(config))
-
-    def _papangelou_mask(self, x, mask: int) -> float:
-        bit = 1 << x
-        if mask & bit:
-            return 0.0
-        q = self._q
-        if q[mask] == 0.0:
-            return 0.0
-        return q[mask | bit] / q[mask]
+        return self.compound_campbell((x,), config)
 
     def compound_campbell(self, points: Sequence, config: Configuration) -> float:
         """Compound Campbell density of a tuple of sites.
@@ -201,64 +219,75 @@ class FiniteModel:
         hereditarity, telescopes to q(omega u points) / q(omega). Returns 1
         for the empty tuple and 0 when the tuple has repeats or meets omega.
         """
-        return self._chat_mask(tuple(points), self.mask(config))
-
-    def _chat_mask(self, points: tuple, mask: int) -> float:
-        if not points:
-            return 1.0
+        mask = self.mask(config)
         tmask = 0
         for x in points:
             bit = 1 << x
             if tmask & bit:
                 return 0.0
             tmask |= bit
-        if tmask & mask:
-            return 0.0
+        if not tmask:
+            return 1.0
         q = self._q
-        if q[mask] == 0.0:
+        if tmask & mask or q[mask] == 0.0:
             return 0.0
-        return q[mask | tmask] / q[mask]
+        return float(q[mask | tmask] / q[mask])
 
     def gnz_residual(self, u: Kernel) -> tuple[float, float]:
         """Both sides of the Georgii-Nguyen-Zessin identity, exactly.
 
         lhs = E[sum_{x in omega} u(x, omega)],
         rhs = sum_x sigma_x E[c(x, omega) u(x, omega u {x})].
+
+        The rhs terms are indexed by the augmented configuration: u is
+        called once per site of each support configuration and each value
+        serves both sides.
         """
-        prob = self._prob
-        q = self._q
-        lhs = 0.0
-        for mask in self._support:
-            cfg = self.config(mask)
-            inner = 0.0
-            for x in cfg:
-                inner += u(x, cfg)
-            lhs += prob[mask] * inner
-        rhs = 0.0
-        for x in range(self.m):
-            bit = 1 << x
-            sigma_x = self.space.weights[x]
-            acc = 0.0
-            for mask in self._support:
-                if mask & bit:
-                    continue
-                c = q[mask | bit] / q[mask]
-                if c == 0.0:
-                    continue
-                acc += prob[mask] * c * u(x, self.config(mask | bit))
-            rhs += sigma_x * acc
-        return lhs, rhs
+        q, prob = self._q, self._prob
+        lhs, rhs = [], []
+        for masks in _blocks(self._support):
+            rows, sites, values = self._site_values(u, masks)
+            up = masks[rows]
+            base = up ^ (1 << sites)
+            lhs.append(_fsum(prob[up] * values))
+            chat = q[up] / q[base]
+            rhs.append(_fsum(self._weights[sites] * (prob[base] * chat * values)))
+        return math.fsum(lhs), math.fsum(rhs)
 
     def correlation(self, points: Sequence) -> float:
         """Correlation function rho_n(points) = E[chat(points, omega)]."""
         pts = tuple(points)
         if len(set(pts)) != len(pts):
             raise ValueError("correlation requires distinct sites")
-        total = 0.0
-        prob = self._prob
-        for mask in self._support:
-            total += prob[mask] * self._chat_mask(pts, mask)
-        return total
+        tmask = self.mask(pts)
+        q, prob = self._q, self._prob
+        partials = []
+        for masks in _blocks(self._support):
+            base = masks[(masks & tmask) == 0]
+            partials.append(_fsum(prob[base] * (q[base | tmask] / q[base])))
+        return math.fsum(partials)
+
+
+def _fsum(values: np.ndarray) -> float:
+    return math.fsum(values.ravel().tolist())
+
+
+def _blocks(masks: np.ndarray):
+    for start in range(0, len(masks), _BLOCK):
+        yield masks[start : start + _BLOCK]
+
+
+@lru_cache(maxsize=None)
+def _site_halves(m: int):
+    """Sorted site tuples of every low half-mask and every high half-mask."""
+    shift = m // 2
+    low = [tuple(x for x in range(shift) if k >> x & 1) for k in range(1 << shift)]
+    high = [
+        tuple(x for x in range(shift, m) if k >> (x - shift) & 1)
+        for k in range(1 << (m - shift))
+    ]
+    return low, high, shift
+
 
 
 # -- densities and model descriptions ----------------------------------------
@@ -333,14 +362,3 @@ def load_model(path) -> FiniteModel:
     """Load a model description file (JSON) from disk."""
     with open(path, "r", encoding="utf-8") as handle:
         return model_from_description(json.load(handle))
-
-
-def _mask_to_config(mask: int) -> Configuration:
-    sites = []
-    index = 0
-    while mask:
-        if mask & 1:
-            sites.append(index)
-        mask >>= 1
-        index += 1
-    return frozenset(sites)

@@ -10,6 +10,12 @@ Right sides sum over ordered tuples of distinct sites. Tuples that meet
 the current configuration or repeat a site contribute zero through the
 compound Campbell density, which is what makes the atomic convention
 consistent with counting ordered distinct tuples of points.
+
+Both sides are array expressions over the model's bitmask tables (see
+finite_model), so every functional, kernel and region is called once per
+configuration. Each right-side term w(t) P(omega) chat(t, omega)
+integrand(omega u t) is formed separately, in (tuple x configuration)
+blocks of bounded size, and all terms are added with math.fsum.
 """
 
 from __future__ import annotations
@@ -17,16 +23,26 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import combinations, permutations, product
 from typing import Sequence
 
-from .combinatorics import falling_factorial, partitions, stirling2
-from .finite_model import Configuration, FiniteModel, Functional, Kernel, RandomSet
+import numpy as np
+
+from .combinatorics import partitions, stirling2
+from .finite_model import (
+    Configuration,
+    FiniteModel,
+    Functional,
+    Kernel,
+    RandomSet,
+    _fsum,
+)
 
 MAX_IDENTITY_ORDER = 4
 MAX_IDENTITY_SITES = 12
-_EXHAUSTIVE_REGION_LIMIT = 10
-_REGION_SAMPLES = 1000
+# terms per block of a right side
+_BLOCK_TERMS = 1 << 17
 
 
 class DisjointnessError(ValueError):
@@ -91,56 +107,115 @@ def region_count(region: RandomSet, config: Configuration) -> int:
     return sum(1 for x in config if region(x, config))
 
 
-def validate_disjoint(model: FiniteModel, regions: Sequence[RandomSet]):
+def validate_disjoint(model: FiniteModel, regions: Sequence[RandomSet]) -> list:
     """Check that the regions are pairwise disjoint for every configuration.
 
-    Exhaustive for small models, sampled above. Raises DisjointnessError.
+    Exhaustive: every region is evaluated at every site of the ground space
+    for every configuration, allowed or not. Raises DisjointnessError.
+    Returns the region tables R[x, mask] it checked, for reuse.
     """
-    masks: Sequence[int]
-    if model.m <= _EXHAUSTIVE_REGION_LIMIT:
-        masks = range(1 << model.m)
-    else:
-        step = max(1, (1 << model.m) // _REGION_SAMPLES)
-        masks = range(0, 1 << model.m, step)
-    for mask in masks:
-        config = model.config(mask)
-        for x in range(model.m):
-            hits = sum(1 for region in regions if region(x, config))
-            if hits > 1:
-                raise DisjointnessError(
-                    f"regions overlap at site {x} for configuration {sorted(config)}"
-                )
+    tables = [model._full_site_table(region) for region in regions]
+    hits = np.zeros((model.m, 1 << model.m), dtype=np.int64)
+    for table in tables:
+        hits += table
+    overlaps = np.argwhere(hits.T > 1)
+    if len(overlaps):
+        mask, x = overlaps[0].tolist()
+        raise DisjointnessError(
+            f"regions overlap at site {x} for configuration {sorted(model.config(mask))}"
+        )
+    return tables
 
 
-def _tuple_weight(model: FiniteModel, sites: tuple) -> float:
-    w = 1.0
-    for x in sites:
-        w *= model.weights[x]
-    return w
+def _expect(model: FiniteModel, values: np.ndarray) -> float:
+    """E[values[omega]] for a table indexed by bitmask."""
+    support = model.support
+    return _fsum(model._prob[support] * values[support])
 
 
-def _epsilon_rhs(model: FiniteModel, sites: tuple, integrand) -> float:
-    """sum_omega P(omega) chat(sites, omega) integrand(omega u sites).
+def _falling(counts: np.ndarray, n: int) -> np.ndarray:
+    """Elementwise falling factorial counts_(n), as floats."""
+    out = np.ones(counts.shape)
+    for i in range(n):
+        out *= counts - i
+    return out
 
-    integrand receives the bitmask of the augmented configuration.
+
+def _counts(model: FiniteModel, table: np.ndarray) -> np.ndarray:
+    """N(A)(omega) per bitmask from a region table R[x, mask]."""
+    members = (np.arange(1 << model.m) >> np.arange(model.m)[:, None]) & 1
+    return (table & members.astype(bool)).sum(axis=0)
+
+
+# keys are bounded by MAX_IDENTITY_SITES and MAX_IDENTITY_ORDER
+@lru_cache(maxsize=None)
+def _tuple_layout(m: int, k: int):
+    """The ordered k-tuples of distinct sites, grouped by their site set.
+
+    Returns (sets, orders, bases): sets (C, k) the sorted k-subsets of the
+    sites, orders (P, k) the permutations of range(k), so that the tuples
+    are sets[:, orders], and bases (C, 2^(m-k)) the bitmasks of the
+    configurations disjoint from each set.
     """
-    q = model._q
-    prob = model._prob
-    tmask = 0
-    for x in sites:
-        tmask |= 1 << x
-    acc = 0.0
-    for mask in model.support:
-        if mask & tmask:
-            continue
-        q_up = q[mask | tmask]
-        if q_up == 0.0:
-            continue
-        value = integrand(mask | tmask)
-        if value == 0.0:
-            continue
-        acc += prob[mask] * (q_up / q[mask]) * value
-    return acc
+    sets = np.array(list(combinations(range(m), k)), dtype=np.int64).reshape(-1, k)
+    orders = np.array(list(permutations(range(k))), dtype=np.int64)
+    bases = np.broadcast_to(np.arange(1 << (m - k)), (len(sets), 1 << (m - k)))
+    for j in range(k):
+        # open a zero bit at the j-th smallest site of each set
+        s = sets[:, j, None]
+        bases = (bases >> s << (s + 1)) | (bases & ((1 << s) - 1))
+    for array in (sets, orders, bases):
+        array.flags.writeable = False
+    return sets, orders, bases
+
+
+def _tuple_sum(model: FiniteModel, k: int, integrand, width: int = 1) -> float:
+    """sum over ordered k-tuples t of distinct sites and configurations omega
+    of w(t) P(omega) chat(t, omega) integrand(t, omega u t).
+
+    integrand(sites, up) receives the tuple's sites as k arrays of shape
+    (c, P, 1) and the bitmasks of omega u t as an array of shape (c, 1, B),
+    and returns values of shape (c, P, B), or of shape (c, P, B, width) to
+    add width separate terms per tuple and configuration.
+    """
+    if k > model.m:
+        return 0.0
+    sets, orders, bases = _tuple_layout(model.m, k)
+    q, prob = model._q, model._prob
+    step = max(1, _BLOCK_TERMS // (len(orders) * bases.shape[1] * width))
+    partials = []
+    for start in range(0, len(sets), step):
+        block, base = sets[start : start + step], bases[start : start + step]
+        up = base | (1 << block).sum(axis=1, keepdims=True)
+        q_base = q[base]
+        chat = np.divide(q[up], q_base, out=np.zeros(base.shape), where=q_base > 0.0)
+        tuples = block[:, orders]
+        weight = model._weights[tuples].prod(axis=2)
+        scale = weight[:, :, None] * (prob[base] * chat)[:, None, :]
+        values = integrand([tuples[:, :, j, None] for j in range(k)], up[:, None, :])
+        if values.ndim == 4:
+            scale = scale[..., None]
+        partials.append(_fsum(scale * values))
+    return math.fsum(partials)
+
+
+def _position_regions(regions, orders):
+    slots = []
+    for region, order in zip(regions, orders):
+        slots.extend([region] * order)
+    return slots
+
+
+def _joint_rhs(model: FiniteModel, f: np.ndarray, slots: list) -> float:
+    """Right side with the region table slots[j] on tuple coordinate j."""
+
+    def integrand(sites, up):
+        value = f[up]
+        for x, table in zip(sites, slots):
+            value = value * table[x, up]
+        return value
+
+    return _tuple_sum(model, len(slots), integrand)
 
 
 # -- identity evaluators ------------------------------------------------------
@@ -156,28 +231,13 @@ def factorial_moment_identity(
     * prod_k 1_{A(omega u tuple)}(x_k)].
     """
     _guard(model, n)
-    lhs = model.expectation(
-        lambda cfg: functional(cfg) * falling_factorial(region_count(region, cfg), n)
-    )
-    rhs = _factorial_rhs(model, functional, region, n)
+    f = model._table(functional)
+    r = model._site_table(region, bool)
+    lhs = _expect(model, f * _falling(r.sum(axis=0), n))
+    rhs = _joint_rhs(model, f, [r] * n)
     return IdentityReport.build(
         "factorial-moment", lhs, rhs, {"n": n, "sites": model.m}
     )
-
-
-def _factorial_rhs(model, functional, region, n):
-    total = 0.0
-    for sites in permutations(range(model.m), n):
-
-        def integrand(umask, sites=sites):
-            cfg = model.config(umask)
-            for x in sites:
-                if not region(x, cfg):
-                    return 0.0
-            return functional(cfg)
-
-        total += _tuple_weight(model, sites) * _epsilon_rhs(model, sites, integrand)
-    return total
 
 
 def joint_factorial_identity(
@@ -196,47 +256,17 @@ def joint_factorial_identity(
         raise ValueError("need matching nonempty regions and orders")
     if any(k < 1 for k in orders):
         raise ValueError("orders must be positive")
-    n = sum(orders)
-    _guard(model, n)
-    validate_disjoint(model, regions)
-
-    def lhs_functional(cfg):
-        value = functional(cfg)
-        for region, order in zip(regions, orders):
-            if value == 0.0:
-                return 0.0
-            value *= falling_factorial(region_count(region, cfg), order)
-        return value
-
-    lhs = model.expectation(lhs_functional)
-    rhs = _joint_rhs(model, functional, regions, orders)
+    _guard(model, sum(orders))
+    tables = validate_disjoint(model, regions)
+    f = model._table(functional)
+    value = f
+    for table, order in zip(tables, orders):
+        value = value * _falling(_counts(model, table), order)
+    lhs = _expect(model, value)
+    rhs = _joint_rhs(model, f, _position_regions(tables, orders))
     return IdentityReport.build(
         "joint-factorial", lhs, rhs, {"orders": list(orders), "sites": model.m}
     )
-
-
-def _position_regions(regions, orders):
-    slots = []
-    for region, order in zip(regions, orders):
-        slots.extend([region] * order)
-    return slots
-
-
-def _joint_rhs(model, functional, regions, orders):
-    n = sum(orders)
-    slots = _position_regions(regions, orders)
-    total = 0.0
-    for sites in permutations(range(model.m), n):
-
-        def integrand(umask, sites=sites):
-            cfg = model.config(umask)
-            for x, region in zip(sites, slots):
-                if not region(x, cfg):
-                    return 0.0
-            return functional(cfg)
-
-        total += _tuple_weight(model, sites) * _epsilon_rhs(model, sites, integrand)
-    return total
 
 
 def stirling_moment_identity(
@@ -244,12 +274,12 @@ def stirling_moment_identity(
 ) -> IdentityReport:
     """Raw moment identity E[F N(A)^n] = sum_k S(n,k) (factorial rhs at k)."""
     _guard(model, n)
-    lhs = model.expectation(
-        lambda cfg: functional(cfg) * float(region_count(region, cfg)) ** n
+    f = model._table(functional)
+    r = model._site_table(region, bool)
+    lhs = _expect(model, f * r.sum(axis=0).astype(float) ** n)
+    rhs = math.fsum(
+        stirling2(n, k) * _joint_rhs(model, f, [r] * k) for k in range(1, n + 1)
     )
-    rhs = 0.0
-    for k in range(1, n + 1):
-        rhs += stirling2(n, k) * _factorial_rhs(model, functional, region, k)
     return IdentityReport.build(
         "stirling-moment", lhs, rhs, {"n": n, "sites": model.m}
     )
@@ -265,37 +295,21 @@ def partition_moment_identity(
     sigma-weighted E[chat * prod_j u(x_j, omega u tuple)^{|B_j|}].
     """
     _guard(model, n)
+    u = model._site_table(kernel)
+    lhs = _expect(model, u.sum(axis=0) ** n)
 
-    def lhs_functional(cfg):
-        return sum(kernel(x, cfg) for x in cfg) ** n
-
-    lhs = model.expectation(lhs_functional)
-
-    cache: dict[tuple, float] = {}
-
-    def u_value(x, umask):
-        key = (x, umask)
-        value = cache.get(key)
-        if value is None:
-            value = kernel(x, model.config(umask))
-            cache[key] = value
-        return value
-
-    rhs = 0.0
+    partials = []
     for part in partitions(n):
         sizes = part.block_sizes()
-        k = len(sizes)
-        for sites in permutations(range(model.m), k):
 
-            def integrand(umask, sites=sites, sizes=sizes):
-                prod_value = 1.0
-                for x, exponent in zip(sites, sizes):
-                    prod_value *= u_value(x, umask) ** exponent
-                    if prod_value == 0.0:
-                        return 0.0
-                return prod_value
+        def integrand(sites, up, sizes=sizes):
+            value = 1.0
+            for x, exponent in zip(sites, sizes):
+                value = value * u[x, up] ** exponent
+            return value
 
-            rhs += _tuple_weight(model, sites) * _epsilon_rhs(model, sites, integrand)
+        partials.append(_tuple_sum(model, len(sizes), integrand))
+    rhs = math.fsum(partials)
     return IdentityReport.build(
         "partition-moment", lhs, rhs, {"n": n, "sites": model.m}
     )
@@ -321,64 +335,31 @@ def dtheta_joint_expansion(
         raise ValueError("need matching nonempty regions and orders")
     n = sum(orders)
     _guard(model, n)
-    validate_disjoint(model, regions)
+    tables = validate_disjoint(model, regions)
+    f = model._table(functional)
+    slots = _position_regions(tables, orders)
+    direct = _joint_rhs(model, f, slots)
 
-    direct = _joint_rhs(model, functional, regions, orders)
+    # subset_bits[j, eta] = 1 when index j lies in the subset eta
+    subset_bits = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
 
-    slots = _position_regions(regions, orders)
-    q = model._q
-    prob = model._prob
-    expanded = 0.0
-    subset_masks = list(range(1 << n))
-    signs = {}
-    for theta in subset_masks:
-        for eta in subset_masks:
-            if eta & ~theta:
-                continue
-            bits = bin(theta).count("1") - bin(eta).count("1")
-            signs[(theta, eta)] = 1.0 if bits % 2 == 0 else -1.0
+    def differences(sites, up):
+        bits = [1 << x for x in sites]
+        base = up & ~sum(bits)
+        # g[..., eta] = F and indicators at omega u {x_j : j in eta}
+        added = sum(bit[..., None] * subset_bits[j] for j, bit in enumerate(bits))
+        augmented = base[..., None] | added
+        g = f[augmented]
+        for x, table in zip(sites, slots):
+            g = g * table[x[..., None], augmented]
+        # fast Moebius transform over eta: g[theta] becomes
+        # D_Theta = sum_{eta subset theta} (-1)^{|theta|-|eta|} g[eta]
+        for j in range(n):
+            halves = g.reshape(g.shape[:-1] + (-1, 2, 1 << j))
+            halves[..., 1, :] -= halves[..., 0, :]
+        return g
 
-    for sites in permutations(range(model.m), n):
-        tmask = 0
-        bits = []
-        for x in sites:
-            bits.append(1 << x)
-            tmask |= 1 << x
-        weight = _tuple_weight(model, sites)
-        acc = 0.0
-        for mask in model.support:
-            if mask & tmask:
-                continue
-            q_up = q[mask | tmask]
-            if q_up == 0.0:
-                continue
-            chat = q_up / q[mask]
-            # g[eta] = F and indicators evaluated at omega u {points in eta}
-            g = []
-            for eta in subset_masks:
-                emask = mask
-                for j in range(n):
-                    if eta >> j & 1:
-                        emask |= bits[j]
-                cfg = model.config(emask)
-                value = functional(cfg)
-                if value != 0.0:
-                    for j, region in enumerate(slots):
-                        if not region(sites[j], cfg):
-                            value = 0.0
-                            break
-                g.append(value)
-            theta_total = 0.0
-            for theta in subset_masks:
-                eta = theta
-                while True:
-                    theta_total += signs[(theta, eta)] * g[eta]
-                    if eta == 0:
-                        break
-                    eta = (eta - 1) & theta
-            acc += prob[mask] * chat * theta_total
-        expanded += weight * acc
-
+    expanded = _tuple_sum(model, n, differences, width=1 << n)
     return IdentityReport.build(
         "dtheta-joint-expansion",
         direct,
@@ -413,8 +394,8 @@ def poisson_independence_check(
     if not regions:
         raise ValueError("need at least one region")
     _assert_poisson(model)
-    validate_disjoint(model, regions)
-    weight_multisets = [_region_weight_multiset(model, region) for region in regions]
+    tables = validate_disjoint(model, regions)
+    weight_multisets = [_region_weight_multiset(model, table) for table in tables]
     _assert_cover_condition(model, regions)
 
     predictions = []
@@ -422,21 +403,15 @@ def poisson_independence_check(
         probs = [w / (1.0 + w) for w in weights]
         predictions.append(_factorial_moment_table(probs, max_order))
 
+    counts = [_counts(model, table) for table in tables]
     reports = []
-    p = len(regions)
-    for orders in product(range(1, max_order + 1), repeat=p):
+    for orders in product(range(1, max_order + 1), repeat=len(regions)):
         if sum(orders) > max_order:
             continue
-
-        def lhs_functional(cfg, orders=orders):
-            value = 1.0
-            for region, order in zip(regions, orders):
-                value *= falling_factorial(region_count(region, cfg), order)
-                if value == 0.0:
-                    return 0.0
-            return value
-
-        lhs = model.expectation(lhs_functional)
+        value = 1.0
+        for count, order in zip(counts, orders):
+            value = value * _falling(count, order)
+        lhs = _expect(model, value)
         rhs = 1.0
         for i, order in enumerate(orders):
             rhs *= predictions[i][order]
@@ -453,26 +428,19 @@ def poisson_independence_check(
 
 def _assert_poisson(model: FiniteModel):
     q = model._q
-    base = q[0]
-    for mask in range(1 << model.m):
-        if abs(q[mask] - base) > 1e-12 * base:
-            raise NotPoissonError("model density is not identically 1")
+    if (np.abs(q - q[0]) > 1e-12 * q[0]).any():
+        raise NotPoissonError("model density is not identically 1")
 
 
-def _region_weight_multiset(model: FiniteModel, region: RandomSet) -> tuple:
-    reference = None
-    for mask in range(1 << model.m):
-        cfg = model.config(mask)
-        weights = tuple(
-            sorted(model.weights[x] for x in range(model.m) if region(x, cfg))
-        )
-        if reference is None:
-            reference = weights
-        elif weights != reference:
-            raise RandomWeightError(
-                "region weight multiset varies with the configuration"
-            )
-    return reference or ()
+def _region_weight_multiset(model: FiniteModel, table: np.ndarray) -> tuple:
+    """The sorted weights of the sites in the region, which must not vary
+    with the configuration; table is the region's R[x, mask]."""
+    chosen = np.where(table, model._weights[:, None], np.inf)
+    chosen.sort(axis=0)
+    if (chosen != chosen[:, :1]).any():
+        raise RandomWeightError("region weight multiset varies with the configuration")
+    reference = chosen[:, 0]
+    return tuple(reference[np.isfinite(reference)].tolist())
 
 
 def _assert_cover_condition(model: FiniteModel, regions: Sequence[RandomSet]):
@@ -501,6 +469,7 @@ def _assert_cover_condition(model: FiniteModel, regions: Sequence[RandomSet]):
                     raise CoverConditionError(
                         f"cover condition fails at points {points}"
                     )
+
 
 
 def _factorial_moment_table(probs: Sequence[float], max_order: int) -> list[float]:

@@ -248,3 +248,30 @@ def test_model_description_poisson_and_errors():
             {"sites": 2, "weights": [1.0, 1.0],
              "density": {"type": "pairwise", "gamma": 0.5, "pairs": [[0, 5]]}}
         )
+
+
+def test_hereditarity_check_is_exhaustive_above_sixteen_sites():
+    # forbids only {0..15} while allowing its superset {0..16}
+    forbidden = frozenset(range(16))
+
+    def log_q(cfg):
+        return -math.inf if cfg == forbidden else 0.0
+
+    with pytest.raises(ValueError, match="hereditary"):
+        FiniteModel(GroundSpace((1.0,) * 17), log_q)
+
+
+def test_gnz_kernel_called_once_per_site_and_configuration():
+    m = 6
+    weights = tuple(0.3 + 0.2 * x for x in range(m))
+    model = FiniteModel(GroundSpace(weights), poisson_log_density())
+    calls = []
+
+    def kernel(x, cfg):
+        calls.append((x, cfg))
+        return 1.0 + x * len(cfg)
+
+    model.gnz_residual(kernel)
+    assert len(calls) == m * 2 ** (m - 1)
+    assert len(set(calls)) == len(calls)
+    assert all(x in cfg for x, cfg in calls)

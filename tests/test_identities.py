@@ -1,10 +1,11 @@
 """Identity evaluator tests: every report must close to float roundoff."""
 
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
+from ppmoments.difference_ops import diff_multi
 from ppmoments.finite_model import (
     FiniteModel,
     GroundSpace,
@@ -23,6 +24,7 @@ from ppmoments.identities import (
     poisson_independence_check,
     region_count,
     stirling_moment_identity,
+    validate_disjoint,
 )
 from ppmoments.instances import generate_random_instance
 
@@ -303,3 +305,112 @@ def test_order_guard():
         factorial_moment_identity(model, lambda c: 1.0, lambda x, c: True, 5)
     with pytest.raises(ValueError):
         partition_moment_identity(model, lambda x, c: 1.0, 0)
+
+
+def test_validate_disjoint_is_exhaustive_at_eleven_sites():
+    # the regions overlap at site 1 exactly when site 0 is present
+    model = FiniteModel(GroundSpace((1.0,) * 11), poisson_log_density())
+    a = lambda x, cfg: x == 1
+    b = lambda x, cfg: x == 1 and 0 in cfg
+    with pytest.raises(DisjointnessError):
+        validate_disjoint(model, [a, b])
+    with pytest.raises(DisjointnessError):
+        joint_factorial_identity(model, lambda c: 1.0, [a, b], [1, 1])
+
+
+def test_hard_core_callables_never_see_forbidden_configurations():
+    pairs = [(0, 1), (1, 2), (3, 4)]
+    space = GroundSpace((0.6, 1.2, 0.9, 0.5, 1.4))
+    model = FiniteModel(space, pairwise_log_density(0.0, pairs))
+
+    def allowed(cfg):
+        if any(a in cfg and b in cfg for a, b in pairs):
+            raise AssertionError(f"called on forbidden configuration {sorted(cfg)}")
+
+    def functional(cfg):
+        allowed(cfg)
+        return 1.0 + 0.5 * len(cfg)
+
+    def kernel(x, cfg):
+        allowed(cfg)
+        return 0.5 + x
+
+    region = lambda x, cfg: x != 2
+    regions = [lambda x, cfg: x < 2, lambda x, cfg: x in (3, 4)]
+    model.expectation(functional)
+    model.gnz_residual(kernel)
+    reports = [
+        factorial_moment_identity(model, functional, region, 2),
+        stirling_moment_identity(model, functional, region, 3),
+        partition_moment_identity(model, kernel, 3),
+        joint_factorial_identity(model, functional, regions, [1, 1]),
+        dtheta_joint_expansion(model, functional, regions, [1, 2]),
+    ]
+    assert all(report.rel_gap <= GATE for report in reports)
+
+
+def _loop_rhs(model, k, integrand):
+    """Reference right side: sum over ordered k-tuples t and configurations
+    omega of w(t) P(omega) chat(t, omega) integrand(t, omega), one term at a
+    time through the public accessors."""
+    total = 0.0
+    for t in permutations(range(model.m), k):
+        weight = math.prod(model.weights[x] for x in t)
+        for mask in range(1 << model.m):
+            omega = model.config(mask)
+            chat = model.compound_campbell(t, omega)
+            if chat != 0.0:
+                total += weight * model.probability(omega) * chat * integrand(t, omega)
+    return total
+
+
+def test_tabulated_right_sides_match_loop_reference():
+    bundle = generate_random_instance("joint", {"m_min": 6, "m_max": 6, "n_max": 3}, 81)
+    model, functional, regions = bundle["model"], bundle["functional"], bundle["regions"]
+    orders = [1, 2]
+    slots = [regions[0], regions[1], regions[1]]
+
+    def indicator_integrand(t, omega):
+        up = omega | set(t)
+        if all(region(x, up) for x, region in zip(t, slots)):
+            return functional(up)
+        return 0.0
+
+    joint = joint_factorial_identity(model, functional, regions, orders)
+    assert joint.rhs == pytest.approx(_loop_rhs(model, 3, indicator_integrand), rel=1e-12)
+
+    factorial = factorial_moment_identity(model, functional, regions[1], 2)
+    expected = _loop_rhs(
+        model,
+        2,
+        lambda t, omega: functional(omega | set(t))
+        * all(regions[1](x, omega | set(t)) for x in t),
+    )
+    assert factorial.rhs == pytest.approx(expected, rel=1e-12)
+
+    kernel = lambda x, cfg: 0.3 + 0.1 * x - 0.2 * len(cfg)
+    partition = partition_moment_identity(model, kernel, 2)
+    # partitions of {1, 2}: one block of size 2, or two singleton blocks
+    expected = _loop_rhs(model, 1, lambda t, omega: kernel(t[0], omega | set(t)) ** 2)
+    expected += _loop_rhs(
+        model,
+        2,
+        lambda t, omega: kernel(t[0], omega | set(t)) * kernel(t[1], omega | set(t)),
+    )
+    assert partition.rhs == pytest.approx(expected, rel=1e-12)
+
+    # the expansion through the public multi-point difference operator
+    def expanded_integrand(t, omega):
+        def h(cfg):
+            if all(region(x, cfg) for x, region in zip(t, slots)):
+                return functional(cfg)
+            return 0.0
+
+        return sum(
+            diff_multi(h, theta)(omega)
+            for size in range(len(t) + 1)
+            for theta in combinations(t, size)
+        )
+
+    dtheta = dtheta_joint_expansion(model, functional, regions, orders)
+    assert dtheta.rhs == pytest.approx(_loop_rhs(model, 3, expanded_integrand), rel=1e-12)
