@@ -11,11 +11,13 @@ of the effective configuration and a timestamp (the only nondeterministic
 field, quarantined there so report bodies diff cleanly), followed by one
 record per instance and a closing summary record. The exit status is 0 when
 every gate passes, 1 on gate failure, 2 on config parse errors and 3 on
-validation errors.
+validation errors. Validation errors include a config key or suite parameter
+the suite does not read, an instance count below 1 and a negative seed; these
+exit before the header is written.
 
-The environment variable PPMOMENTS_THREADS caps worker parallelism. The
-current implementation evaluates every suite sequentially (an effective
-parallelism of 1, below any cap); the variable is validated and recorded.
+SUITES is the registry: per suite the runner, the one-line summary that
+list-suites prints, the statement that explain prints and the parameter
+names the runner reads.
 """
 
 from __future__ import annotations
@@ -23,15 +25,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .combinatorics import stirling_reindex_gap
+from .combinatorics import falling_factorial, stirling_reindex_gap
 from .difference_ops import diff, diff_multi, product_expansion_gap
 from .finite_model import load_model
 from .identities import (
@@ -46,15 +48,17 @@ from .instances import generate_random_instance
 from .montecarlo import (
     PoissonModel,
     StraussModel,
-    Window,
     estimate_factorial_identity,
     estimate_partition_moment,
     gnz_estimates,
+    mean_and_se,
     process_from_config,
     sample_many,
     sample_poisson,
+    target_check,
     window_from_config,
     z_score,
+    z_value,
 )
 from .transforms import (
     TransformSpec,
@@ -75,6 +79,9 @@ Z_GATE = 4.0
 P_GATE = 1e-3
 # window of the mc-poisson, mc-gibbs and mc-identity suites when none is given
 UNIT_WINDOW = {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0}
+# window of the transform-invariance and rho-tau suites when none is given;
+# it must contain the unit disk the transformation acts on
+DISK_WINDOW = {"x_min": -1.05, "x_max": 1.05, "y_min": -1.05, "y_max": 1.05}
 
 
 @dataclass
@@ -86,21 +93,36 @@ class SuiteConfig:
     instance_count: int | None = None
     parameters: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.suite not in SUITES:
+            raise ValueError(f"unknown suite {self.suite!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if self.instance_count is not None and self.instance_count < 1:
+            raise ValueError("instance_count must be at least 1")
+        if not isinstance(self.parameters, dict):
+            raise ValueError("parameters must be an object")
+        unknown = sorted(set(self.parameters) - set(SUITES[self.suite].parameters))
+        if unknown:
+            raise ValueError(f"suite {self.suite} reads no parameter {', '.join(unknown)}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "SuiteConfig":
         if "suite" not in raw:
             raise ValueError("config must name a suite")
-        suite = str(raw["suite"])
-        if suite not in SUITES:
-            raise ValueError(f"unknown suite {suite!r}")
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key {', '.join(unknown)}")
         seed = raw.get("seed")
         if seed is None:
             raise ValueError("config must provide a seed")
         count = raw.get("instance_count")
-        parameters = raw.get("parameters", {})
-        if not isinstance(parameters, dict):
-            raise ValueError("parameters must be an object")
-        return cls(suite, int(seed), None if count is None else int(count), parameters)
+        return cls(
+            str(raw["suite"]),
+            int(seed),
+            None if count is None else int(count),
+            raw.get("parameters", {}),
+        )
 
     def canonical(self) -> dict:
         return {
@@ -128,110 +150,77 @@ def _identity_record(report: IdentityReport, instance: int, gate: float) -> dict
     return record
 
 
-def _estimate_record(name, instance, lhs, rhs, target=None) -> dict:
-    z = z_score(lhs, rhs)
-    record = {
+def _z_gated(record: dict) -> dict:
+    """The record with the |z| <= Z_GATE verdict added."""
+    return {**record, "gate": Z_GATE, "passed": abs(record["z"]) <= Z_GATE}
+
+
+def _estimate_record(name, instance, lhs, rhs) -> dict:
+    return _z_gated({
         "record": "estimate",
         "name": name,
         "instance": instance,
         "lhs": lhs.to_dict(),
         "rhs": rhs.to_dict(),
-        "z": z,
-        "gate": Z_GATE,
-        "passed": abs(z) <= Z_GATE,
-    }
-    if target is not None:
-        record["target"] = target
-    return record
+        "z": z_score(lhs, rhs),
+    })
+
+
+def _window(parameters: dict, default: dict):
+    return window_from_config(parameters.get("window") or default)
 
 
 # -- suite runners -------------------------------------------------------------
 # Each runner yields report records; a record with "passed": False fails the
 # suite gate.
 
-
-def _model_for(config: SuiteConfig, bounds: dict, seed: int, kind: str) -> dict:
-    path = config.parameters.get("model_file")
-    bundle = generate_random_instance(kind, bounds, seed)
-    if path is not None:
-        bundle["model"] = load_model(path)
-    return bundle
+# the exact-gnz parameter "kernels" is the instance generator's n_kernels bound
+_BOUND_NAMES = {"kernels": "n_kernels"}
 
 
-def _run_exact_gnz(config: SuiteConfig):
-    count = config.instance_count or 200
-    bounds = {"m_min": 3, "m_max": int(config.parameters.get("m_max", 8)),
-              "n_kernels": int(config.parameters.get("kernels", 5))}
-    for i in range(count):
-        bundle = _model_for(config, bounds, _child_seed(config.seed, i), "gnz")
-        model = bundle["model"]
-        for j, kernel in enumerate(bundle["kernels"]):
-            lhs, rhs = model.gnz_residual(kernel)
-            report = IdentityReport.build(
-                "gnz", lhs, rhs, {"instance": i, "kernel": j, "sites": model.m}
-            )
-            yield _identity_record(report, i, EXACT_GATE)
+def _exact_suite(
+    summary: str,
+    explanation: str,
+    kind: str,
+    count: int,
+    m_min: int,
+    defaults: dict,
+    evaluate: Callable,
+    model_file: bool = True,
+) -> "Suite":
+    """Registry entry of an instance-driven exact suite.
+
+    Instance i is generate_random_instance(kind, bounds, child seed i), with
+    the bounds m_min and the suite parameters in defaults (name -> default);
+    evaluate(bundle, i) yields its IdentityReports. When model_file is set,
+    the "model_file" parameter replaces each generated model by the model
+    that file describes.
+    """
+
+    def run(config: SuiteConfig):
+        params = config.parameters
+        bounds = {"m_min": m_min}
+        for name, default in defaults.items():
+            bounds[_BOUND_NAMES.get(name, name)] = int(params.get(name, default))
+        path = params.get("model_file") if model_file else None
+        for i in range(config.instance_count or count):
+            bundle = generate_random_instance(kind, bounds, _child_seed(config.seed, i))
+            if path is not None:
+                bundle["model"] = load_model(path)
+            for report in evaluate(bundle, i):
+                yield _identity_record(report, i, EXACT_GATE)
+
+    parameters = tuple(defaults) + (("model_file",) if model_file else ())
+    return Suite(run, summary, explanation, parameters)
 
 
-def _run_exact_factorial(config: SuiteConfig):
-    count = config.instance_count or 100
-    bounds = {"m_min": 3, "m_max": int(config.parameters.get("m_max", 7)),
-              "n_max": int(config.parameters.get("n_max", 3))}
-    for i in range(count):
-        bundle = _model_for(config, bounds, _child_seed(config.seed, i), "factorial")
-        report = factorial_moment_identity(
-            bundle["model"], bundle["functional"], bundle["region"], bundle["n"]
+def _gnz_reports(bundle: dict, instance: int):
+    model = bundle["model"]
+    for j, kernel in enumerate(bundle["kernels"]):
+        lhs, rhs = model.gnz_residual(kernel)
+        yield IdentityReport.build(
+            "gnz", lhs, rhs, {"instance": instance, "kernel": j, "sites": model.m}
         )
-        yield _identity_record(report, i, EXACT_GATE)
-
-
-def _run_exact_joint(config: SuiteConfig):
-    count = config.instance_count or 50
-    bounds = {"m_min": 4, "m_max": int(config.parameters.get("m_max", 7)),
-              "n_max": int(config.parameters.get("n_max", 4))}
-    for i in range(count):
-        bundle = _model_for(config, bounds, _child_seed(config.seed, i), "joint")
-        report = joint_factorial_identity(
-            bundle["model"], bundle["functional"], bundle["regions"], bundle["orders"]
-        )
-        yield _identity_record(report, i, EXACT_GATE)
-
-
-def _run_exact_stirling(config: SuiteConfig):
-    count = config.instance_count or 50
-    bounds = {"m_min": 3, "m_max": int(config.parameters.get("m_max", 7)),
-              "n_max": int(config.parameters.get("n_max", 3))}
-    for i in range(count):
-        bundle = _model_for(config, bounds, _child_seed(config.seed, i), "stirling")
-        report = stirling_moment_identity(
-            bundle["model"], bundle["functional"], bundle["region"], bundle["n"]
-        )
-        yield _identity_record(report, i, EXACT_GATE)
-
-
-def _run_exact_partition(config: SuiteConfig):
-    count = config.instance_count or 50
-    bounds = {"m_min": 3, "m_max": int(config.parameters.get("m_max", 6)),
-              "n_max": int(config.parameters.get("n_max", 3))}
-    for i in range(count):
-        bundle = _model_for(config, bounds, _child_seed(config.seed, i), "partition")
-        report = partition_moment_identity(bundle["model"], bundle["kernel"], bundle["n"])
-        yield _identity_record(report, i, EXACT_GATE)
-
-
-def _run_exact_independence(config: SuiteConfig):
-    count = config.instance_count or 25
-    bounds = {"m_min": 6, "m_max": int(config.parameters.get("m_max", 8)),
-              "n_max": int(config.parameters.get("n_max", 3))}
-    for i in range(count):
-        bundle = generate_random_instance(
-            "independence", bounds, _child_seed(config.seed, i)
-        )
-        reports = poisson_independence_check(
-            bundle["model"], bundle["regions"], bundle["max_order"]
-        )
-        for report in reports:
-            yield _identity_record(report, i, EXACT_GATE)
 
 
 def _run_stir1(config: SuiteConfig):
@@ -306,38 +295,26 @@ def _run_ddd0(config: SuiteConfig):
 
 def _run_mc_poisson(config: SuiteConfig):
     replicates = config.instance_count or 100_000
-    window = window_from_config(config.parameters.get("window") or UNIT_WINDOW)
+    window = _window(config.parameters, UNIT_WINDOW)
     intensity = float(config.parameters.get("intensity", 3.0 / window.area))
     orders = config.parameters.get("orders", [1, 2, 3])
     target_mean = intensity * window.area
     rng_seeds = np.random.SeedSequence(config.seed).spawn(replicates)
-    counts = np.empty(replicates, dtype=np.int64)
+    counts = np.empty(replicates, dtype=float)
     for rep, child in enumerate(rng_seeds):
         rng = np.random.Generator(np.random.PCG64(child))
         counts[rep] = len(sample_poisson(window, intensity, rng))
     for order in orders:
-        values = np.ones(replicates, dtype=float)
-        for k in range(order):
-            values *= counts - k
-        est = float(values.mean())
-        se = float(values.std(ddof=1) / np.sqrt(replicates))
-        target = target_mean**order
-        z = (est - target) / se if se > 0.0 else 0.0
-        yield {
+        yield _z_gated({
             "record": "moment",
             "name": "poisson-factorial-moment",
             "order": order,
-            "estimate": est,
-            "se": se,
-            "target": target,
-            "z": z,
-            "gate": Z_GATE,
-            "passed": abs(z) <= Z_GATE,
-        }
+            **target_check(falling_factorial(counts, order), target_mean**order),
+        })
 
 
 def _run_mc_gibbs(config: SuiteConfig):
-    window = window_from_config(config.parameters.get("window") or UNIT_WINDOW)
+    window = _window(config.parameters, UNIT_WINDOW)
     beta = float(config.parameters.get("beta", 30.0 / window.area))
     gamma = float(config.parameters.get("gamma", 0.5))
     radius = float(config.parameters.get("r", 0.05))
@@ -351,78 +328,53 @@ def _run_mc_gibbs(config: SuiteConfig):
     ]
     pairs = gnz_estimates(model, kernels, n_samples, _child_seed(config.seed, 0), n_steps)
     for j, (lhs, rhs) in enumerate(pairs):
-        record = _estimate_record("strauss-gnz", j, lhs, rhs)
-        record["kernel"] = j
-        yield record
+        yield {**_estimate_record("strauss-gnz", j, lhs, rhs), "kernel": j}
     # gamma = 1 chain against the direct sampler, mean count
     poisson_like = StraussModel(window, beta, 1.0, radius)
     chain = sample_many(poisson_like, max(400, n_samples // 3),
                         _child_seed(config.seed, 1), n_steps)
     direct = sample_many(PoissonModel(window, beta), 4 * n_samples,
                          _child_seed(config.seed, 2))
-    chain_counts = np.array([len(c) for c in chain], dtype=float)
-    direct_counts = np.array([len(c) for c in direct], dtype=float)
-    gap = float(chain_counts.mean() - direct_counts.mean())
-    se = float(
-        np.hypot(
-            chain_counts.std(ddof=1) / np.sqrt(chain_counts.size),
-            direct_counts.std(ddof=1) / np.sqrt(direct_counts.size),
-        )
-    )
-    z = gap / se if se > 0.0 else 0.0
-    yield {
+    chain_mean, chain_se = mean_and_se([len(c) for c in chain])
+    direct_mean, direct_se = mean_and_se([len(c) for c in direct])
+    # np.hypot, not math.hypot: the two differ in the last bit on some inputs
+    se = float(np.hypot(chain_se, direct_se))
+    yield _z_gated({
         "record": "comparison",
         "name": "gibbs-vs-poisson-mean-count",
-        "chain_mean": float(chain_counts.mean()),
-        "direct_mean": float(direct_counts.mean()),
-        "z": z,
-        "gate": Z_GATE,
-        "passed": abs(z) <= Z_GATE,
-    }
+        "chain_mean": chain_mean,
+        "direct_mean": direct_mean,
+        "z": z_value(chain_mean, direct_mean, se),
+    })
 
 
 def _run_mc_identity(config: SuiteConfig):
-    experiments = config.parameters.get("experiments")
+    params = config.parameters
+    experiments = params.get("experiments")
     if experiments is None:
-        window = window_from_config(config.parameters.get("window") or UNIT_WINDOW)
+        raw_window = params.get("window") or UNIT_WINDOW
+        area = window_from_config(raw_window).area
         n_samples = config.instance_count or 20_000
+        poisson = {
+            "process": "poisson", "window": raw_window, "n_samples": n_samples,
+            "intensity": float(params.get("intensity", 3.0 / area)),
+        }
+        strauss = {
+            "process": "strauss", "window": raw_window,
+            "beta": float(params.get("beta", 12.0 / area)),
+            "gamma": float(params.get("gamma", 0.5)),
+            "r": float(params.get("r", 0.08)),
+            "n_samples": max(2000, n_samples // 10),
+            "n_steps": int(params.get("n_steps", 600)),
+        }
         experiments = [
-            {
-                "process": "poisson", "window": _window_dict(window),
-                "intensity": float(config.parameters.get("intensity", 3.0 / window.area)),
-                "identity": "factorial", "n": 2, "n_samples": n_samples,
-            },
-            {
-                "process": "strauss", "window": _window_dict(window),
-                "beta": float(config.parameters.get("beta", 12.0 / window.area)),
-                "gamma": float(config.parameters.get("gamma", 0.5)),
-                "r": float(config.parameters.get("r", 0.08)),
-                "identity": "factorial", "n": 2,
-                "n_samples": max(2000, n_samples // 10),
-                "n_steps": int(config.parameters.get("n_steps", 600)),
-            },
-            {
-                "process": "poisson", "window": _window_dict(window),
-                "intensity": float(config.parameters.get("intensity", 3.0 / window.area)),
-                "identity": "partition", "n": 3, "n_samples": n_samples,
-            },
-            {
-                "process": "strauss", "window": _window_dict(window),
-                "beta": float(config.parameters.get("beta", 12.0 / window.area)),
-                "gamma": float(config.parameters.get("gamma", 0.5)),
-                "r": float(config.parameters.get("r", 0.08)),
-                "identity": "partition", "n": 2,
-                "n_samples": max(2000, n_samples // 10),
-                "n_steps": int(config.parameters.get("n_steps", 600)),
-            },
+            {**poisson, "identity": "factorial", "n": 2},
+            {**strauss, "identity": "factorial", "n": 2},
+            {**poisson, "identity": "partition", "n": 3},
+            {**strauss, "identity": "partition", "n": 2},
         ]
     for index, experiment in enumerate(experiments):
         yield _run_one_experiment(experiment, index, _child_seed(config.seed, index))
-
-
-def _window_dict(window: Window) -> dict:
-    return {"x_min": window.x_min, "x_max": window.x_max,
-            "y_min": window.y_min, "y_max": window.y_max}
 
 
 def _run_one_experiment(experiment: dict, index: int, seed: int) -> dict:
@@ -473,12 +425,7 @@ def _run_transform_invariance(config: SuiteConfig):
     offset = float(params.get("offset", 0.37))
     intensity = float(params.get("intensity", 40.0))
     replicates = config.instance_count or 10_000
-    window_raw = params.get("window")
-    window = (
-        Window(-1.05, 1.05, -1.05, 1.05)
-        if window_raw is None
-        else window_from_config(window_raw)
-    )
+    window = _window(params, DISK_WINDOW)
     regions = [region_from_config(r) for r in params.get("regions", _DEFAULT_REGIONS)]
     report = invariance_suite(
         TransformSpec(offset), window, intensity, regions, replicates, config.seed
@@ -488,16 +435,9 @@ def _run_transform_invariance(config: SuiteConfig):
             "record": "gof", "name": "transform-invariance", **row,
             "gate": P_GATE, "passed": row["p_value"] >= P_GATE,
         }
-    for row in report.covariances:
-        yield {
-            "record": "covariance", "name": "transform-invariance", **row,
-            "gate": Z_GATE, "passed": abs(row["z"]) <= Z_GATE,
-        }
-    for row in report.moments:
-        yield {
-            "record": "moment", "name": "transform-invariance", **row,
-            "gate": Z_GATE, "passed": abs(row["z"]) <= Z_GATE,
-        }
+    for kind, rows in (("covariance", report.covariances), ("moment", report.moments)):
+        for row in rows:
+            yield _z_gated({"record": kind, "name": "transform-invariance", **row})
     # the vanishing-difference condition on sampled tuples
     condition_count = int(params.get("condition_instances", 20))
     rng = np.random.default_rng(np.random.SeedSequence(_child_seed(config.seed, 1)))
@@ -519,178 +459,173 @@ def _run_transform_invariance(config: SuiteConfig):
 
 def _run_rho_tau(config: SuiteConfig):
     params = config.parameters
-    offset = float(params.get("offset", 0.37))
-    intensity = float(params.get("intensity", 30.0))
-    replicates = config.instance_count or 5_000
-    window_raw = params.get("window")
-    window = (
-        Window(-1.05, 1.05, -1.05, 1.05)
-        if window_raw is None
-        else window_from_config(window_raw)
-    )
     report = rho_tau_check(
-        TransformSpec(offset), window, intensity, replicates, config.seed,
+        TransformSpec(float(params.get("offset", 0.37))),
+        _window(params, DISK_WINDOW),
+        float(params.get("intensity", 30.0)),
+        config.instance_count or 5_000,
+        config.seed,
         grid_size=int(params.get("grid_size", 3)),
     )
-    for row in report.first_moments:
-        yield {
-            "record": "moment", "name": "rho-tau-first", **row,
-            "gate": Z_GATE, "passed": abs(row["z"]) <= Z_GATE,
-        }
-    for row in report.second_moments:
-        yield {
-            "record": "moment", "name": "rho-tau-second", **row,
-            "gate": Z_GATE, "passed": abs(row["z"]) <= Z_GATE,
-        }
+    for name, rows in (
+        ("rho-tau-first", report.first_moments),
+        ("rho-tau-second", report.second_moments),
+    ):
+        for row in rows:
+            yield _z_gated({"record": "moment", "name": name, **row})
+
+
+# -- the registry ----------------------------------------------------------------
+
+
+class Suite(NamedTuple):
+    """A registry entry. runner(config) yields the report records; summary
+    is the list-suites line, explanation the explain text, and parameters
+    the names the runner reads from config.parameters."""
+
+    runner: Callable
+    summary: str
+    explanation: str
+    parameters: tuple
 
 
 SUITES = {
-    "exact-gnz": (
-        _run_exact_gnz,
+    "exact-gnz": _exact_suite(
         "Exact two-sided check of the Georgii-Nguyen-Zessin identity on "
         "random finite models.",
-    ),
-    "exact-factorial": (
-        _run_exact_factorial,
-        "Exact factorial moment identity E[F N(A)_(n)] for random "
-        "configuration-dependent regions.",
-    ),
-    "exact-joint": (
-        _run_exact_joint,
-        "Exact joint factorial moment identity for families of disjoint "
-        "random regions.",
-    ),
-    "exact-stirling": (
-        _run_exact_stirling,
-        "Exact raw-moment identity E[F N(A)^n] via Stirling numbers over "
-        "the factorial representation.",
-    ),
-    "exact-partition": (
-        _run_exact_partition,
-        "Exact moment identity for sums sum_x u(x, omega) via set "
-        "partitions.",
-    ),
-    "exact-independence": (
-        _run_exact_independence,
-        "Factorization of joint factorial moments for swap regions of the "
-        "q = 1 model (independent Poisson-type counts).",
-    ),
-    "stir1": (
-        _run_stir1,
-        "Stirling reindexing identity (id stir1): composition/position-set "
-        "sums against partition/index-tuple sums, by direct enumeration.",
-    ),
-    "ddd0": (
-        _run_ddd0,
-        "Product difference expansion (id ddd0): iterated differences of "
-        "kernel products against sums over index-subset families, the "
-        "alternating-sum form against composed differences, and the "
-        "vanishing-cover implication.",
-    ),
-    "mc-poisson": (
-        _run_mc_poisson,
-        "Monte Carlo factorial moments of Poisson counts against "
-        "(intensity * area)^n.",
-    ),
-    "mc-gibbs": (
-        _run_mc_gibbs,
-        "Birth-death chain for the Strauss process: Monte Carlo GNZ "
-        "residuals and the gamma = 1 reduction to Poisson.",
-    ),
-    "mc-identity": (
-        _run_mc_identity,
-        "Monte Carlo two-sided estimates of the factorial and partition "
-        "moment identities on continuous windows.",
-    ),
-    "transform-invariance": (
-        _run_transform_invariance,
-        "Distribution invariance of the Poisson process under the "
-        "hull-conditioned rotation: chi-square goodness of fit, "
-        "covariances, factorial moments, and the vanishing-difference "
-        "condition.",
-    ),
-    "rho-tau": (
-        _run_rho_tau,
-        "First and second factorial moment measures of the transformed "
-        "Poisson process against the constant-correlation prediction.",
-    ),
-}
-
-_EXPLANATIONS = {
-    "exact-gnz": (
         "For a finite model with hereditary density q and Papangelou density "
         "c(x, omega) = q(omega u x)/q(omega), the identity "
         "E[sum_{x in omega} u(x, omega)] = sum_x sigma_x E[c(x, omega) "
         "u(x, omega u x)] holds exactly; the suite evaluates both sides by "
-        "full enumeration on random models and kernels."
+        "full enumeration on random models and kernels.",
+        "gnz", 200, 3, {"m_max": 8, "kernels": 5}, _gnz_reports,
     ),
-    "exact-factorial": (
+    "exact-factorial": _exact_suite(
+        "Exact factorial moment identity E[F N(A)_(n)] for random "
+        "configuration-dependent regions.",
         "E[F N(A)_(n)] equals the sum over ordered n-tuples of distinct "
         "sites of the sigma-weighted expectation of the compound Papangelou "
         "density times F and the region indicators evaluated after adding "
-        "the tuple. A is allowed to depend on the configuration."
+        "the tuple. A is allowed to depend on the configuration.",
+        "factorial", 100, 3, {"m_max": 7, "n_max": 3},
+        lambda b, i: [
+            factorial_moment_identity(b["model"], b["functional"], b["region"], b["n"])
+        ],
     ),
-    "exact-joint": (
+    "exact-joint": _exact_suite(
+        "Exact joint factorial moment identity for families of disjoint "
+        "random regions.",
         "The joint version: E[F prod_i N(A_i)_(n_i)] equals the tensorized "
         "tuple sum when the random regions are disjoint for every "
-        "configuration."
+        "configuration.",
+        "joint", 50, 4, {"m_max": 7, "n_max": 4},
+        lambda b, i: [
+            joint_factorial_identity(b["model"], b["functional"], b["regions"], b["orders"])
+        ],
     ),
-    "exact-stirling": (
+    "exact-stirling": _exact_suite(
+        "Exact raw-moment identity E[F N(A)^n] via Stirling numbers over "
+        "the factorial representation.",
         "E[F N(A)^n] = sum_k S(n,k) T_k where T_k is the order-k factorial "
-        "right side and S(n,k) are Stirling numbers of the second kind."
+        "right side and S(n,k) are Stirling numbers of the second kind.",
+        "stirling", 50, 3, {"m_max": 7, "n_max": 3},
+        lambda b, i: [
+            stirling_moment_identity(b["model"], b["functional"], b["region"], b["n"])
+        ],
     ),
-    "exact-partition": (
+    "exact-partition": _exact_suite(
+        "Exact moment identity for sums sum_x u(x, omega) via set "
+        "partitions.",
         "E[(sum_{x in omega} u(x, omega))^n] expands over set partitions of "
         "{1..n}: each partition with k blocks contributes an ordered "
-        "k-tuple sum with u raised to the block sizes."
+        "k-tuple sum with u raised to the block sizes.",
+        "partition", 50, 3, {"m_max": 6, "n_max": 3},
+        lambda b, i: [partition_moment_identity(b["model"], b["kernel"], b["n"])],
     ),
-    "exact-independence": (
+    "exact-independence": _exact_suite(
+        "Factorization of joint factorial moments for swap regions of the "
+        "q = 1 model (independent Poisson-type counts).",
         "For the q = 1 model and disjoint regions with configuration-"
         "independent weight multisets satisfying the vanishing-cover "
         "condition, joint factorial moments factorize into the per-region "
         "predictions n! e_n(p_x), the atomic analogue of independent "
-        "Poisson counts with parameters sigma(A_i)."
+        "Poisson counts with parameters sigma(A_i).",
+        "independence", 25, 6, {"m_max": 8, "n_max": 3},
+        lambda b, i: poisson_independence_check(b["model"], b["regions"], b["max_order"]),
+        model_file=False,
     ),
-    "stir1": (
+    "stir1": Suite(
+        _run_stir1,
+        "Stirling reindexing identity (id stir1): composition/position-set "
+        "sums against partition/index-tuple sums, by direct enumeration.",
         "The combinatorial identity equating (a) sums over compositions "
         "n_1+...+n_p = n and disjoint position sets I_1..I_p covering "
         "{1..m} weighted by Stirling numbers and factorials with (b) sums "
         "over m-block partitions of {1..n} and index tuples; it is the "
         "reindexing step that turns factorial moment identities into raw "
-        "moment identities."
+        "moment identities.",
+        ("n_max", "m_max", "p_max"),
     ),
-    "ddd0": (
+    "ddd0": Suite(
+        _run_ddd0,
+        "Product difference expansion (id ddd0): iterated differences of "
+        "kernel products against sums over index-subset families, the "
+        "alternating-sum form against composed differences, and the "
+        "vanishing-cover implication.",
         "D_{x_1}...D_{x_l}(u_1(x_1,.) ... u_l(x_l,.)) equals the sum over "
         "all families (Theta_1..Theta_l) of index subsets with union "
         "{1..l} of the product of D_{Theta_j} u_j; when every family of "
-        "nonempty subsets yields zero, the full difference vanishes."
+        "nonempty subsets yields zero, the full difference vanishes.",
+        ("l_max", "m_max", "lemma_count"),
     ),
-    "mc-poisson": (
+    "mc-poisson": Suite(
+        _run_mc_poisson,
+        "Monte Carlo factorial moments of Poisson counts against "
+        "(intensity * area)^n.",
         "Empirical factorial moments E[N(A)_(n)] of a sampled Poisson "
-        "process must match (intensity * |A|)^n within Monte Carlo error."
+        "process must match (intensity * |A|)^n within Monte Carlo error.",
+        ("window", "intensity", "orders"),
     ),
-    "mc-gibbs": (
+    "mc-gibbs": Suite(
+        _run_mc_gibbs,
+        "Birth-death chain for the Strauss process: Monte Carlo GNZ "
+        "residuals and the gamma = 1 reduction to Poisson.",
         "A birth-death Metropolis-Hastings chain with acceptance ratios "
         "driven by c(x, omega) = beta gamma^t targets the Strauss process; "
         "the GNZ identity must hold statistically, and gamma = 1 reduces "
-        "the chain to the Poisson process."
+        "the chain to the Poisson process.",
+        ("window", "beta", "gamma", "r", "n_steps"),
     ),
-    "mc-identity": (
+    "mc-identity": Suite(
+        _run_mc_identity,
+        "Monte Carlo two-sided estimates of the factorial and partition "
+        "moment identities on continuous windows.",
         "The factorial and partition moment identities estimated on "
         "continuous windows: left sides from sampled configurations, right "
         "sides from the window-uniform importance representation of the "
-        "intensity integrals."
+        "intensity integrals.",
+        ("experiments", "window", "intensity", "beta", "gamma", "r", "n_steps"),
     ),
-    "transform-invariance": (
+    "transform-invariance": Suite(
+        _run_transform_invariance,
+        "Distribution invariance of the Poisson process under the "
+        "hull-conditioned rotation: chi-square goodness of fit, "
+        "covariances, factorial moments, and the vanishing-difference "
+        "condition.",
         "The hull-conditioned star rotation preserves Lebesgue measure and "
         "satisfies the vanishing-difference condition, so it maps the "
         "Poisson process to itself: counts of fixed disjoint regions stay "
-        "independent Poisson with unchanged parameters."
+        "independent Poisson with unchanged parameters.",
+        ("offset", "intensity", "window", "regions", "condition_instances"),
     ),
-    "rho-tau": (
+    "rho-tau": Suite(
+        _run_rho_tau,
+        "First and second factorial moment measures of the transformed "
+        "Poisson process against the constant-correlation prediction.",
         "The transformed Poisson process keeps correlation function "
         "identically 1: first moments of disjoint boxes match intensity * "
-        "area and second product moments match the products."
+        "area and second product moments match the products.",
+        ("offset", "intensity", "window", "grid_size"),
     ),
 }
 
@@ -700,8 +635,7 @@ def run_suite(config: SuiteConfig, stream) -> int:
 
     Returns the exit status (0 pass, 1 gate failure, 3 validation error).
     """
-    runner, _ = SUITES[config.suite]
-    threads = _thread_cap()
+    runner = SUITES[config.suite][0]
     header = {
         "record": "header",
         "version": __version__,
@@ -709,7 +643,6 @@ def run_suite(config: SuiteConfig, stream) -> int:
         "config_hash": hashlib.sha256(
             json.dumps(config.canonical(), sort_keys=True).encode()
         ).hexdigest(),
-        "threads": threads,
         "timestamp": time.time(),
     }
     _emit(stream, header)
@@ -737,19 +670,6 @@ def run_suite(config: SuiteConfig, stream) -> int:
     return EXIT_PASS if failures == 0 else EXIT_GATE_FAILURE
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("PPMOMENTS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"PPMOMENTS_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError("PPMOMENTS_THREADS must be at least 1")
-    return cap
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ppmoments",
@@ -772,16 +692,16 @@ def main(argv=None) -> int:
 
     if args.command == "list-suites":
         for name in sorted(SUITES):
-            print(f"{name}: {SUITES[name][1]}")
+            print(f"{name}: {SUITES[name].summary}")
         return EXIT_PASS
 
     if args.command == "explain":
         if args.suite not in SUITES:
             print(f"unknown suite {args.suite!r}", file=sys.stderr)
             return EXIT_VALIDATION_ERROR
-        print(f"{args.suite}: {SUITES[args.suite][1]}")
+        print(f"{args.suite}: {SUITES[args.suite].summary}")
         print()
-        print(_EXPLANATIONS[args.suite])
+        print(SUITES[args.suite].explanation)
         return EXIT_PASS
 
     raw: dict = {}
@@ -804,7 +724,6 @@ def main(argv=None) -> int:
 
     try:
         config = SuiteConfig.from_dict(raw)
-        _thread_cap()
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR

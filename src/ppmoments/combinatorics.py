@@ -92,11 +92,12 @@ class Cover:
 def falling_factorial(x, n: int):
     """x (x-1) ... (x-n+1), with the empty product equal to 1 when n = 0.
 
-    Exact for integer x; works for floats and Fractions alike.
+    Exact for integer x; works for floats, Fractions and, elementwise, numpy
+    arrays alike, returning the type of x.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    result = 1
+    result = x**0
     for k in range(n):
         result = result * (x - k)
     return result
@@ -175,16 +176,18 @@ def covers(n: int, max_parts: int) -> Iterator[Cover]:
             yield Cover(tuple(subsets[m] for m in masks), n)
 
 
-def _cover_tuples(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Ordered k-tuples of nonempty subset bitmasks with union {1..n}."""
+def _cover_tuples(n: int, k: int, allow_empty: bool = False) -> Iterator[tuple[int, ...]]:
+    """Ordered k-tuples of subset bitmasks with union {1..n}; the subsets
+    are nonempty unless allow_empty."""
     full = (1 << n) - 1
+    start = 0 if allow_empty else 1
 
     def rec(prefix, union_mask, remaining):
         if remaining == 0:
             if union_mask == full:
                 yield tuple(prefix)
             return
-        for mask in range(1, full + 1):
+        for mask in range(start, full + 1):
             prefix.append(mask)
             yield from rec(prefix, union_mask | mask, remaining - 1)
             prefix.pop()

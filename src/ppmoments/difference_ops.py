@@ -15,8 +15,11 @@ under which that joint difference vanishes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
+
+from .combinatorics import _cover_tuples
 
 Functional = Callable[[frozenset], float]
 Kernel = Callable[[object, frozenset], float]
@@ -168,26 +171,11 @@ def _difference_table(values, l):
     return out
 
 
-def _families(m, allow_empty):
+# keys are bounded by MAX_EXPANSION_LEN
+@lru_cache(maxsize=None)
+def _families(m: int, allow_empty: bool) -> tuple:
     """Ordered m-tuples of index subsets of {1..m} whose union is full."""
-    full = (1 << m) - 1
-    start = 0 if allow_empty else 1
-
-    def rec(prefix, union):
-        if len(prefix) == m:
-            if union == full:
-                yield tuple(prefix)
-            return
-        slots_left = m - len(prefix) - 1
-        for mask in range(start, full + 1):
-            new_union = union | mask
-            if slots_left == 0 and new_union != full:
-                continue
-            prefix.append(mask)
-            yield from rec(prefix, new_union)
-            prefix.pop()
-
-    yield from rec([], 0)
+    return tuple(_cover_tuples(m, m, allow_empty))
 
 
 def _popcount(mask: int) -> int:

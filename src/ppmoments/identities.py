@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import partitions, stirling2
+from .combinatorics import falling_factorial, partitions, stirling2
 from .finite_model import (
     Configuration,
     FiniteModel,
@@ -133,14 +133,6 @@ def _expect(model: FiniteModel, values: np.ndarray) -> float:
     return _fsum(model._prob[support] * values[support])
 
 
-def _falling(counts: np.ndarray, n: int) -> np.ndarray:
-    """Elementwise falling factorial counts_(n), as floats."""
-    out = np.ones(counts.shape)
-    for i in range(n):
-        out *= counts - i
-    return out
-
-
 def _counts(model: FiniteModel, table: np.ndarray) -> np.ndarray:
     """N(A)(omega) per bitmask from a region table R[x, mask]."""
     members = (np.arange(1 << model.m) >> np.arange(model.m)[:, None]) & 1
@@ -233,7 +225,7 @@ def factorial_moment_identity(
     _guard(model, n)
     f = model._table(functional)
     r = model._site_table(region, bool)
-    lhs = _expect(model, f * _falling(r.sum(axis=0), n))
+    lhs = _expect(model, f * falling_factorial(r.sum(axis=0), n))
     rhs = _joint_rhs(model, f, [r] * n)
     return IdentityReport.build(
         "factorial-moment", lhs, rhs, {"n": n, "sites": model.m}
@@ -261,7 +253,7 @@ def joint_factorial_identity(
     f = model._table(functional)
     value = f
     for table, order in zip(tables, orders):
-        value = value * _falling(_counts(model, table), order)
+        value = value * falling_factorial(_counts(model, table), order)
     lhs = _expect(model, value)
     rhs = _joint_rhs(model, f, _position_regions(tables, orders))
     return IdentityReport.build(
@@ -410,7 +402,7 @@ def poisson_independence_check(
             continue
         value = 1.0
         for count, order in zip(counts, orders):
-            value = value * _falling(count, order)
+            value = value * falling_factorial(count, order)
         lhs = _expect(model, value)
         rhs = 1.0
         for i, order in enumerate(orders):

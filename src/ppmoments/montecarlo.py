@@ -21,6 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .combinatorics import falling_factorial, partitions
+
 Configuration = frozenset
 
 MAX_POISSON_MEAN = 1e6
@@ -129,12 +131,31 @@ class Estimate:
         }
 
 
+def mean_and_se(values) -> tuple[float, float]:
+    """Sample mean and its standard error (ddof = 1) of at least 2 values."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size < 2:
+        raise ValueError("a standard error needs at least 2 samples")
+    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
+
+
+def z_value(estimate: float, target: float, se: float) -> float:
+    """(estimate - target) / se, and 0 when the standard error is 0."""
+    if se == 0.0:
+        return 0.0
+    return (estimate - target) / se
+
+
+def target_check(values, target: float) -> dict:
+    """The sample mean of values against a target: estimate, se, target, z."""
+    estimate, se = mean_and_se(values)
+    return {"estimate": estimate, "se": se, "target": target,
+            "z": z_value(estimate, target, se)}
+
+
 def z_score(lhs: Estimate, rhs: Estimate) -> float:
     """Standardized gap between two independent estimates."""
-    spread = math.hypot(lhs.std_error, rhs.std_error)
-    if spread == 0.0:
-        return 0.0
-    return (lhs.mean - rhs.mean) / spread
+    return z_value(lhs.mean, rhs.mean, math.hypot(lhs.std_error, rhs.std_error))
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -149,14 +170,7 @@ def _replicate_rngs(seed: int, n: int) -> list[np.random.Generator]:
 
 
 def _estimate_from_values(values, seed: int) -> Estimate:
-    arr = np.asarray(values, dtype=float)
-    n = arr.size
-    mean = float(arr.mean())
-    if n > 1:
-        se = float(arr.std(ddof=1) / math.sqrt(n))
-    else:
-        se = 0.0
-    return Estimate(mean, se, n, seed)
+    return Estimate(*mean_and_se(values), len(values), seed)
 
 
 # -- samplers -----------------------------------------------------------------
@@ -350,13 +364,7 @@ def estimate_factorial_identity(
     for rng in _replicate_rngs(lhs_seed, n_samples):
         config = sample_process(model, rng, n_steps)
         count = sum(1 for x in config if region(x, config))
-        value = functional(config)
-        if value != 0.0:
-            ff = 1.0
-            for k in range(n):
-                ff *= count - k
-            value *= ff
-        lhs_values.append(value)
+        lhs_values.append(functional(config) * falling_factorial(count, n))
 
     rhs_values = []
     for rng in _replicate_rngs(rhs_seed, n_samples):
@@ -398,8 +406,6 @@ def estimate_partition_moment(
     """
     if not (1 <= n <= MAX_ESTIMATOR_ORDER):
         raise ValueError(f"order must satisfy 1 <= n <= {MAX_ESTIMATOR_ORDER}")
-    from .combinatorics import partitions
-
     block_sizes = [part.block_sizes() for part in partitions(n)]
     lhs_seed, rhs_seed = _side_seeds(seed)
     area = model.window.area

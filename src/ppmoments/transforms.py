@@ -26,14 +26,16 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as _iter_product
 from typing import Sequence
 
 import numpy as np
 from scipy import stats as _scipy_stats
 
+from .combinatorics import falling_factorial
 from .difference_ops import cover_condition_holds
-from .montecarlo import Window
+from .montecarlo import Window, mean_and_se, target_check, z_value
 
 Configuration = frozenset
 
@@ -542,31 +544,19 @@ def invariance_suite(
             }
         )
     centered = counts - counts.mean(axis=0, keepdims=True)
-    for i in range(len(regions)):
-        for j in range(i + 1, len(regions)):
-            products = centered[:, i] * centered[:, j]
-            cov = float(products.sum() / (n_replicates - 1))
-            se = float(products.std(ddof=1) / math.sqrt(n_replicates))
-            report.covariances.append(
-                {"regions": [i, j], "covariance": cov, "se": se,
-                 "z": cov / se if se > 0.0 else 0.0}
-            )
+    for i, j in combinations(range(len(regions)), 2):
+        products = centered[:, i] * centered[:, j]
+        _, se = mean_and_se(products)
+        cov = float(products.sum() / (n_replicates - 1))
+        report.covariances.append(
+            {"regions": [i, j], "covariance": cov, "se": se, "z": z_value(cov, 0.0, se)}
+        )
     for index, region in enumerate(regions):
         mean = intensity * region.area
         for order in (1, 2, 3):
-            values = _falling_values(counts[:, index], order)
-            est = float(values.mean())
-            se = float(values.std(ddof=1) / math.sqrt(n_replicates))
-            target = mean**order
             report.moments.append(
-                {
-                    "region": index,
-                    "order": order,
-                    "estimate": est,
-                    "se": se,
-                    "target": target,
-                    "z": (est - target) / se if se > 0.0 else 0.0,
-                }
+                {"region": index, "order": order,
+                 **target_check(falling_factorial(counts[:, index], order), mean**order)}
             )
     return report
 
@@ -635,24 +625,14 @@ def rho_tau_check(
     counts = _transformed_counts(spec, window, intensity, boxes, n_replicates, seed)
     report = RhoTauReport(spec.rotation_offset, intensity, n_replicates, seed)
     for index, box in enumerate(boxes):
-        target = intensity * box.area
-        values = counts[:, index].astype(float)
-        est = float(values.mean())
-        se = float(values.std(ddof=1) / math.sqrt(n_replicates))
         report.first_moments.append(
-            {"box": index, "estimate": est, "target": target,
-             "se": se, "z": (est - target) / se if se > 0.0 else 0.0}
+            {"box": index, **target_check(counts[:, index], intensity * box.area)}
         )
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            products = counts[:, i].astype(float) * counts[:, j].astype(float)
-            target = intensity**2 * boxes[i].area * boxes[j].area
-            est = float(products.mean())
-            se = float(products.std(ddof=1) / math.sqrt(n_replicates))
-            report.second_moments.append(
-                {"boxes": [i, j], "estimate": est, "target": target,
-                 "se": se, "z": (est - target) / se if se > 0.0 else 0.0}
-            )
+    for i, j in combinations(range(len(boxes)), 2):
+        target = intensity**2 * boxes[i].area * boxes[j].area
+        report.second_moments.append(
+            {"boxes": [i, j], **target_check(counts[:, i] * counts[:, j], target)}
+        )
     return report
 
 
@@ -693,10 +673,3 @@ def _transformed_counts(spec, window, intensity, regions, n_replicates, seed):
         for index, region in enumerate(regions):
             counts[rep, index] = sum(1 for p in images if region.contains(p))
     return counts
-
-
-def _falling_values(counts: np.ndarray, order: int) -> np.ndarray:
-    values = np.ones(counts.shape, dtype=float)
-    for k in range(order):
-        values *= counts - k
-    return values

@@ -2,6 +2,8 @@
 
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -203,15 +205,67 @@ def test_main_missing_seed_is_exit_3():
     assert main(["run", "--suite", "stir1"]) == EXIT_VALIDATION_ERROR
 
 
-def test_thread_cap_validation(monkeypatch):
-    monkeypatch.setenv("PPMOMENTS_THREADS", "not-a-number")
-    assert main(["run", "--suite", "stir1", "--seed", "1"]) == EXIT_VALIDATION_ERROR
-    monkeypatch.setenv("PPMOMENTS_THREADS", "0")
-    assert main(["run", "--suite", "stir1", "--seed", "1"]) == EXIT_VALIDATION_ERROR
-    monkeypatch.setenv("PPMOMENTS_THREADS", "4")
-    status, lines = run_to_lines("stir1", 3, 1)
-    assert status == EXIT_PASS
-    assert json.loads(lines[0])["threads"] == 4
+_ONE_SAMPLE_EXPERIMENT = {
+    "process": "poisson",
+    "window": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1},
+    "intensity": 2.0,
+    "n_samples": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "argv,config,records",
+    [
+        # rejected before the header: bad counts, seeds and keys
+        (["--suite", "exact-gnz", "--seed", "1", "--instances", "0"], None, []),
+        (["--suite", "exact-gnz", "--seed", "1", "--instances", "-3"], None, []),
+        (["--suite", "mc-poisson", "--seed", "1", "--instances", "-3"], None, []),
+        (["--suite", "stir1", "--seed", "-1"], None, []),
+        ([], {"suite": "stir1", "seed": 1, "instances": 2}, []),
+        ([], {"suite": "exact-gnz", "seed": 1, "parameters": {"m-max": 6}}, []),
+        ([], {"suite": "exact-independence", "seed": 1,
+              "parameters": {"model_file": "model.json"}}, []),
+        ([], {"suite": "stir1", "seed": 1, "parameters": {"model_file": "model.json"}}, []),
+        ([], {"suite": "mc-poisson", "seed": 1,
+              "parameters": {"model_file": "model.json"}}, []),
+        # one sample has no standard error: an error record, never a NaN
+        # standard error that passes the gate
+        (["--suite", "mc-poisson", "--seed", "1", "--instances", "1"], None,
+         ["header", "error"]),
+        ([], {"suite": "mc-identity", "seed": 1,
+              "parameters": {"experiments": [_ONE_SAMPLE_EXPERIMENT]}},
+         ["header", "error"]),
+    ],
+    ids=[
+        "instances-0",
+        "instances-negative-exact",
+        "instances-negative-mc",
+        "seed-negative",
+        "unknown-config-key",
+        "unknown-parameter",
+        "model-file-exact-independence",
+        "model-file-stir1",
+        "model-file-mc-poisson",
+        "one-replicate-mc-poisson",
+        "one-sample-experiment",
+    ],
+)
+def test_bad_input_is_exit_3_without_traceback(argv, config, records, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(["run"] + argv) == EXIT_VALIDATION_ERROR
+    captured = capsys.readouterr()
+    assert [json.loads(line)["record"] for line in captured.out.splitlines()] == records
+    assert "Traceback" not in captured.err
+
+
+def test_readme_table_lists_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## What gets verified", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(SUITES)
 
 
 def test_list_suites_and_explain(capsys):
