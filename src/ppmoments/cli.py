@@ -12,7 +12,8 @@ field, quarantined there so report bodies diff cleanly), followed by one
 record per instance and a closing summary record. The exit status is 0 when
 every gate passes, 1 on gate failure, 2 on config parse errors and 3 on
 validation errors. Validation errors include a config key or suite parameter
-the suite does not read, an instance count below 1 and a negative seed; these
+the suite does not read, an mc-identity experiment list next to the
+parameters it replaces, an instance count below 1 and a negative seed; these
 exit before the header is written.
 
 SUITES is the registry: per suite the runner, the one-line summary that
@@ -105,6 +106,14 @@ class SuiteConfig:
         unknown = sorted(set(self.parameters) - set(SUITES[self.suite].parameters))
         if unknown:
             raise ValueError(f"suite {self.suite} reads no parameter {', '.join(unknown)}")
+        # mc-identity reads its other parameters only to build the default
+        # experiments, so next to an experiment list they would be ignored
+        if self.suite == "mc-identity" and self.parameters.get("experiments") is not None:
+            ignored = sorted(set(self.parameters) - {"experiments"})
+            if self.instance_count is not None:
+                ignored.append("instance_count")
+            if ignored:
+                raise ValueError(f"experiments exclude {', '.join(ignored)}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SuiteConfig":
@@ -298,6 +307,10 @@ def _run_mc_poisson(config: SuiteConfig):
     window = _window(config.parameters, UNIT_WINDOW)
     intensity = float(config.parameters.get("intensity", 3.0 / window.area))
     orders = config.parameters.get("orders", [1, 2, 3])
+    if not isinstance(orders, list) or not orders or not all(
+        type(order) is int and order >= 1 for order in orders
+    ):
+        raise ValueError("orders must be a nonempty list of integers >= 1")
     target_mean = intensity * window.area
     rng_seeds = np.random.SeedSequence(config.seed).spawn(replicates)
     counts = np.empty(replicates, dtype=float)
@@ -373,6 +386,8 @@ def _run_mc_identity(config: SuiteConfig):
             {**poisson, "identity": "partition", "n": 3},
             {**strauss, "identity": "partition", "n": 2},
         ]
+    if not isinstance(experiments, list) or not experiments:
+        raise ValueError("experiments must be a nonempty list")
     for index, experiment in enumerate(experiments):
         yield _run_one_experiment(experiment, index, _child_seed(config.seed, index))
 
@@ -426,7 +441,10 @@ def _run_transform_invariance(config: SuiteConfig):
     intensity = float(params.get("intensity", 40.0))
     replicates = config.instance_count or 10_000
     window = _window(params, DISK_WINDOW)
-    regions = [region_from_config(r) for r in params.get("regions", _DEFAULT_REGIONS)]
+    regions = params.get("regions", _DEFAULT_REGIONS)
+    if not isinstance(regions, (list, tuple)):
+        raise ValueError("regions must be a list")
+    regions = [region_from_config(r) for r in regions]
     report = invariance_suite(
         TransformSpec(offset), window, intensity, regions, replicates, config.seed
     )

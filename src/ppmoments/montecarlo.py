@@ -11,6 +11,16 @@ stream per replicate, so runs are reproducible bit for bit and replicates
 stay independent even if a caller chooses to parallelize them. Estimator
 left and right sides use separate top-level streams, which makes the
 4 * combined-standard-error comparisons between them honest.
+
+A replicate's stream is read in a fixed order. A Poisson draw takes its
+count, then two uniforms (x, y) per point. A Strauss chain takes its
+Poisson(beta) start the same way, then exactly 4 uniforms per step
+(move, u, v, accept), whatever the step does; an estimator's right side
+continues on the same stream after the chain. The Strauss chains of a call
+(all replicates of sample_many, or both sides of an estimator) advance
+together in lockstep as numpy arrays, each reading its own stream in blocks
+of steps, so a chain's result does not depend on which chains share its
+call: sample_gibbs on one generator gives the same configuration.
 """
 
 from __future__ import annotations
@@ -50,10 +60,13 @@ class Window:
         x, y = point
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
 
-    def sample_point(self, rng: np.random.Generator) -> tuple[float, float]:
-        x = self.x_min + (self.x_max - self.x_min) * rng.random()
-        y = self.y_min + (self.y_max - self.y_min) * rng.random()
-        return (x, y)
+    def sample_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """count uniform points as a (count, 2) array. Point i is mapped from
+        the uniforms 2i (x) and 2i + 1 (y) drawn next from rng."""
+        uniforms = rng.random((count, 2))
+        uniforms[:, 0] = self.x_min + (self.x_max - self.x_min) * uniforms[:, 0]
+        uniforms[:, 1] = self.y_min + (self.y_max - self.y_min) * uniforms[:, 1]
+        return uniforms
 
 
 @dataclass(frozen=True)
@@ -176,23 +189,116 @@ def _estimate_from_values(values, seed: int) -> Estimate:
 # -- samplers -----------------------------------------------------------------
 
 
-def sample_poisson(window: Window, intensity: float, seed) -> Configuration:
-    """One draw of a Poisson process: N ~ Poisson(intensity * area), then
-    N points uniform on the window. Deterministic given the seed."""
+def _tuples(points: np.ndarray) -> tuple:
+    """Rows of an (N, 2) point array as (x, y) tuples of Python floats."""
+    return tuple(map(tuple, points.tolist()))
+
+
+def _poisson_points(window: Window, intensity: float, rng) -> np.ndarray:
     mean = intensity * window.area
     if not mean < MAX_POISSON_MEAN:
         raise ValueError(f"intensity * area must stay below {MAX_POISSON_MEAN:g}")
-    rng = _as_rng(seed)
-    count = int(rng.poisson(mean))
-    points = []
-    for _ in range(count):
-        points.append(window.sample_point(rng))
-    return frozenset(points)
+    return window.sample_points(rng, int(rng.poisson(mean)))
+
+
+def sample_poisson(window: Window, intensity: float, seed) -> Configuration:
+    """One draw of a Poisson process: N ~ Poisson(intensity * area), then
+    N points uniform on the window. Deterministic given the seed."""
+    return frozenset(_tuples(_poisson_points(window, intensity, _as_rng(seed))))
 
 
 def default_burn_in(model: StraussModel) -> int:
     """Default chain length: 10 sweeps of beta * area birth-death steps."""
     return 10 * math.ceil(model.beta * model.window.area)
+
+
+# steps per block of uniforms drawn from each chain's stream at a time
+_CHUNK_STEPS = 64
+
+
+def _strauss_chains(model: StraussModel, n_steps: int, rngs: Sequence) -> list[Configuration]:
+    """One birth-death chain per generator, all advanced together.
+
+    Chain k draws its Poisson(beta) start and then 4 uniforms per step from
+    rngs[k] alone, so its result and the position of rngs[k] afterwards do
+    not depend on the other chains. The points of chain k are
+    (xs[k, j], ys[k, j]) for j < n[k]; unused slots hold inf, which is never
+    within r of a point.
+    """
+    if n_steps < default_burn_in(model):
+        raise ValueError(
+            f"n_steps must be at least the default burn-in {default_burn_in(model)}"
+        )
+    window = model.window
+    area = window.area
+    width = window.x_max - window.x_min
+    height = window.y_max - window.y_min
+    r2 = model.r * model.r
+    starts = [_poisson_points(window, model.beta, rng) for rng in rngs]
+    chains = len(starts)
+    n = np.array([len(start) for start in starts], dtype=np.int64)
+    cap = max(1, int(n.max(initial=0)))
+    xs = np.full((chains, cap), np.inf)
+    ys = np.full((chains, cap), np.inf)
+    for k, start in enumerate(starts):
+        xs[k, : len(start)] = start[:, 0]
+        ys[k, : len(start)] = start[:, 1]
+
+    def c_table(size):
+        """c(x, omega) = beta gamma^t for t = 0..size, as Python computes it."""
+        return np.array([model.beta * model.gamma**t for t in range(size + 1)])
+
+    c_of_t = c_table(cap)
+    # gamma == 1 gives c = beta whatever t is, so no distances are needed
+    interacting = model.gamma != 1.0
+    rows = np.arange(chains)
+    block = np.empty((chains, _CHUNK_STEPS, 4))
+    for first in range(0, n_steps, _CHUNK_STEPS):
+        steps = min(_CHUNK_STEPS, n_steps - first)
+        for k, rng in enumerate(rngs):
+            rng.random(out=block[k, :steps])
+        # (step, uniform, chain): each step reads four contiguous rows
+        uniforms = block[:, :steps].transpose(1, 2, 0).copy()
+        for move, u, v, accept in uniforms:
+            birth = move < 0.5
+            death = ~birth & (n > 0)
+            index = np.minimum((u * n).astype(np.int64), n - 1)
+            px = np.where(death, xs[rows, index], window.x_min + width * u)
+            py = np.where(death, ys[rows, index], window.y_min + height * v)
+            if interacting:
+                used = int(n.max(initial=0))
+                dx = xs[:, :used] - px[:, None]
+                dy = ys[:, :used] - py[:, None]
+                dx *= dx
+                dy *= dy
+                dx += dy
+                # a dying point is at distance 0 from itself
+                c = c_of_t[np.count_nonzero(dx <= r2, axis=1) - death]
+            else:
+                c = model.beta
+            born = np.flatnonzero(birth & (accept * (n + 1) < c * area))
+            # accept a death iff accept < n / (c * area), written division-free
+            died = np.flatnonzero(death & (accept * c * area < n))
+            if born.size:
+                slot = n[born]
+                if slot.max() == cap:
+                    xs = np.concatenate((xs, np.full_like(xs, np.inf)), axis=1)
+                    ys = np.concatenate((ys, np.full_like(ys, np.inf)), axis=1)
+                    cap *= 2
+                    c_of_t = c_table(cap)
+                xs[born, slot] = px[born]
+                ys[born, slot] = py[born]
+                n[born] += 1
+            if died.size:
+                last = n[died] - 1
+                for coordinate in (xs, ys):
+                    coordinate[died, index[died]] = coordinate[died, last]
+                    coordinate[died, last] = np.inf
+                n[died] = last
+    return [
+        frozenset(zip(xs[k, : n[k]].tolist(), ys[k, : n[k]].tolist()))
+        for k in range(chains)
+    ]
 
 
 def sample_gibbs(model: StraussModel, n_steps: int, seed) -> Configuration:
@@ -204,53 +310,17 @@ def sample_gibbs(model: StraussModel, n_steps: int, seed) -> Configuration:
     probability 1/2. The chain starts from a Poisson(beta) draw, which is
     already stationary when gamma = 1 and close to it otherwise; n_steps
     must be at least the default burn-in.
-    """
-    if n_steps < default_burn_in(model):
-        raise ValueError(
-            f"n_steps must be at least the default burn-in {default_burn_in(model)}"
-        )
-    rng = _as_rng(seed)
-    window = model.window
-    area = window.area
-    beta = model.beta
-    gamma = model.gamma
-    r2 = model.r * model.r
-    points: list[tuple[float, float]] = list(
-        sample_poisson(window, beta, rng)
-    )
 
-    for _ in range(n_steps):
-        if rng.random() < 0.5:
-            x = window.sample_point(rng)
-            t = 0
-            px, py = x
-            for qx, qy in points:
-                dx = px - qx
-                dy = py - qy
-                if dx * dx + dy * dy <= r2:
-                    t += 1
-            c = beta * gamma**t
-            if rng.random() * (len(points) + 1) < c * area:
-                points.append(x)
-        else:
-            n = len(points)
-            if n == 0:
-                continue
-            index = int(rng.integers(n))
-            px, py = points[index]
-            t = 0
-            for j, (qx, qy) in enumerate(points):
-                if j == index:
-                    continue
-                dx = px - qx
-                dy = py - qy
-                if dx * dx + dy * dy <= r2:
-                    t += 1
-            c = beta * gamma**t
-            # accept death iff U < n / (c * area), written division-free
-            if rng.random() * c * area < n:
-                points.pop(index)
-    return frozenset(points)
+    Draw layout: the Poisson start (as sample_poisson), then exactly 4
+    uniforms per step, (move, u, v, accept). move < 1/2 proposes a birth at
+    (x_min + width u, y_min + height v); otherwise the death of the point
+    in slot min(floor(u n), n - 1), where a death swaps the last point into
+    the freed slot. A step with n = 0 and no birth does nothing. The
+    generator therefore ends 4 n_steps uniforms after the start, whatever
+    the chain did. This is the one-chain call of the lockstep engine that
+    the estimators and sample_many run on all replicate streams at once.
+    """
+    return _strauss_chains(model, n_steps, [_as_rng(seed)])[0]
 
 
 def sample_process(model: ProcessModel, seed, n_steps: int | None = None) -> Configuration:
@@ -261,12 +331,38 @@ def sample_process(model: ProcessModel, seed, n_steps: int | None = None) -> Con
     return sample_gibbs(model, steps, seed)
 
 
+def _draw_sides(model: ProcessModel, seeds: Sequence[int], n_samples: int,
+                n_steps: int | None) -> list:
+    """Per seed, the (generator, configuration) pairs of its n_samples
+    replicate streams, in stream order.
+
+    A Poisson side spawns its generators when it is first iterated and
+    draws one configuration at a time. The Strauss chains of every side run
+    in one lockstep call; the callers' later draws from each generator
+    continue its own stream.
+    """
+    if isinstance(model, PoissonModel):
+
+        def stream(seed):
+            for rng in _replicate_rngs(seed, n_samples):
+                yield rng, sample_poisson(model.window, model.intensity, rng)
+
+        return [stream(seed) for seed in seeds]
+    sides = [_replicate_rngs(seed, n_samples) for seed in seeds]
+    steps = default_burn_in(model) if n_steps is None else n_steps
+    configs = _strauss_chains(model, steps, [rng for rngs in sides for rng in rngs])
+    return [
+        list(zip(rngs, configs[i * n_samples : (i + 1) * n_samples]))
+        for i, rngs in enumerate(sides)
+    ]
+
+
 def sample_many(
     model: ProcessModel, n_samples: int, seed: int, n_steps: int | None = None
 ) -> list[Configuration]:
     """Independent replicates, one spawned RNG stream per replicate."""
-    rngs = _replicate_rngs(seed, n_samples)
-    return [sample_process(model, rng, n_steps) for rng in rngs]
+    (side,) = _draw_sides(model, [seed], n_samples, n_steps)
+    return [config for _, config in side]
 
 
 def compound_papangelou(model: ProcessModel, points: Sequence, config: Configuration) -> float:
@@ -310,19 +406,18 @@ def gnz_estimates(
 ) -> list[tuple[Estimate, Estimate]]:
     """GNZ estimates for several kernels sharing the same sample streams."""
     lhs_seed, rhs_seed = _side_seeds(seed)
+    lhs, rhs = _draw_sides(model, (lhs_seed, rhs_seed), n_samples, n_steps)
     area = model.window.area
     lhs_values = [[] for _ in kernels]
-    for rng in _replicate_rngs(lhs_seed, n_samples):
-        config = sample_process(model, rng, n_steps)
+    for _, config in lhs:
         for slot, u in enumerate(kernels):
             total = 0.0
             for x in config:
                 total += u(x, config)
             lhs_values[slot].append(total)
     rhs_values = [[] for _ in kernels]
-    for rng in _replicate_rngs(rhs_seed, n_samples):
-        config = sample_process(model, rng, n_steps)
-        x = model.window.sample_point(rng)
+    for rng, config in rhs:
+        (x,) = _tuples(model.window.sample_points(rng, 1))
         c = model.papangelou(x, config)
         augmented = config | {x}
         for slot, u in enumerate(kernels):
@@ -358,18 +453,17 @@ def estimate_factorial_identity(
     if not (1 <= n <= MAX_ESTIMATOR_ORDER):
         raise ValueError(f"order must satisfy 1 <= n <= {MAX_ESTIMATOR_ORDER}")
     lhs_seed, rhs_seed = _side_seeds(seed)
+    lhs, rhs = _draw_sides(model, (lhs_seed, rhs_seed), n_samples, n_steps)
     area = model.window.area
 
     lhs_values = []
-    for rng in _replicate_rngs(lhs_seed, n_samples):
-        config = sample_process(model, rng, n_steps)
+    for _, config in lhs:
         count = sum(1 for x in config if region(x, config))
         lhs_values.append(functional(config) * falling_factorial(count, n))
 
     rhs_values = []
-    for rng in _replicate_rngs(rhs_seed, n_samples):
-        config = sample_process(model, rng, n_steps)
-        draws = tuple(model.window.sample_point(rng) for _ in range(n))
+    for rng, config in rhs:
+        draws = _tuples(model.window.sample_points(rng, n))
         chat = compound_papangelou(model, draws, config)
         if chat == 0.0:
             rhs_values.append(0.0)
@@ -408,23 +502,22 @@ def estimate_partition_moment(
         raise ValueError(f"order must satisfy 1 <= n <= {MAX_ESTIMATOR_ORDER}")
     block_sizes = [part.block_sizes() for part in partitions(n)]
     lhs_seed, rhs_seed = _side_seeds(seed)
+    lhs, rhs = _draw_sides(model, (lhs_seed, rhs_seed), n_samples, n_steps)
     area = model.window.area
 
     lhs_values = []
-    for rng in _replicate_rngs(lhs_seed, n_samples):
-        config = sample_process(model, rng, n_steps)
+    for _, config in lhs:
         total = 0.0
         for x in config:
             total += kernel(x, config)
         lhs_values.append(total**n)
 
     rhs_values = []
-    for rng in _replicate_rngs(rhs_seed, n_samples):
-        config = sample_process(model, rng, n_steps)
+    for rng, config in rhs:
         replicate_total = 0.0
         for sizes in block_sizes:
             k = len(sizes)
-            draws = tuple(model.window.sample_point(rng) for _ in range(k))
+            draws = _tuples(model.window.sample_points(rng, k))
             chat = compound_papangelou(model, draws, config)
             if chat == 0.0:
                 continue
@@ -452,13 +545,21 @@ def _side_seeds(seed: int) -> tuple[int, int]:
 # -- experiment configuration --------------------------------------------------
 
 
+def config_floats(config, keys: Sequence[str], what: str) -> list[float]:
+    """The values of keys in a config object as floats; ValueError when
+    config is not an object or a key is missing or not a number."""
+    if not isinstance(config, dict):
+        raise ValueError(f"{what} must be an object")
+    try:
+        return [float(config[key]) for key in keys]
+    except KeyError as exc:
+        raise ValueError(f"{what} is missing {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} values must be numbers: {exc}") from exc
+
+
 def window_from_config(config: dict) -> Window:
-    return Window(
-        float(config["x_min"]),
-        float(config["x_max"]),
-        float(config["y_min"]),
-        float(config["y_max"]),
-    )
+    return Window(*config_floats(config, ("x_min", "x_max", "y_min", "y_max"), "window"))
 
 
 def process_from_config(config: dict) -> ProcessModel:

@@ -35,7 +35,7 @@ from scipy import stats as _scipy_stats
 
 from .combinatorics import falling_factorial
 from .difference_ops import cover_condition_holds
-from .montecarlo import Window, mean_and_se, target_check, z_value
+from .montecarlo import Window, config_floats, mean_and_se, target_check, z_value
 
 Configuration = frozenset
 
@@ -406,16 +406,11 @@ Region = Box | Disk
 
 def region_from_config(config: dict) -> Region:
     """Parse {"type": "box", ...} or {"type": "disk", ...} region entries."""
-    kind = config.get("type")
+    kind = config.get("type") if isinstance(config, dict) else None
     if kind == "box":
-        return Box(
-            float(config["x_min"]),
-            float(config["x_max"]),
-            float(config["y_min"]),
-            float(config["y_max"]),
-        )
+        return Box(*config_floats(config, ("x_min", "x_max", "y_min", "y_max"), "region"))
     if kind == "disk":
-        return Disk(float(config["cx"]), float(config["cy"]), float(config["radius"]))
+        return Disk(*config_floats(config, ("cx", "cy", "radius"), "region"))
     raise ValueError(f"unknown region type {kind!r}")
 
 
@@ -659,17 +654,10 @@ def _transformed_counts(spec, window, intensity, regions, n_replicates, seed):
     if not mean < 1e6:
         raise ValueError("intensity * area too large")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    width = window.x_max - window.x_min
-    height = window.y_max - window.y_min
     counts = np.zeros((n_replicates, len(regions)), dtype=np.int64)
     for rep in range(n_replicates):
-        n = int(rng.poisson(mean))
-        coords = rng.random((n, 2))
-        points = [
-            (window.x_min + width * float(cx), window.y_min + height * float(cy))
-            for cx, cy in coords
-        ]
-        images = _transform_points(spec, points)
+        coords = window.sample_points(rng, int(rng.poisson(mean)))
+        images = _transform_points(spec, list(map(tuple, coords.tolist())))
         for index, region in enumerate(regions):
             counts[rep, index] = sum(1 for p in images if region.contains(p))
     return counts

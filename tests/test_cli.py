@@ -235,6 +235,36 @@ _ONE_SAMPLE_EXPERIMENT = {
         ([], {"suite": "mc-identity", "seed": 1,
               "parameters": {"experiments": [_ONE_SAMPLE_EXPERIMENT]}},
          ["header", "error"]),
+        # an experiment list replaces the parameters of the default experiments
+        ([], {"suite": "mc-identity", "seed": 1,
+              "parameters": {"experiments": [_ONE_SAMPLE_EXPERIMENT], "beta": 1000}}, []),
+        ([], {"suite": "mc-identity", "seed": 1, "instance_count": 5,
+              "parameters": {"experiments": [_ONE_SAMPLE_EXPERIMENT]}}, []),
+        # malformed parameter values
+        ([], {"suite": "mc-poisson", "seed": 1, "parameters": {"window": {"x_min": 0}}},
+         ["header", "error"]),
+        ([], {"suite": "mc-poisson", "seed": 1, "parameters": {"window": [0, 1, 0, 1]}},
+         ["header", "error"]),
+        ([], {"suite": "transform-invariance", "seed": 1,
+              "parameters": {"regions": [{"type": "box", "x_min": 0, "x_max": 0.5,
+                                          "y_min": 0}]}},
+         ["header", "error"]),
+        ([], {"suite": "transform-invariance", "seed": 1,
+              "parameters": {"regions": [{"type": "disk", "cx": 0, "cy": None,
+                                          "radius": 0.5}]}},
+         ["header", "error"]),
+        ([], {"suite": "mc-poisson", "seed": 1, "parameters": {"orders": [2.5]}},
+         ["header", "error"]),
+        ([], {"suite": "mc-poisson", "seed": 1, "parameters": {"orders": [0]}},
+         ["header", "error"]),
+        ([], {"suite": "mc-poisson", "seed": 1, "parameters": {"orders": []}},
+         ["header", "error"]),
+        ([], {"suite": "transform-invariance", "seed": 1, "parameters": {"regions": 5}},
+         ["header", "error"]),
+        ([], {"suite": "mc-identity", "seed": 1, "parameters": {"experiments": 5}},
+         ["header", "error"]),
+        ([], {"suite": "mc-identity", "seed": 1, "parameters": {"experiments": []}},
+         ["header", "error"]),
     ],
     ids=[
         "instances-0",
@@ -248,6 +278,18 @@ _ONE_SAMPLE_EXPERIMENT = {
         "model-file-mc-poisson",
         "one-replicate-mc-poisson",
         "one-sample-experiment",
+        "experiments-and-beta",
+        "experiments-and-instance-count",
+        "window-missing-key",
+        "window-not-an-object",
+        "region-missing-key",
+        "region-value-not-a-number",
+        "orders-not-integer",
+        "orders-below-1",
+        "orders-empty",
+        "regions-not-a-list",
+        "experiments-not-a-list",
+        "experiments-empty",
     ],
 )
 def test_bad_input_is_exit_3_without_traceback(argv, config, records, tmp_path, capsys):

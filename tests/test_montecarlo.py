@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ppmoments.montecarlo import (
     Estimate,
     PoissonModel,
     StraussModel,
     Window,
+    _side_seeds,
     compound_papangelou,
     default_burn_in,
     estimate_factorial_identity,
@@ -108,6 +110,106 @@ def test_gibbs_hard_core_at_window_diameter_keeps_at_most_one_point():
     for seed in range(10):
         config = sample_gibbs(model, default_burn_in(model), seed)
         assert len(config) <= 1
+
+
+def reference_chain(model, n_steps, rng):
+    """The birth-death chain one step at a time, on the draw layout that
+    sample_gibbs documents: the Poisson start, then (move, u, v, accept)
+    per step, with deaths swapping the last point into the freed slot."""
+    window = model.window
+    area = window.area
+    r2 = model.r * model.r
+    count = int(rng.poisson(model.beta * area))
+    points = [
+        (window.x_min + (window.x_max - window.x_min) * float(u),
+         window.y_min + (window.y_max - window.y_min) * float(v))
+        for u, v in rng.random((count, 2))
+    ]
+    largest = len(points)
+    for _ in range(n_steps):
+        move, u, v, accept = (float(w) for w in rng.random(4))
+        n = len(points)
+        if move < 0.5:
+            x = (window.x_min + (window.x_max - window.x_min) * u,
+                 window.y_min + (window.y_max - window.y_min) * v)
+            t = sum((q[0] - x[0]) ** 2 + (q[1] - x[1]) ** 2 <= r2 for q in points)
+            if accept * (n + 1) < model.beta * model.gamma**t * area:
+                points.append(x)
+                largest = max(largest, len(points))
+        elif n:
+            index = min(int(u * n), n - 1)
+            x = points[index]
+            t = sum(
+                (q[0] - x[0]) ** 2 + (q[1] - x[1]) ** 2 <= r2
+                for j, q in enumerate(points)
+                if j != index
+            )
+            if accept * (model.beta * model.gamma**t) * area < n:
+                points[index] = points[-1]
+                points.pop()
+    return frozenset(points), largest
+
+
+@pytest.mark.parametrize(
+    "beta,gamma,r,n_steps",
+    [(20.0, 0.5, 0.1, 400), (15.0, 0.0, 0.15, 150), (8.0, 0.3, 1.5, 200)],
+)
+def test_gibbs_matches_the_reference_chain(beta, gamma, r, n_steps):
+    model = StraussModel(Window(-1.0, 1.0, 0.0, 0.5), beta, gamma, r)
+    for seed in range(4):
+        reference = np.random.default_rng(seed)
+        expected, _ = reference_chain(model, n_steps, reference)
+        rng = np.random.default_rng(seed)
+        assert sample_gibbs(model, n_steps, rng) == expected
+        assert rng.random() == reference.random()
+
+
+def test_gibbs_batch_equals_single_chains():
+    model = StraussModel(UNIT, 25.0, 0.4, 0.08)
+    steps = 300
+    batch = sample_many(model, 7, 99, n_steps=steps)
+    children = np.random.SeedSequence(99).spawn(7)
+    singles = [np.random.Generator(np.random.PCG64(child)) for child in children]
+    assert batch == [sample_gibbs(model, steps, rng) for rng in singles]
+    # after the estimators' chains, each stream continues as after its single chain
+    kernel = lambda x, cfg: x[1] * len(cfg)
+    lhs_seed, rhs_seed = _side_seeds(5)
+    values = []
+    for child in np.random.SeedSequence(rhs_seed).spawn(40):
+        rng = np.random.Generator(np.random.PCG64(child))
+        config = sample_gibbs(model, steps, rng)
+        (u, v) = rng.random(2)
+        x = (float(u), float(v))
+        values.append(model.window.area * model.papangelou(x, config) * kernel(x, config | {x}))
+    _, rhs = estimate_gnz(model, kernel, 40, 5, n_steps=steps)
+    assert rhs.mean == float(np.mean(values))
+
+
+def test_gibbs_capacity_growth():
+    # gamma = 1 and a long chain: the count wanders far above its start
+    model = StraussModel(UNIT, 200.0, 1.0, 0.05)
+    steps = default_burn_in(model)
+    for seed in range(3):
+        reference = np.random.default_rng(seed)
+        expected, largest = reference_chain(model, steps, reference)
+        start = int(np.random.default_rng(seed).poisson(200.0))
+        assert largest > start
+        assert sample_gibbs(model, steps, np.random.default_rng(seed)) == expected
+
+
+def test_gibbs_count_law_with_all_pairs_interacting():
+    # r exceeds the window diameter, so every pair interacts and
+    # P(n) is proportional to (beta |W|)^n gamma^(n(n-1)/2) / n!
+    beta, gamma = 5.0, 0.5
+    model = StraussModel(UNIT, beta, gamma, 1.5)
+    counts = np.array([len(c) for c in sample_many(model, 2000, 2024, n_steps=500)])
+    weights = np.array(
+        [beta**n * gamma ** (n * (n - 1) / 2) / math.factorial(n) for n in range(40)]
+    )
+    law = weights / weights.sum()
+    expected = np.append(law[:4], law[4:].sum()) * counts.size
+    observed = np.append(np.bincount(counts, minlength=4)[:4], np.sum(counts >= 4))
+    assert stats.chisquare(observed, expected).pvalue >= 1e-3
 
 
 def close_pair_count(config, radius):
