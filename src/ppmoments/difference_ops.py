@@ -88,7 +88,7 @@ def product_expansion_gap(
 
     lhs = 0.0
     for eta in range(full + 1):
-        sign = 1.0 if (l - _popcount(eta)) % 2 == 0 else -1.0
+        sign = 1.0 if (l - eta.bit_count()) % 2 == 0 else -1.0
         prod = sign
         for j in range(l):
             prod *= table[j][eta]
@@ -155,19 +155,17 @@ def _value_tables(kernels, points, config):
 
 
 def _difference_table(values, l):
-    """d[theta_mask] = sum over eta subset theta of signed values[eta]."""
-    out = [0.0] * (1 << l)
-    for theta in range(1 << l):
-        theta_bits = _popcount(theta)
-        total = 0.0
-        eta = theta
-        while True:
-            sign = 1.0 if (theta_bits - _popcount(eta)) % 2 == 0 else -1.0
-            total += sign * values[eta]
-            if eta == 0:
-                break
-            eta = (eta - 1) & theta
-        out[theta] = total
+    """d[theta_mask] = sum over eta subset theta of signed values[eta].
+
+    The Moebius transform on the subset lattice, one index at a time:
+    O(l 2^l) instead of the O(3^l) sum over submasks.
+    """
+    out = list(values)
+    for j in range(l):
+        bit = 1 << j
+        for theta in range(1 << l):
+            if theta & bit:
+                out[theta] -= out[theta ^ bit]
     return out
 
 
@@ -176,7 +174,3 @@ def _difference_table(values, l):
 def _families(m: int, allow_empty: bool) -> tuple:
     """Ordered m-tuples of index subsets of {1..m} whose union is full."""
     return tuple(_cover_tuples(m, m, allow_empty))
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")

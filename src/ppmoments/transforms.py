@@ -23,7 +23,6 @@ inverse are closed-form per edge.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -35,7 +34,14 @@ from scipy import stats as _scipy_stats
 
 from .combinatorics import falling_factorial
 from .difference_ops import cover_condition_holds
-from .montecarlo import Window, config_floats, mean_and_se, target_check, z_value
+from .montecarlo import (
+    Window,
+    _poisson_points,
+    config_floats,
+    mean_and_se,
+    target_check,
+    z_value,
+)
 
 Configuration = frozenset
 
@@ -112,7 +118,8 @@ def convex_hull(points) -> list:
 
 
 class HullFrame:
-    """Geometry of one hull: extremal vertices, anchor, sector-area tables."""
+    """Geometry of one hull: extremal vertices, anchor and the sector-area
+    tables of the star rotation, built once as numpy arrays."""
 
     def __init__(self, extremal_vertices: tuple):
         if len(extremal_vertices) < 3:
@@ -122,80 +129,62 @@ class HullFrame:
         ax = sum(p[0] for p in self.extremal_vertices) / n
         ay = sum(p[1] for p in self.extremal_vertices) / n
         self.anchor = (ax, ay)
-        self._rel = [(p[0] - ax, p[1] - ay) for p in self.extremal_vertices]
-        theta0 = math.atan2(self._rel[0][1], self._rel[0][0])
-        self._theta0 = theta0
-        deltas = [0.0]
-        for rx, ry in self._rel[1:]:
-            deltas.append((math.atan2(ry, rx) - theta0) % _TWO_PI)
-        self._deltas = deltas
-        tri = []
-        for i in range(n):
-            a = self._rel[i]
-            b = self._rel[(i + 1) % n]
-            value = 0.5 * (a[0] * b[1] - a[1] * b[0])
-            if not value > 0.0:
-                raise ValueError("degenerate hull sector")
-            tri.append(value)
-        self._tri = tri
-        cum = [0.0]
-        for value in tri:
-            cum.append(cum[-1] + value)
-        self._cum = cum
-        self.total_area = cum[-1]
+        self._verts = np.array(self.extremal_vertices, dtype=float)
+        # edge i runs from vertex i to vertex i + 1
+        self._edges = np.roll(self._verts, -1, axis=0) - self._verts
+        self._rel = self._verts - self.anchor
+        nxt = np.roll(self._rel, -1, axis=0)
+        angles = np.arctan2(self._rel[:, 1], self._rel[:, 0])
+        self._theta0 = angles[0]
+        # angle of each vertex counterclockwise from vertex 0, increasing
+        self._deltas = (angles - self._theta0) % _TWO_PI
+        # area of sector i: the triangle (anchor, vertex i, vertex i + 1)
+        self._tri = 0.5 * (self._rel[:, 0] * nxt[:, 1] - self._rel[:, 1] * nxt[:, 0])
+        if not np.all(self._tri > 0.0):
+            raise ValueError("degenerate hull sector")
+        self._cum = np.concatenate(([0.0], np.cumsum(self._tri)))
+        self.total_area = float(self._cum[-1])
 
     @property
     def n_vertices(self) -> int:
         return len(self.extremal_vertices)
 
-    def _locate(self, phi: float):
-        """Edge index and boundary point for the ray at angle phi."""
-        delta = (phi - self._theta0) % _TWO_PI
-        i = bisect_right(self._deltas, delta) - 1
-        if i >= len(self._rel):
-            i = len(self._rel) - 1
-        a = self._rel[i]
-        b = self._rel[(i + 1) % len(self._rel)]
-        ex = b[0] - a[0]
-        ey = b[1] - a[1]
-        ux = math.cos(phi)
-        uy = math.sin(phi)
-        denom = ux * ey - uy * ex
-        t = (a[0] * ey - a[1] * ex) / denom
-        return i, (t * ux, t * uy)
+    def rotate(self, offset: float, points: np.ndarray) -> np.ndarray:
+        """Star rotation by offset * total_area of every row of an (N, 2) array.
 
-    def boundary_radius(self, phi: float) -> float:
-        """Distance from the anchor to the hull boundary along angle phi."""
-        _, (bx, by) = self._locate(phi)
-        return math.hypot(bx, by)
-
-    def sector_area(self, phi: float) -> float:
-        """Area swept counterclockwise from the reference vertex to phi."""
-        i, (bx, by) = self._locate(phi)
-        a = self._rel[i]
-        return self._cum[i] + 0.5 * (a[0] * by - a[1] * bx)
-
-    def _boundary_from_area(self, s: float):
-        """Boundary point whose cumulative sector area equals s."""
-        j = bisect_right(self._cum, s) - 1
-        if j >= len(self._tri):
-            j = len(self._tri) - 1
-        a = self._rel[j]
-        b = self._rel[(j + 1) % len(self._rel)]
-        frac = (s - self._cum[j]) / self._tri[j]
-        return (a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]))
-
-    def contains_interior(self, point) -> bool:
-        """Strict interior test; boundary points (vertices included) are out."""
-        verts = self.extremal_vertices
-        n = len(verts)
-        px, py = point
-        for i in range(n):
-            ax, ay = verts[i]
-            bx, by = verts[(i + 1) % n]
-            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) <= 0.0:
-                return False
-        return True
+        Rows not strictly inside the hull (vertices and edges included) and
+        the anchor come back unchanged. The ray of a row anchor + r leaves
+        the hull through edge i at anchor + lam * r = vertex i + f * edge i,
+        so the row has sector area s = cum[i] + f * tri[i] and lies at the
+        fraction 1 / lam of the boundary distance R(phi). Its image lies at
+        the same fraction of the way to the boundary point of sector area
+        (s + offset * T) mod T.
+        """
+        out = np.array(points, dtype=float).reshape(-1, 2)
+        verts = self._verts
+        ex = self._edges[:, 0]
+        ey = self._edges[:, 1]
+        # strictly left of every counterclockwise edge
+        left = ex * (out[:, 1:] - verts[:, 1]) - ey * (out[:, :1] - verts[:, 0])
+        rows = np.flatnonzero(np.all(left > 0.0, axis=1))
+        rx = out[rows, 0] - self.anchor[0]
+        ry = out[rows, 1] - self.anchor[1]
+        moved = (rx != 0.0) | (ry != 0.0)
+        rows, rx, ry = rows[moved], rx[moved], ry[moved]
+        last = len(self._tri) - 1
+        delta = (np.arctan2(ry, rx) - self._theta0) % _TWO_PI
+        i = np.minimum(np.searchsorted(self._deltas, delta, side="right") - 1, last)
+        ax, ay = self._rel[i, 0], self._rel[i, 1]
+        cross = rx * ey[i] - ry * ex[i]
+        lam = 2.0 * self._tri[i] / cross
+        s = self._cum[i] + self._tri[i] * (ax * ry - ay * rx) / cross
+        total = self.total_area
+        target = (s + offset * total) % total
+        j = np.minimum(np.searchsorted(self._cum, target, side="right") - 1, last)
+        f = ((target - self._cum[j]) / self._tri[j])[:, None]
+        boundary = self._rel[j] + f * self._edges[j]
+        out[rows] = self.anchor + boundary / lam[:, None]
+        return out
 
 
 def hull_frame(config) -> HullFrame | None:
@@ -216,29 +205,18 @@ def hull_frame(config) -> HullFrame | None:
 # -- the transformation ---------------------------------------------------------
 
 
-def _apply_in_frame(frame: HullFrame, offset: float, point):
-    if offset == 0.0 or frame is None:
-        return point
-    if not frame.contains_interior(point):
-        return point
-    ax, ay = frame.anchor
-    rx = point[0] - ax
-    ry = point[1] - ay
-    rho = math.hypot(rx, ry)
-    if rho == 0.0:
-        return point
-    phi = math.atan2(ry, rx)
-    i, (bx, by) = frame._locate(phi)
-    radius = math.hypot(bx, by)
-    a = frame._rel[i]
-    s = frame._cum[i] + 0.5 * (a[0] * by - a[1] * bx)
-    total = frame.total_area
-    target = (s + offset * total) % total
-    if target >= total:
-        target -= total
-    nbx, nby = frame._boundary_from_area(target)
-    scale = rho / radius
-    return (ax + scale * nbx, ay + scale * nby)
+def _tau(spec: TransformSpec, config, points: np.ndarray) -> np.ndarray:
+    """tau(x, config) for every row x of an (N, 2) array of points.
+
+    The identity when the offset is 0 (no hull is extracted then) or when
+    config has no hull frame; otherwise the star rotation in its hull frame.
+    """
+    if spec.rotation_offset == 0.0:
+        return points
+    frame = hull_frame(config)
+    if frame is None:
+        return points
+    return frame.rotate(spec.rotation_offset, points)
 
 
 def apply_tau(spec: TransformSpec, point, config) -> tuple:
@@ -248,20 +226,7 @@ def apply_tau(spec: TransformSpec, point, config) -> tuple:
     inside the hull; otherwise the area-preserving star rotation. The result
     depends on the configuration only through its extremal vertices.
     """
-    if spec.rotation_offset == 0.0:
-        return point
-    return _apply_in_frame(hull_frame(config), spec.rotation_offset, point)
-
-
-def _transform_points(spec: TransformSpec, points: Sequence) -> list:
-    """Map a whole configuration with a single hull extraction."""
-    if spec.rotation_offset == 0.0:
-        return list(points)
-    frame = hull_frame(points)
-    if frame is None:
-        return list(points)
-    offset = spec.rotation_offset
-    return [_apply_in_frame(frame, offset, p) for p in points]
+    return tuple(_tau(spec, config, np.array([point], dtype=float))[0].tolist())
 
 
 def push_forward(spec: TransformSpec, config) -> Configuration:
@@ -271,9 +236,10 @@ def push_forward(spec: TransformSpec, config) -> Configuration:
     is fixed, so cardinality is preserved; a collision among images (which
     has probability zero in continuous data) raises an error.
     """
-    images = _transform_points(spec, list(config))
-    result = frozenset(images)
-    if len(result) != len(images):
+    points = list(config)
+    images = _tau(spec, points, np.array(points, dtype=float).reshape(-1, 2))
+    result = frozenset(map(tuple, images.tolist()))
+    if len(result) != len(points):
         raise ValueError("push-forward produced coinciding image points")
     return result
 
@@ -303,41 +269,23 @@ def verify_transform_condition(
     if not (1 <= m <= MAX_CONDITION_TUPLE):
         raise ValueError(f"tuple length must satisfy 1 <= m <= {MAX_CONDITION_TUPLE}")
 
-    frames: dict = {}
+    coords = np.array(pts, dtype=float)
+    # per augmented configuration, one hull and one map of the tuple points:
+    # each point's image coordinates, then its indicator in each test box
     values: dict = {}
+    for eta in range(1 << m):
+        cfg = config | frozenset(pts[i] for i in range(m) if eta >> i & 1)
+        if cfg not in values:
+            images = _tau(spec, cfg, coords)
+            boxes = [Box(*box).contains(images) for box in _TEST_BOXES]
+            table = np.column_stack([images] + boxes)
+            values[cfg] = dict(zip(pts, table.tolist()))
 
-    def tau_value(x, cfg):
-        key = (x, cfg)
-        out = values.get(key)
-        if out is None:
-            frame = frames.get(cfg)
-            if cfg not in frames:
-                frame = hull_frame(cfg)
-                frames[cfg] = frame
-            if frame is None:
-                out = x
-            else:
-                out = _apply_in_frame(frame, spec.rotation_offset, x)
-            values[key] = out
-        return out
+    def kernel(column):
+        return lambda x, cfg: values[cfg][x][column]
 
-    def coordinate_kernel(axis):
-        def kernel(x, cfg):
-            return tau_value(x, cfg)[axis]
-
-        return kernel
-
-    def box_kernel(box):
-        x_min, x_max, y_min, y_max = box
-
-        def kernel(x, cfg):
-            tx, ty = tau_value(x, cfg)
-            return 1.0 if x_min <= tx <= x_max and y_min <= ty <= y_max else 0.0
-
-        return kernel
-
-    coordinate_kernels = (coordinate_kernel(0), coordinate_kernel(1))
-    box_kernels = tuple(box_kernel(box) for box in _TEST_BOXES)
+    coordinate_kernels = (kernel(0), kernel(1))
+    box_kernels = tuple(kernel(2 + k) for k in range(len(_TEST_BOXES)))
 
     for assignment in _iter_product(coordinate_kernels, repeat=m):
         if not cover_condition_holds(list(assignment), pts, config, tol):
@@ -366,9 +314,11 @@ class Box:
     def area(self) -> float:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
-    def contains(self, point) -> bool:
-        x, y = point
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
+    def contains(self, points) -> np.ndarray:
+        """Closed-box membership of each row of an (N, 2) array, or of one point."""
+        x, y = np.asarray(points, dtype=float).T
+        inside_x = (self.x_min <= x) & (x <= self.x_max)
+        return inside_x & (self.y_min <= y) & (y <= self.y_max)
 
     def max_norm(self) -> float:
         return max(
@@ -392,9 +342,11 @@ class Disk:
     def area(self) -> float:
         return math.pi * self.radius * self.radius
 
-    def contains(self, point) -> bool:
-        dx = point[0] - self.cx
-        dy = point[1] - self.cy
+    def contains(self, points) -> np.ndarray:
+        """Closed-disk membership of each row of an (N, 2) array, or of one point."""
+        x, y = np.asarray(points, dtype=float).T
+        dx = x - self.cx
+        dy = y - self.cy
         return dx * dx + dy * dy <= self.radius * self.radius
 
     def max_norm(self) -> float:
@@ -519,6 +471,8 @@ def invariance_suite(
     area), all pairwise count covariances with standard errors, and the
     factorial moments of orders 1..3 against (intensity * area)^n.
     """
+    if not regions:
+        raise ValueError("regions must not be empty")
     _validate_geometry(window, regions)
     counts = _transformed_counts(spec, window, intensity, regions, n_replicates, seed)
     report = InvarianceReport(
@@ -650,14 +604,10 @@ def _validate_geometry(window: Window, regions: Sequence[Region]):
 
 def _transformed_counts(spec, window, intensity, regions, n_replicates, seed):
     """Counts of the pushed-forward Poisson sample in each region."""
-    mean = intensity * window.area
-    if not mean < 1e6:
-        raise ValueError("intensity * area too large")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = np.zeros((n_replicates, len(regions)), dtype=np.int64)
     for rep in range(n_replicates):
-        coords = window.sample_points(rng, int(rng.poisson(mean)))
-        images = _transform_points(spec, list(map(tuple, coords.tolist())))
-        for index, region in enumerate(regions):
-            counts[rep, index] = sum(1 for p in images if region.contains(p))
+        points = _poisson_points(window, intensity, rng)
+        images = _tau(spec, list(map(tuple, points.tolist())), points)
+        counts[rep] = [np.count_nonzero(region.contains(images)) for region in regions]
     return counts

@@ -261,6 +261,8 @@ _ONE_SAMPLE_EXPERIMENT = {
          ["header", "error"]),
         ([], {"suite": "transform-invariance", "seed": 1, "parameters": {"regions": 5}},
          ["header", "error"]),
+        ([], {"suite": "transform-invariance", "seed": 1, "parameters": {"regions": []}},
+         ["header", "error"]),
         ([], {"suite": "mc-identity", "seed": 1, "parameters": {"experiments": 5}},
          ["header", "error"]),
         ([], {"suite": "mc-identity", "seed": 1, "parameters": {"experiments": []}},
@@ -288,6 +290,7 @@ _ONE_SAMPLE_EXPERIMENT = {
         "orders-below-1",
         "orders-empty",
         "regions-not-a-list",
+        "regions-empty",
         "experiments-not-a-list",
         "experiments-empty",
     ],

@@ -12,6 +12,7 @@ from ppmoments.difference_ops import (
     diff_multi,
     product_expansion_gap,
 )
+from ppmoments.difference_ops import _difference_table
 from ppmoments.instances import generate_random_instance
 
 
@@ -139,6 +140,24 @@ def test_product_expansion_agreement_random():
         cfg = frozenset(x for x in range(5) if rng.random() < 0.4)
         lhs, rhs = product_expansion_gap(kernels, points, cfg)
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs)), (trial, lhs, rhs)
+
+
+def test_difference_table_matches_the_submask_sum():
+    # reference: d[theta] = sum over eta subset theta of (-1)^{|theta|-|eta|} v[eta]
+    rng = random.Random(8)
+    for _ in range(200):
+        length = rng.randint(1, 4)
+        values = [rng.uniform(-1, 1) for _ in range(1 << length)]
+        expected = [
+            sum(
+                (-1) ** (bin(theta).count("1") - bin(eta).count("1")) * values[eta]
+                for eta in range(theta + 1)
+                if eta & theta == eta
+            )
+            for theta in range(1 << length)
+        ]
+        table = _difference_table(values, length)
+        assert table == pytest.approx(expected, rel=0.0, abs=1e-14)
 
 
 def test_product_expansion_guards():

@@ -24,7 +24,6 @@ from ppmoments.transforms import (
     rho_tau_check,
     verify_transform_condition,
 )
-from ppmoments.transforms import _apply_in_frame
 
 BIG_WINDOW = Window(-1.2, 1.2, -1.2, 1.2)
 SQUARE = frozenset([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
@@ -72,6 +71,95 @@ def _on_segment(p, a, b):
         min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
         and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
     )
+
+
+def _strictly_inside(vertices, point):
+    """Strict interior test of a counterclockwise polygon: left of every edge."""
+    n = len(vertices)
+    for k in range(n):
+        (ax, ay), (bx, by) = vertices[k], vertices[(k + 1) % n]
+        if (bx - ax) * (point[1] - ay) - (by - ay) * (point[0] - ax) <= 0.0:
+            return False
+    return True
+
+
+def _reference_tau(vertices, offset, point):
+    """The star rotation of the module docstring, one point at a time.
+
+    Acum(phi') = (Acum(phi) + offset * T) mod T and rho' = rho R(phi') / R(phi)
+    about the vertex centroid. R(phi) is the first exit of the ray from the
+    half-planes of the edges, Acum(phi) the triangle areas swept from vertex 0.
+    """
+    if not _strictly_inside(vertices, point):
+        return point
+    n = len(vertices)
+    cx = sum(v[0] for v in vertices) / n
+    cy = sum(v[1] for v in vertices) / n
+    rel = [(x - cx, y - cy) for x, y in vertices]
+    nxt = rel[1:] + rel[:1]
+    edges = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(rel, nxt)]
+    tri = [0.5 * (a[0] * e[1] - a[1] * e[0]) for a, e in zip(rel, edges)]
+    total = sum(tri)
+    rho = math.hypot(point[0] - cx, point[1] - cy)
+    if rho == 0.0:
+        return point
+    phi = math.atan2(point[1] - cy, point[0] - cx)
+    ux, uy = math.cos(phi), math.sin(phi)
+    exits = [
+        (2.0 * tri[k] / (ux * e[1] - uy * e[0]), k)
+        for k, e in enumerate(edges)
+        if ux * e[1] - uy * e[0] > 0.0
+    ]
+    radius, k = min(exits)
+    a = rel[k]
+    swept = sum(tri[:k]) + 0.5 * radius * (a[0] * uy - a[1] * ux)
+    target = (swept + offset * total) % total
+    j = 0
+    while j < n - 1 and sum(tri[: j + 1]) <= target:
+        j += 1
+    f = (target - sum(tri[:j])) / tri[j]
+    bx = rel[j][0] + f * edges[j][0]
+    by = rel[j][1] + f * edges[j][1]
+    scale = rho / radius
+    return (cx + scale * bx, cy + scale * by)
+
+
+def test_rotate_matches_the_scalar_reference():
+    rng = np.random.default_rng(21)
+    checked = fixed = 0
+    for _ in range(40):
+        config = frozenset(
+            map(tuple, rng.uniform(-1.0, 1.0, (int(rng.integers(3, 30)), 2)).tolist())
+        )
+        frame = hull_frame(config)
+        if frame is None:
+            continue
+        verts = frame.extremal_vertices
+        n = len(verts)
+        t = rng.random((n, 1))
+        edge_points = [
+            (verts[k][0] + t[k, 0] * (verts[(k + 1) % n][0] - verts[k][0]),
+             verts[k][1] + t[k, 0] * (verts[(k + 1) % n][1] - verts[k][1]))
+            for k in range(n)
+        ]
+        outside = rng.uniform(-1.0, 1.0, (20, 2)) * 1.5
+        outside = outside[np.hypot(outside[:, 0], outside[:, 1]) > 1.0]
+        points = np.array(
+            list(map(tuple, rng.uniform(-1.0, 1.0, (200, 2)).tolist()))
+            + list(verts) + edge_points + [frame.anchor]
+            + list(map(tuple, outside.tolist()))
+        )
+        offset = float(rng.random())
+        images = frame.rotate(offset, points)
+        for point, image in zip(map(tuple, points.tolist()), images.tolist()):
+            expected = _reference_tau(verts, offset, point)
+            if expected is point:
+                assert tuple(image) == point
+                fixed += 1
+            else:
+                assert image == pytest.approx(expected, rel=0.0, abs=1e-12)
+                checked += 1
+    assert checked > 1000 and fixed > 1000
 
 
 def test_orientation_signs_and_exact_fallback():
@@ -132,12 +220,25 @@ def test_hull_frame_restricted_to_unit_disk():
 
 
 def test_hull_frame_boundary_radius():
+    # an eighth turn on the square moves a ray at angle phi to phi + pi/4 and
+    # scales its points by R(phi + pi/4) / R(phi), where the boundary radius R
+    # is 0.5 along the axes and sqrt(2)/2 towards the corners
     frame = hull_frame(SQUARE)
-    # along the axes the square boundary sits at distance 0.5
-    assert frame.boundary_radius(0.0) == pytest.approx(0.5)
-    assert frame.boundary_radius(math.pi / 2) == pytest.approx(0.5)
-    # at 45 degrees the corner is at distance sqrt(2)/2
-    assert frame.boundary_radius(math.pi / 4) == pytest.approx(math.sqrt(2) / 2)
+    radius = {0.0: 0.5, math.pi / 4: math.sqrt(2) / 2, math.pi / 2: 0.5}
+    for phi, target in ((0.0, math.pi / 4), (math.pi / 4, math.pi / 2)):
+        rho = 0.3 * radius[phi]
+        point = (rho * math.cos(phi), rho * math.sin(phi))
+        image = frame.rotate(0.125, np.array([point]))[0]
+        scaled = rho * radius[target] / radius[phi]
+        assert image == pytest.approx(
+            (scaled * math.cos(target), scaled * math.sin(target)), abs=1e-12
+        )
+    # the boundary itself sits at R(phi): just inside moves, just outside not
+    for phi, r in radius.items():
+        u = np.array([math.cos(phi), math.sin(phi)])
+        inner, outer = frame.rotate(0.125, np.array([(r - 1e-9) * u, (r + 1e-9) * u]))
+        assert not np.allclose(inner, (r - 1e-9) * u)
+        assert np.array_equal(outer, (r + 1e-9) * u)
 
 
 def test_apply_tau_offset_zero_is_identity():
@@ -169,7 +270,7 @@ def test_apply_tau_equilateral_triangle_is_rotation():
             sum(wi * p[0] for wi, p in zip(w, triangle)),
             sum(wi * p[1] for wi, p in zip(w, triangle)),
         )
-        if not frame.contains_interior(x):
+        if not _strictly_inside(frame.extremal_vertices, x):
             continue
         image = apply_tau(spec, x, config)
         expected = (cos120 * x[0] - sin120 * x[1], sin120 * x[0] + cos120 * x[1])
@@ -183,18 +284,13 @@ def test_apply_tau_preserves_area_on_random_boxes():
     rng = np.random.default_rng(10)
     n = 60_000
     points = rng.random((n, 2)) - 0.5
-    images = [
-        _apply_in_frame(frame, 0.37, (float(x), float(y))) for x, y in points
-    ]
+    images = frame.rotate(0.37, points)
     for _ in range(4):
         x0, y0 = rng.uniform(-0.45, 0.2, 2)
         w, h = rng.uniform(0.05, 0.25, 2)
-        inside_before = sum(
-            1 for x, y in points if x0 <= x <= x0 + w and y0 <= y <= y0 + h
-        )
-        inside_after = sum(
-            1 for x, y in images if x0 <= x <= x0 + w and y0 <= y <= y0 + h
-        )
+        box = Box(x0, x0 + w, y0, y0 + h)
+        inside_before = int(np.count_nonzero(box.contains(points)))
+        inside_after = int(np.count_nonzero(box.contains(images)))
         p = inside_before / n
         se = math.sqrt(2 * p * (1 - p) / n)
         assert abs(inside_after - inside_before) / n <= 5 * se
@@ -275,6 +371,16 @@ def test_region_helpers():
     assert box.contains((-0.25, -0.25))
     assert not box.contains((0.1, -0.25))
     assert disk.contains((0.4, 0.5))
+    # arrays: closed at the boundary, corners and edges included
+    on_box = np.array([(-0.5, -0.5), (0.0, 0.0), (-0.5, -0.2), (-0.3, 0.0), (0.0, -0.5)])
+    assert box.contains(on_box).tolist() == [True] * 5
+    off_box = np.array([(-0.5 - 1e-12, -0.2), (-0.2, 1e-12), (0.1, 0.1)])
+    assert box.contains(off_box).tolist() == [False] * 3
+    on_disk = np.array([(0.6, 0.4), (0.4, 0.2), (0.2, 0.4), (0.4, 0.4)])
+    assert disk.contains(on_disk).tolist() == [True] * 4
+    off_disk = np.array([(0.6 + 1e-12, 0.4), (0.4, 0.2 - 1e-12), (0.0, 0.0)])
+    assert disk.contains(off_disk).tolist() == [False] * 3
+    assert box.contains(np.empty((0, 2))).shape == (0,)
     assert regions_disjoint(box, disk)
     assert not regions_disjoint(box, Box(-0.6, -0.4, -0.6, -0.4))
     assert region_from_config(
