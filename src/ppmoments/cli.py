@@ -47,12 +47,15 @@ from .identities import (
 )
 from .instances import generate_random_instance
 from .montecarlo import (
+    P_GATE,
+    Z_GATE,
     PoissonModel,
     StraussModel,
     estimate_factorial_identity,
     estimate_partition_moment,
     gnz_estimates,
     mean_and_se,
+    poisson_mean,
     process_from_config,
     sample_many,
     sample_poisson,
@@ -76,8 +79,6 @@ EXIT_VALIDATION_ERROR = 3
 
 EXACT_GATE = 1e-9
 EXPANSION_GATE = 1e-10
-Z_GATE = 4.0
-P_GATE = 1e-3
 # window of the mc-poisson, mc-gibbs and mc-identity suites when none is given
 UNIT_WINDOW = {"x_min": 0.0, "x_max": 1.0, "y_min": 0.0, "y_max": 1.0}
 # window of the transform-invariance and rho-tau suites when none is given;
@@ -311,12 +312,12 @@ def _run_mc_poisson(config: SuiteConfig):
         type(order) is int and order >= 1 for order in orders
     ):
         raise ValueError("orders must be a nonempty list of integers >= 1")
-    target_mean = intensity * window.area
+    target_mean = poisson_mean(window, intensity)
     rng_seeds = np.random.SeedSequence(config.seed).spawn(replicates)
     counts = np.empty(replicates, dtype=float)
+    # the count is the first draw of each replicate stream
     for rep, child in enumerate(rng_seeds):
-        rng = np.random.Generator(np.random.PCG64(child))
-        counts[rep] = len(sample_poisson(window, intensity, rng))
+        counts[rep] = np.random.Generator(np.random.PCG64(child)).poisson(target_mean)
     for order in orders:
         yield _z_gated({
             "record": "moment",

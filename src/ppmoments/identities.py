@@ -20,7 +20,6 @@ blocks of bounded size, and all terms are added with math.fsum.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -87,9 +86,6 @@ class IdentityReport:
             "rel_gap": self.rel_gap,
             "parameters": self.parameters,
         }
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # -- shared helpers -----------------------------------------------------------

@@ -159,6 +159,11 @@ def z_value(estimate: float, target: float, se: float) -> float:
     return (estimate - target) / se
 
 
+# two-sided |z| gate and minimum goodness-of-fit p-value of the statistical suites
+Z_GATE = 4.0
+P_GATE = 1e-3
+
+
 def target_check(values, target: float) -> dict:
     """The sample mean of values against a target: estimate, se, target, z."""
     estimate, se = mean_and_se(values)
@@ -194,11 +199,16 @@ def _tuples(points: np.ndarray) -> tuple:
     return tuple(map(tuple, points.tolist()))
 
 
-def _poisson_points(window: Window, intensity: float, rng) -> np.ndarray:
+def poisson_mean(window: Window, intensity: float) -> float:
+    """Mean count intensity * area of a Poisson process, below MAX_POISSON_MEAN."""
     mean = intensity * window.area
     if not mean < MAX_POISSON_MEAN:
         raise ValueError(f"intensity * area must stay below {MAX_POISSON_MEAN:g}")
-    return window.sample_points(rng, int(rng.poisson(mean)))
+    return mean
+
+
+def _poisson_points(window: Window, intensity: float, rng) -> np.ndarray:
+    return window.sample_points(rng, int(rng.poisson(poisson_mean(window, intensity))))
 
 
 def sample_poisson(window: Window, intensity: float, seed) -> Configuration:

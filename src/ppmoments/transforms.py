@@ -35,6 +35,8 @@ from scipy import stats as _scipy_stats
 from .combinatorics import falling_factorial
 from .difference_ops import cover_condition_holds
 from .montecarlo import (
+    P_GATE,
+    Z_GATE,
     Window,
     _poisson_points,
     config_floats,
@@ -114,77 +116,191 @@ def convex_hull(points) -> list:
     return lower[:-1] + upper[:-1]
 
 
-# -- hull frame ---------------------------------------------------------------
+# -- hull frames, a block at a time ------------------------------------------------
+
+# replicates per block of _transformed_counts
+_BLOCK = 32
+# the extreme-point prefilter's directions, counterclockwise
+_PREFILTER_DIRECTIONS = (
+    (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
+    (-1.0, 0.0), (-1.0, -1.0), (0.0, -1.0), (1.0, -1.0),
+)
+
+
+def _pad(samples: Sequence[np.ndarray]) -> np.ndarray:
+    """(B, cap, 2) block of B (n_b, 2) point arrays, padded with NaN rows,
+    which no disk, hull or region test accepts."""
+    lengths = np.array([len(sample) for sample in samples])
+    block = np.full((len(samples), int(lengths.max(initial=0)), 2), np.nan)
+    block[np.arange(block.shape[1]) < lengths[:, None]] = np.concatenate(samples)
+    return block
+
+
+def _configurations(configs) -> np.ndarray:
+    """NaN-padded (B, cap, 2) block of B configurations (iterables of points)."""
+    return _pad([np.array(list(config), dtype=float).reshape(-1, 2) for config in configs])
+
+
+def _hull_candidates(points: np.ndarray) -> np.ndarray:
+    """Mask of the points of a (B, N, 2) block that may be extreme points of
+    the hull of their row's points in the closed unit disk.
+
+    Keeps the points in the disk, then drops those strictly inside the
+    polygon of the row's arg-max points in eight directions (Akl & Toussaint
+    1978). That polygon is made of input points, so a point strictly inside
+    it is strictly inside the hull and is no extreme point. "Strictly inside"
+    is the float filter of `orientation` certifying a left turn on every edge
+    of nonzero length. (When every edge has zero length, all the row's
+    points coincide and there is no hull either way.)
+    """
+    x = points[..., 0]
+    y = points[..., 1]
+    keep = x * x + y * y <= 1.0
+    if not keep.any():
+        return keep
+    corners = np.stack(
+        [np.argmax(np.where(keep, dx * x + dy * y, -np.inf), axis=1)
+         for dx, dy in _PREFILTER_DIRECTIONS],
+        axis=1,
+    )
+    cx = np.take_along_axis(x, corners, axis=1)
+    cy = np.take_along_axis(y, corners, axis=1)
+    ex = np.roll(cx, -1, axis=1) - cx
+    ey = np.roll(cy, -1, axis=1) - cy
+    inside = np.ones_like(keep)
+    for k in range(len(_PREFILTER_DIRECTIONS)):
+        t1 = ex[:, k, None] * (y - cy[:, k, None])
+        t2 = ey[:, k, None] * (x - cx[:, k, None])
+        certified = t1 - t2 > _ORIENT_FILTER * (np.abs(t1) + np.abs(t2))
+        inside &= certified | ((ex[:, k, None] == 0.0) & (ey[:, k, None] == 0.0))
+    return keep & ~inside
+
+
+def _hulls(points: np.ndarray) -> list:
+    """Per row of a (B, N, 2) block, the extreme points of the hull of its
+    points in the closed unit disk (as `convex_hull`), or None when there
+    are fewer than 3."""
+    hulls = []
+    for row, mask in zip(points, _hull_candidates(points)):
+        hull = convex_hull(map(tuple, row[mask].tolist()))
+        hulls.append(tuple(hull) if len(hull) >= 3 else None)
+    return hulls
+
+
+class _Frames:
+    """Anchors and sector tables of B hulls, as (B, V) arrays.
+
+    Row b holds the n[b] counterclockwise vertices of hull b and is padded
+    past them. The vertex and edge tables repeat the row's vertices
+    cyclically, so testing a point against every column tests it against
+    every edge of its hull. `deltas` (vertex angles from vertex 0) and `cum`
+    (cumulative sector areas, (B, V + 1)) are padded with +inf, so the count
+    of a row's entries <= a value is its sorted lookup.
+    """
+
+    def __init__(self, hulls: Sequence[tuple]):
+        n = np.array([len(hull) for hull in hulls])
+        if n.min() < 3:
+            raise ValueError("a hull frame needs at least 3 vertices")
+        rows = np.arange(len(hulls))
+        slot = np.arange(n.max())
+        valid = slot < n[:, None]
+        flat = np.array([vertex for hull in hulls for vertex in hull], dtype=float)
+        start = (np.cumsum(n) - n)[:, None]
+        verts = flat[start + slot % n[:, None]]
+        # edge i runs from vertex i to vertex i + 1
+        following = flat[start + (slot + 1) % n[:, None]]
+        # the vertex centroid, summed in vertex order
+        self.anchor = np.cumsum(verts, axis=1)[rows, n - 1] / n[:, None]
+        self.vx, self.vy = verts[..., 0], verts[..., 1]
+        edges = following - verts
+        self.ex, self.ey = edges[..., 0], edges[..., 1]
+        rel = verts - self.anchor[:, None, :]
+        self.relx, self.rely = rel[..., 0], rel[..., 1]
+        angles = np.arctan2(self.rely, self.relx)
+        self.theta0 = angles[:, 0]
+        # angle of each vertex counterclockwise from vertex 0, increasing
+        self.deltas = np.where(valid, (angles - self.theta0[:, None]) % _TWO_PI, np.inf)
+        # area of sector i: the triangle (anchor, vertex i, vertex i + 1)
+        nrel = following - self.anchor[:, None, :]
+        tri = 0.5 * (self.relx * nrel[..., 1] - self.rely * nrel[..., 0])
+        if not np.all(tri[valid] > 0.0):
+            raise ValueError("degenerate hull sector")
+        self.tri = np.where(valid, tri, 0.0)
+        self.cum = np.concatenate((np.zeros((len(n), 1)), np.cumsum(self.tri, axis=1)), axis=1)
+        self.total = self.cum[rows, n]
+        self.cum[:, 1:][~valid] = np.inf
+        self.last = n - 1
+
+    def rotate(self, offset: float, points: np.ndarray) -> np.ndarray:
+        """Star rotation by offset * total area of row b's hull of every point
+        of row b of a (B, N, 2) block.
+
+        Points not strictly inside their hull (vertices and edges included)
+        and the anchor come back unchanged. The ray of a point anchor + r
+        leaves the hull through edge i at anchor + lam * r = vertex i + f *
+        edge i, so the point has sector area s = cum[i] + f * tri[i] and lies
+        at the fraction 1 / lam of the boundary distance R(phi). Its image
+        lies at the same fraction of the way to the boundary point of sector
+        area (s + offset * T) mod T.
+        """
+        out = np.array(points, dtype=float)
+        x = out[..., 0]
+        y = out[..., 1]
+        # strictly left of every counterclockwise edge
+        inside = np.ones(x.shape, dtype=bool)
+        for ex, ey, vx, vy in zip(self.ex.T, self.ey.T, self.vx.T, self.vy.T):
+            inside &= ex[:, None] * (y - vy[:, None]) - ey[:, None] * (x - vx[:, None]) > 0.0
+        b, k = np.nonzero(inside)
+        rx = x[b, k] - self.anchor[b, 0]
+        ry = y[b, k] - self.anchor[b, 1]
+        moved = (rx != 0.0) | (ry != 0.0)
+        b, k, rx, ry = b[moved], k[moved], rx[moved], ry[moved]
+        last = self.last[b]
+        delta = (np.arctan2(ry, rx) - self.theta0[b]) % _TWO_PI
+        i = np.minimum(_count_at_most(self.deltas, b, delta) - 1, last)
+        ax, ay = self.relx[b, i], self.rely[b, i]
+        ex, ey = self.ex[b, i], self.ey[b, i]
+        tri = self.tri[b, i]
+        cross = rx * ey - ry * ex
+        lam = 2.0 * tri / cross
+        s = self.cum[b, i] + tri * (ax * ry - ay * rx) / cross
+        total = self.total[b]
+        target = (s + offset * total) % total
+        j = np.minimum(_count_at_most(self.cum, b, target) - 1, last)
+        f = (target - self.cum[b, j]) / self.tri[b, j]
+        x[b, k] = self.anchor[b, 0] + (self.relx[b, j] + f * self.ex[b, j]) / lam
+        y[b, k] = self.anchor[b, 1] + (self.rely[b, j] + f * self.ey[b, j]) / lam
+        return out
+
+
+def _count_at_most(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per k, the count of entries <= values[k] in row rows[k] of a table,
+    taken a column at a time so that no (len(values), columns) array is made."""
+    count = np.zeros(len(values), dtype=np.intp)
+    for column in table.T:
+        count += column[rows] <= values
+    return count
 
 
 class HullFrame:
-    """Geometry of one hull: extremal vertices, anchor and the sector-area
-    tables of the star rotation, built once as numpy arrays."""
+    """Geometry of one hull: extremal vertices, anchor, area and the star
+    rotation, as a block of one `_Frames` row."""
 
     def __init__(self, extremal_vertices: tuple):
-        if len(extremal_vertices) < 3:
-            raise ValueError("a hull frame needs at least 3 vertices")
         self.extremal_vertices = tuple(extremal_vertices)
-        n = len(self.extremal_vertices)
-        ax = sum(p[0] for p in self.extremal_vertices) / n
-        ay = sum(p[1] for p in self.extremal_vertices) / n
-        self.anchor = (ax, ay)
-        self._verts = np.array(self.extremal_vertices, dtype=float)
-        # edge i runs from vertex i to vertex i + 1
-        self._edges = np.roll(self._verts, -1, axis=0) - self._verts
-        self._rel = self._verts - self.anchor
-        nxt = np.roll(self._rel, -1, axis=0)
-        angles = np.arctan2(self._rel[:, 1], self._rel[:, 0])
-        self._theta0 = angles[0]
-        # angle of each vertex counterclockwise from vertex 0, increasing
-        self._deltas = (angles - self._theta0) % _TWO_PI
-        # area of sector i: the triangle (anchor, vertex i, vertex i + 1)
-        self._tri = 0.5 * (self._rel[:, 0] * nxt[:, 1] - self._rel[:, 1] * nxt[:, 0])
-        if not np.all(self._tri > 0.0):
-            raise ValueError("degenerate hull sector")
-        self._cum = np.concatenate(([0.0], np.cumsum(self._tri)))
-        self.total_area = float(self._cum[-1])
+        self._frames = _Frames([self.extremal_vertices])
+        self.anchor = tuple(self._frames.anchor[0].tolist())
+        self.total_area = float(self._frames.total[0])
 
     @property
     def n_vertices(self) -> int:
         return len(self.extremal_vertices)
 
     def rotate(self, offset: float, points: np.ndarray) -> np.ndarray:
-        """Star rotation by offset * total_area of every row of an (N, 2) array.
-
-        Rows not strictly inside the hull (vertices and edges included) and
-        the anchor come back unchanged. The ray of a row anchor + r leaves
-        the hull through edge i at anchor + lam * r = vertex i + f * edge i,
-        so the row has sector area s = cum[i] + f * tri[i] and lies at the
-        fraction 1 / lam of the boundary distance R(phi). Its image lies at
-        the same fraction of the way to the boundary point of sector area
-        (s + offset * T) mod T.
-        """
-        out = np.array(points, dtype=float).reshape(-1, 2)
-        verts = self._verts
-        ex = self._edges[:, 0]
-        ey = self._edges[:, 1]
-        # strictly left of every counterclockwise edge
-        left = ex * (out[:, 1:] - verts[:, 1]) - ey * (out[:, :1] - verts[:, 0])
-        rows = np.flatnonzero(np.all(left > 0.0, axis=1))
-        rx = out[rows, 0] - self.anchor[0]
-        ry = out[rows, 1] - self.anchor[1]
-        moved = (rx != 0.0) | (ry != 0.0)
-        rows, rx, ry = rows[moved], rx[moved], ry[moved]
-        last = len(self._tri) - 1
-        delta = (np.arctan2(ry, rx) - self._theta0) % _TWO_PI
-        i = np.minimum(np.searchsorted(self._deltas, delta, side="right") - 1, last)
-        ax, ay = self._rel[i, 0], self._rel[i, 1]
-        cross = rx * ey[i] - ry * ex[i]
-        lam = 2.0 * self._tri[i] / cross
-        s = self._cum[i] + self._tri[i] * (ax * ry - ay * rx) / cross
-        total = self.total_area
-        target = (s + offset * total) % total
-        j = np.minimum(np.searchsorted(self._cum, target, side="right") - 1, last)
-        f = ((target - self._cum[j]) / self._tri[j])[:, None]
-        boundary = self._rel[j] + f * self._edges[j]
-        out[rows] = self.anchor + boundary / lam[:, None]
-        return out
+        """Star rotation by offset * total_area of every row of an (N, 2)
+        array; see `_Frames.rotate`."""
+        return self._frames.rotate(offset, np.asarray(points, dtype=float).reshape(1, -1, 2))[0]
 
 
 def hull_frame(config) -> HullFrame | None:
@@ -193,30 +309,30 @@ def hull_frame(config) -> HullFrame | None:
     Returns None when fewer than 3 extreme points exist (the transformation
     is then the identity everywhere).
     """
-    candidates = [p for p in config if p[0] * p[0] + p[1] * p[1] <= 1.0]
-    if len(candidates) < 3:
-        return None
-    hull = convex_hull(candidates)
-    if len(hull) < 3:
-        return None
-    return HullFrame(tuple(hull))
+    hull = _hulls(_configurations([config]))[0]
+    return None if hull is None else HullFrame(hull)
 
 
 # -- the transformation ---------------------------------------------------------
 
 
-def _tau(spec: TransformSpec, config, points: np.ndarray) -> np.ndarray:
-    """tau(x, config) for every row x of an (N, 2) array of points.
+def _tau(offset: float, configs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """tau(x, configs[b]) for every point x of row b of a (B, N, 2) block,
+    with configs a (B, M, 2) block of configurations.
 
-    The identity when the offset is 0 (no hull is extracted then) or when
-    config has no hull frame; otherwise the star rotation in its hull frame.
+    The identity when the offset is 0 (no hull is extracted then) and on rows
+    whose configuration has no hull frame; otherwise the star rotation in the
+    row's hull frame.
     """
-    if spec.rotation_offset == 0.0:
+    if offset == 0.0:
         return points
-    frame = hull_frame(config)
-    if frame is None:
+    hulls = _hulls(configs)
+    rows = [b for b, hull in enumerate(hulls) if hull is not None]
+    if not rows:
         return points
-    return frame.rotate(spec.rotation_offset, points)
+    out = np.array(points, dtype=float)
+    out[rows] = _Frames([hulls[b] for b in rows]).rotate(offset, out[rows])
+    return out
 
 
 def apply_tau(spec: TransformSpec, point, config) -> tuple:
@@ -226,7 +342,8 @@ def apply_tau(spec: TransformSpec, point, config) -> tuple:
     inside the hull; otherwise the area-preserving star rotation. The result
     depends on the configuration only through its extremal vertices.
     """
-    return tuple(_tau(spec, config, np.array([point], dtype=float))[0].tolist())
+    image = _tau(spec.rotation_offset, _configurations([config]), np.array([[point]], dtype=float))
+    return tuple(image[0, 0].tolist())
 
 
 def push_forward(spec: TransformSpec, config) -> Configuration:
@@ -237,7 +354,8 @@ def push_forward(spec: TransformSpec, config) -> Configuration:
     has probability zero in continuous data) raises an error.
     """
     points = list(config)
-    images = _tau(spec, points, np.array(points, dtype=float).reshape(-1, 2))
+    coords = np.array(points, dtype=float).reshape(1, -1, 2)
+    images = _tau(spec.rotation_offset, coords, coords)[0]
     result = frozenset(map(tuple, images.tolist()))
     if len(result) != len(points):
         raise ValueError("push-forward produced coinciding image points")
@@ -269,17 +387,19 @@ def verify_transform_condition(
     if not (1 <= m <= MAX_CONDITION_TUPLE):
         raise ValueError(f"tuple length must satisfy 1 <= m <= {MAX_CONDITION_TUPLE}")
 
-    coords = np.array(pts, dtype=float)
-    # per augmented configuration, one hull and one map of the tuple points:
-    # each point's image coordinates, then its indicator in each test box
+    # the distinct augmented configurations, mapped as one block: per
+    # configuration each tuple point's image coordinates, then its indicator
+    # in each test box
+    configs = list(dict.fromkeys(
+        config | frozenset(pts[i] for i in range(m) if eta >> i & 1)
+        for eta in range(1 << m)
+    ))
+    coords = np.broadcast_to(np.array(pts, dtype=float), (len(configs), m, 2))
     values: dict = {}
-    for eta in range(1 << m):
-        cfg = config | frozenset(pts[i] for i in range(m) if eta >> i & 1)
-        if cfg not in values:
-            images = _tau(spec, cfg, coords)
-            boxes = [Box(*box).contains(images) for box in _TEST_BOXES]
-            table = np.column_stack([images] + boxes)
-            values[cfg] = dict(zip(pts, table.tolist()))
+    for cfg, images in zip(configs, _tau(spec.rotation_offset, _configurations(configs), coords)):
+        boxes = [Box(*box).contains(images) for box in _TEST_BOXES]
+        table = np.column_stack([images] + boxes)
+        values[cfg] = dict(zip(pts, table.tolist()))
 
     def kernel(column):
         return lambda x, cfg: values[cfg][x][column]
@@ -399,7 +519,7 @@ class InvarianceReport:
     covariances: list = field(default_factory=list)
     moments: list = field(default_factory=list)
 
-    def passed(self, p_min: float = 1e-3, z_max: float = 4.0) -> bool:
+    def passed(self, p_min: float = P_GATE, z_max: float = Z_GATE) -> bool:
         return (
             all(row["p_value"] >= p_min for row in self.gof)
             and all(abs(row["z"]) <= z_max for row in self.covariances)
@@ -522,7 +642,7 @@ class RhoTauReport:
     first_moments: list = field(default_factory=list)
     second_moments: list = field(default_factory=list)
 
-    def passed(self, z_max: float = 4.0) -> bool:
+    def passed(self, z_max: float = Z_GATE) -> bool:
         return all(
             abs(row["z"]) <= z_max
             for row in self.first_moments + self.second_moments
@@ -603,11 +723,19 @@ def _validate_geometry(window: Window, regions: Sequence[Region]):
 
 
 def _transformed_counts(spec, window, intensity, regions, n_replicates, seed):
-    """Counts of the pushed-forward Poisson sample in each region."""
+    """Counts of the pushed-forward Poisson sample in each region.
+
+    Replicates are drawn one after another from one stream and mapped and
+    counted _BLOCK at a time; the counts do not depend on the grouping.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = np.zeros((n_replicates, len(regions)), dtype=np.int64)
-    for rep in range(n_replicates):
-        points = _poisson_points(window, intensity, rng)
-        images = _tau(spec, list(map(tuple, points.tolist())), points)
-        counts[rep] = [np.count_nonzero(region.contains(images)) for region in regions]
+    for start in range(0, n_replicates, _BLOCK):
+        size = min(_BLOCK, n_replicates - start)
+        points = _pad([_poisson_points(window, intensity, rng) for _ in range(size)])
+        points = _tau(spec.rotation_offset, points, points)
+        flat = points.reshape(-1, 2)
+        for index, region in enumerate(regions):
+            inside = region.contains(flat).reshape(points.shape[:2])
+            counts[start : start + size, index] = np.count_nonzero(inside, axis=1)
     return counts

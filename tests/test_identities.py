@@ -38,8 +38,8 @@ def test_report_fields():
     assert report.rel_gap == report.abs_gap / (
         1.0 + max(abs(report.lhs), abs(report.rhs))
     )
-    line = report.to_json_line()
-    assert '"name"' in line and '"rel_gap"' in line
+    record = report.to_dict()
+    assert "name" in record and "rel_gap" in record
 
 
 def test_factorial_zero_functional():

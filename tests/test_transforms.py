@@ -7,8 +7,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ppmoments.montecarlo import Window, sample_poisson
+from ppmoments import transforms
+from ppmoments.montecarlo import Window, _poisson_points, sample_poisson
 from ppmoments.transforms import (
+    _BLOCK,
     Box,
     Disk,
     TransformSpec,
@@ -19,6 +21,10 @@ from ppmoments.transforms import (
     orientation,
     poisson_count_gof,
     push_forward,
+    _hull_candidates,
+    _hulls,
+    _pad,
+    _transformed_counts,
     region_from_config,
     regions_disjoint,
     rho_tau_check,
@@ -199,6 +205,100 @@ def test_convex_hull_ccw_orientation():
         b = hull[(i + 1) % len(hull)]
         area2 += a[0] * b[1] - a[1] * b[0]
     assert area2 > 0.0
+
+
+def _unfiltered_hull(points):
+    """The reference: the monotone chain on every point in the closed disk."""
+    hull = convex_hull([p for p in points if p[0] * p[0] + p[1] * p[1] <= 1.0])
+    return tuple(hull) if len(hull) >= 3 else None
+
+
+def _prefilter_cases():
+    rng = np.random.default_rng(33)
+    disk_window = Window(-1.05, 1.05, -1.05, 1.05)
+    samples = [
+        list(map(tuple, _poisson_points(disk_window, 40.0, rng).tolist()))
+        for _ in range(300)
+    ]
+    duplicated = [s + s[::3] for s in samples[:20]]
+    # a diamond with exactly representable points on every edge of the
+    # polygon the prefilter builds, and interior points
+    diamond = [(0.5, 0.0), (0.0, 0.5), (-0.5, 0.0), (0.0, -0.5)]
+    on_edges = [
+        (t * a[0] + (1 - t) * b[0], t * a[1] + (1 - t) * b[1])
+        for a, b in zip(diamond, diamond[1:] + diamond[:1])
+        for t in (0.25, 0.5, 0.75)
+    ]
+    square = [(x, y) for x in (-0.5, 0.0, 0.5) for y in (-0.5, 0.0, 0.5)]
+    circle = [
+        (math.cos(t), math.sin(t)) for t in rng.uniform(0.0, 2.0 * math.pi, 40)
+    ]
+    degenerate = [
+        [(0.3, 0.2)] * 5,
+        [(0.3, 0.2), (-0.1, 0.4)] * 3,
+        [(0.1 * k, 0.05 * k) for k in range(-5, 6)],
+        [(0.0, 0.1 * k) for k in range(-5, 6)],
+        [(0.2, 0.2), (0.2, 0.2), (-0.3, 0.1), (-0.3, 0.1), (0.0, -0.4)],
+    ]
+    few = [[], [(0.1, 0.1)], [(0.1, 0.1), (0.5, -0.2)], [(2.0, 0.0), (0.0, 2.0), (1.5, 1.5)],
+           [(0.1, 0.1), (0.5, -0.2), (3.0, 3.0)]]
+    return samples + duplicated + [diamond + on_edges + [(0.1, 0.1)], square,
+                                   on_edges, circle] + degenerate + few
+
+
+def test_prefilter_never_changes_a_hull():
+    cases = _prefilter_cases()
+    block = _pad([np.array(case, dtype=float).reshape(-1, 2) for case in cases])
+    assert _hulls(block) == [_unfiltered_hull(case) for case in cases]
+    for case in cases:
+        frame = hull_frame(case)
+        reference = _unfiltered_hull(case)
+        assert (frame and frame.extremal_vertices) == (reference and tuple(reference))
+    # a triangle is extreme in several directions at each vertex: the
+    # polygon's zero-length edges do not stop it dropping interior points
+    triangle = np.array([[(0.8, 0.0), (0.0, 0.0), (-0.4, 0.6), (0.1, 0.1), (-0.4, -0.6)]])
+    assert _hull_candidates(triangle).tolist() == [[True, False, True, False, True]]
+    # the filter does drop most of a default-size sample
+    kept = _hull_candidates(block[:300]).sum(axis=1)
+    in_disk = ((block[:300] ** 2).sum(axis=2) <= 1.0).sum(axis=1)
+    assert kept.sum() < 0.3 * in_disk.sum()
+
+
+def _reference_counts(offset, window, intensity, regions, n_replicates, seed):
+    """The replicate counts, one replicate at a time through hull_frame."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    counts = np.zeros((n_replicates, len(regions)), dtype=np.int64)
+    for rep in range(n_replicates):
+        points = _poisson_points(window, intensity, rng)
+        frame = hull_frame(map(tuple, points.tolist()))
+        if frame is not None and offset != 0.0:
+            points = frame.rotate(offset, points)
+        counts[rep] = [np.count_nonzero(region.contains(points)) for region in regions]
+    return counts
+
+
+def test_block_counts_equal_the_per_replicate_reference(monkeypatch):
+    window = Window(-1.05, 1.05, -1.05, 1.05)
+    invariance_regions = [
+        Box(-0.6, -0.2, -0.2, 0.2), Box(0.2, 0.6, -0.2, 0.2), Disk(0.0, 0.45, 0.15)
+    ]
+    step = 1.4 / 3
+    grid = [
+        Box(-0.7 + i * step, -0.7 + (i + 1) * step, -0.7 + j * step, -0.7 + (j + 1) * step)
+        for i in range(3)
+        for j in range(3)
+    ]
+    # 130 replicates: full blocks and a partial one at every block size
+    for seed in (1, 17, 9001):
+        for offset, intensity, regions in ((0.37, 40.0, invariance_regions),
+                                           (0.37, 30.0, grid), (0.0, 30.0, grid)):
+            expected = _reference_counts(offset, window, intensity, regions, 130, seed)
+            for block in (1, 7, _BLOCK):
+                monkeypatch.setattr(transforms, "_BLOCK", block)
+                counts = _transformed_counts(
+                    TransformSpec(offset), window, intensity, regions, 130, seed
+                )
+                assert np.array_equal(counts, expected), (seed, offset, block)
 
 
 def test_hull_frame_degenerate_cases():
