@@ -57,7 +57,7 @@ from .montecarlo import (
     mean_and_se,
     poisson_mean,
     process_from_config,
-    sample_many,
+    sample_batch,
     sample_poisson,
     target_check,
     window_from_config,
@@ -336,21 +336,21 @@ def _run_mc_gibbs(config: SuiteConfig):
     n_steps = int(config.parameters.get("n_steps", 900))
     model = StraussModel(window, beta, gamma, radius)
     kernels = [
-        lambda x, cfg: 1.0,
-        lambda x, cfg: x[0],
-        lambda x, cfg: float(len(cfg)),
+        lambda x, y, count: 1.0,
+        lambda x, y, count: x,
+        lambda x, y, count: count,
     ]
     pairs = gnz_estimates(model, kernels, n_samples, _child_seed(config.seed, 0), n_steps)
     for j, (lhs, rhs) in enumerate(pairs):
         yield {**_estimate_record("strauss-gnz", j, lhs, rhs), "kernel": j}
     # gamma = 1 chain against the direct sampler, mean count
     poisson_like = StraussModel(window, beta, 1.0, radius)
-    chain = sample_many(poisson_like, max(400, n_samples // 3),
-                        _child_seed(config.seed, 1), n_steps)
-    direct = sample_many(PoissonModel(window, beta), 4 * n_samples,
-                         _child_seed(config.seed, 2))
-    chain_mean, chain_se = mean_and_se([len(c) for c in chain])
-    direct_mean, direct_se = mean_and_se([len(c) for c in direct])
+    _, _, chain = sample_batch(poisson_like, max(400, n_samples // 3),
+                               _child_seed(config.seed, 1), n_steps)
+    _, _, direct = sample_batch(PoissonModel(window, beta), 4 * n_samples,
+                                _child_seed(config.seed, 2))
+    chain_mean, chain_se = mean_and_se(chain)
+    direct_mean, direct_se = mean_and_se(direct)
     # np.hypot, not math.hypot: the two differ in the last bit on some inputs
     se = float(np.hypot(chain_se, direct_se))
     yield _z_gated({
@@ -393,6 +393,13 @@ def _run_mc_identity(config: SuiteConfig):
         yield _run_one_experiment(experiment, index, _child_seed(config.seed, index))
 
 
+# the keys an experiment may carry: every experiment, then per process and
+# per identity (only the factorial and partition identities have an order n)
+_EXPERIMENT_KEYS = {"process", "window", "identity", "n_samples", "seed"}
+_PROCESS_KEYS = {"poisson": {"intensity"}, "strauss": {"beta", "gamma", "r", "n_steps"}}
+_IDENTITY_KEYS = {"gnz": set(), "factorial": {"n"}, "partition": {"n"}}
+
+
 def _run_one_experiment(experiment: dict, index: int, seed: int) -> dict:
     """One estimator run from an experiment description.
 
@@ -400,19 +407,28 @@ def _run_one_experiment(experiment: dict, index: int, seed: int) -> dict:
     region is the left half, the functional 1 + 0.1 |omega| and the kernel
     1 + y - 0.05 |omega|; experiment files select the process, the identity
     ("gnz", "factorial" or "partition"), the order n and the sample counts.
+    A key that the experiment's process and identity do not read is an error.
     """
     model = process_from_config(experiment)
     identity = experiment.get("identity", "factorial")
+    if not isinstance(identity, str) or identity not in _IDENTITY_KEYS:
+        raise ValueError(f"unknown identity {identity!r}")
+    name = f"{experiment['process']}-{identity}"
+    allowed = _EXPERIMENT_KEYS | _PROCESS_KEYS[experiment["process"]] | _IDENTITY_KEYS[identity]
+    unknown = sorted(set(experiment) - allowed)
+    if unknown:
+        raise ValueError(f"a {name} experiment reads no key {', '.join(unknown)}")
     n_samples = int(experiment.get("n_samples", 10_000))
+    if n_samples < 2:
+        raise ValueError("experiment n_samples must be at least 2")
     n_steps = experiment.get("n_steps")
     n_steps = None if n_steps is None else int(n_steps)
     seed = int(experiment.get("seed", seed))
     window = model.window
     half_x = (window.x_min + window.x_max) / 2.0
-    region = lambda x, cfg: x[0] <= half_x
-    functional = lambda cfg: 1.0 + 0.1 * len(cfg)
-    kernel = lambda x, cfg: 1.0 + x[1] - 0.05 * len(cfg)
-    name = f"{experiment.get('process', 'poisson')}-{identity}"
+    region = lambda x, y, count: x <= half_x
+    functional = lambda count: 1.0 + 0.1 * count
+    kernel = lambda x, y, count: 1.0 + y - 0.05 * count
     if identity == "gnz":
         lhs, rhs = gnz_estimates(model, [kernel], n_samples, seed, n_steps)[0]
     elif identity == "factorial":
@@ -420,12 +436,10 @@ def _run_one_experiment(experiment: dict, index: int, seed: int) -> dict:
             model, functional, region, int(experiment.get("n", 2)),
             n_samples, seed, n_steps,
         )
-    elif identity == "partition":
+    else:
         lhs, rhs = estimate_partition_moment(
             model, kernel, int(experiment.get("n", 2)), n_samples, seed, n_steps
         )
-    else:
-        raise ValueError(f"unknown identity {identity!r}")
     return _estimate_record(name, index, lhs, rhs)
 
 

@@ -5,22 +5,26 @@ process with intensity lambda has Papangelou density lambda and a
 Strauss-type pairwise process has density beta * gamma^{t(x, omega)} with
 t the number of points within the interaction radius.
 
-All randomness flows from a single integer seed through
-numpy.random.SeedSequence. Replicates draw from spawned child streams, one
-stream per replicate, so runs are reproducible bit for bit and replicates
-stay independent even if a caller chooses to parallelize them. Estimator
-left and right sides use separate top-level streams, which makes the
-4 * combined-standard-error comparisons between them honest.
+K sampled configurations are one batch (xs, ys, n): configuration k holds
+the points (xs[k, j], ys[k, j]) for j < n[k], and unused slots hold inf.
+The Poisson draw and the Strauss chains return batches, the estimators are
+array expressions over them, and only the public samplers build frozensets.
+Integrands are array callables of the coordinates and the point count
+|omega|: kernel(x, y, count), functional(count), region(x, y, count). They
+never see a padded slot, and their results broadcast, so a constant such as
+lambda x, y, count: 1.0 works.
 
-A replicate's stream is read in a fixed order. A Poisson draw takes its
-count, then two uniforms (x, y) per point. A Strauss chain takes its
-Poisson(beta) start the same way, then exactly 4 uniforms per step
-(move, u, v, accept), whatever the step does; an estimator's right side
-continues on the same stream after the chain. The Strauss chains of a call
-(all replicates of sample_many, or both sides of an estimator) advance
-together in lockstep as numpy arrays, each reading its own stream in blocks
-of steps, so a chain's result does not depend on which chains share its
-call: sample_gibbs on one generator gives the same configuration.
+All randomness flows from a single integer seed through
+numpy.random.SeedSequence, with one spawned stream per replicate, so runs
+are reproducible bit for bit. Estimator left and right sides use separate
+top-level streams, which makes the 4 * combined-standard-error comparisons
+between them honest. A replicate's stream is read in a fixed order: its
+count, then two uniforms (x, y) per point, then its right-side points the
+same way. A Strauss chain takes its Poisson(beta) start, then exactly 4
+uniforms per step (move, u, v, accept), whatever the step does. The Strauss
+chains of a call (all replicates of sample_many, or both sides of an
+estimator) advance together in lockstep, each reading its own stream, so a
+chain's result does not depend on which chains share its call.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ import numpy as np
 from .combinatorics import falling_factorial, partitions
 
 Configuration = frozenset
+# (xs, ys, n): configuration k is (xs[k, j], ys[k, j]) for j < n[k]
+Batch = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 MAX_POISSON_MEAN = 1e6
 MAX_ESTIMATOR_ORDER = 3
@@ -80,9 +86,6 @@ class PoissonModel:
         if not self.intensity > 0.0:
             raise ValueError("intensity must be positive")
 
-    def papangelou(self, x, config: Configuration) -> float:
-        return self.intensity
-
 
 @dataclass(frozen=True)
 class StraussModel:
@@ -105,22 +108,6 @@ class StraussModel:
             raise ValueError("gamma must lie in [0, 1]")
         if not self.r > 0.0:
             raise ValueError("interaction radius must be positive")
-
-    def neighbor_count(self, x, config) -> int:
-        px, py = x
-        r2 = self.r * self.r
-        count = 0
-        for qx, qy in config:
-            dx = px - qx
-            dy = py - qy
-            if dx * dx + dy * dy <= r2 and (qx != px or qy != py):
-                count += 1
-        return count
-
-    def papangelou(self, x, config: Configuration) -> float:
-        if x in config:
-            config = config - {x}
-        return self.beta * self.gamma ** self.neighbor_count(x, config)
 
 
 ProcessModel = PoissonModel | StraussModel
@@ -182,21 +169,17 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _replicate_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(n)
-    return [np.random.Generator(np.random.PCG64(child)) for child in children]
+def _replicate_rngs(seed: int, n: int):
+    """The generators of n replicate streams, created as they are iterated."""
+    for child in np.random.SeedSequence(seed).spawn(n):
+        yield np.random.Generator(np.random.PCG64(child))
 
 
-def _estimate_from_values(values, seed: int) -> Estimate:
+def _estimate(values: np.ndarray, seed: int) -> Estimate:
     return Estimate(*mean_and_se(values), len(values), seed)
 
 
 # -- samplers -----------------------------------------------------------------
-
-
-def _tuples(points: np.ndarray) -> tuple:
-    """Rows of an (N, 2) point array as (x, y) tuples of Python floats."""
-    return tuple(map(tuple, points.tolist()))
 
 
 def poisson_mean(window: Window, intensity: float) -> float:
@@ -211,10 +194,39 @@ def _poisson_points(window: Window, intensity: float, rng) -> np.ndarray:
     return window.sample_points(rng, int(rng.poisson(poisson_mean(window, intensity))))
 
 
+def _batch(samples: Sequence[np.ndarray]) -> Batch:
+    """The batch of K (n_k, 2) point arrays, with inf in the unused slots."""
+    n = np.array([len(sample) for sample in samples], dtype=np.int64)
+    used = np.arange(max(1, int(n.max(initial=0)))) < n[:, None]
+    xs, ys = np.full((2, *used.shape), np.inf)
+    xs[used], ys[used] = np.concatenate([np.empty((0, 2)), *samples]).T
+    return xs, ys, n
+
+
+def _frozensets(batch: Batch) -> list[Configuration]:
+    return [frozenset(zip(x[:k].tolist(), y[:k].tolist())) for x, y, k in zip(*batch)]
+
+
 def sample_poisson(window: Window, intensity: float, seed) -> Configuration:
     """One draw of a Poisson process: N ~ Poisson(intensity * area), then
     N points uniform on the window. Deterministic given the seed."""
-    return frozenset(_tuples(_poisson_points(window, intensity, _as_rng(seed))))
+    points = _poisson_points(window, intensity, _as_rng(seed))
+    return frozenset(map(tuple, points.tolist()))
+
+
+def _poisson_side(window: Window, intensity: float, seed: int, n_samples: int,
+                  extra: int) -> tuple[Batch, np.ndarray]:
+    """The batch of n_samples Poisson replicates and the (n_samples, extra, 2)
+    points each replicate draws after its configuration, in one sample_points
+    call per replicate stream; each generator is dropped once drawn from."""
+    mean = poisson_mean(window, intensity)
+    samples, drawn = [], []
+    for rng in _replicate_rngs(seed, n_samples):
+        count = rng.poisson(mean)
+        points = window.sample_points(rng, count + extra)
+        samples.append(points[:count])
+        drawn.append(points[count:])
+    return _batch(samples), np.array(drawn).reshape(n_samples, extra, 2)
 
 
 def default_burn_in(model: StraussModel) -> int:
@@ -222,18 +234,33 @@ def default_burn_in(model: StraussModel) -> int:
     return 10 * math.ceil(model.beta * model.window.area)
 
 
+def _neighbours(xs: np.ndarray, ys: np.ndarray, px: np.ndarray, py: np.ndarray,
+                r2: float) -> np.ndarray:
+    """Per row k, how many of the points (xs[k, j], ys[k, j]) lie within
+    distance sqrt(r2) of (px[k], py[k]); inf slots never do."""
+    dx = xs - px[:, None]
+    dy = ys - py[:, None]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.count_nonzero(dx <= r2, axis=1)
+
+
+def _strauss_table(model: StraussModel, size: int) -> np.ndarray:
+    """c(x, omega) = beta gamma^t for t = 0..size, as Python computes it."""
+    return np.array([model.beta * model.gamma**t for t in range(size + 1)])
+
+
 # steps per block of uniforms drawn from each chain's stream at a time
 _CHUNK_STEPS = 64
 
 
-def _strauss_chains(model: StraussModel, n_steps: int, rngs: Sequence) -> list[Configuration]:
-    """One birth-death chain per generator, all advanced together.
+def _strauss_chains(model: StraussModel, n_steps: int, rngs: Sequence) -> Batch:
+    """One birth-death chain per generator, all advanced together, as a batch.
 
     Chain k draws its Poisson(beta) start and then 4 uniforms per step from
     rngs[k] alone, so its result and the position of rngs[k] afterwards do
-    not depend on the other chains. The points of chain k are
-    (xs[k, j], ys[k, j]) for j < n[k]; unused slots hold inf, which is never
-    within r of a point.
+    not depend on the other chains.
     """
     if n_steps < default_burn_in(model):
         raise ValueError(
@@ -244,21 +271,9 @@ def _strauss_chains(model: StraussModel, n_steps: int, rngs: Sequence) -> list[C
     width = window.x_max - window.x_min
     height = window.y_max - window.y_min
     r2 = model.r * model.r
-    starts = [_poisson_points(window, model.beta, rng) for rng in rngs]
-    chains = len(starts)
-    n = np.array([len(start) for start in starts], dtype=np.int64)
-    cap = max(1, int(n.max(initial=0)))
-    xs = np.full((chains, cap), np.inf)
-    ys = np.full((chains, cap), np.inf)
-    for k, start in enumerate(starts):
-        xs[k, : len(start)] = start[:, 0]
-        ys[k, : len(start)] = start[:, 1]
-
-    def c_table(size):
-        """c(x, omega) = beta gamma^t for t = 0..size, as Python computes it."""
-        return np.array([model.beta * model.gamma**t for t in range(size + 1)])
-
-    c_of_t = c_table(cap)
+    xs, ys, n = _batch([_poisson_points(window, model.beta, rng) for rng in rngs])
+    chains, cap = xs.shape
+    c_of_t = _strauss_table(model, cap)
     # gamma == 1 gives c = beta whatever t is, so no distances are needed
     interacting = model.gamma != 1.0
     rows = np.arange(chains)
@@ -277,13 +292,8 @@ def _strauss_chains(model: StraussModel, n_steps: int, rngs: Sequence) -> list[C
             py = np.where(death, ys[rows, index], window.y_min + height * v)
             if interacting:
                 used = int(n.max(initial=0))
-                dx = xs[:, :used] - px[:, None]
-                dy = ys[:, :used] - py[:, None]
-                dx *= dx
-                dy *= dy
-                dx += dy
                 # a dying point is at distance 0 from itself
-                c = c_of_t[np.count_nonzero(dx <= r2, axis=1) - death]
+                c = c_of_t[_neighbours(xs[:, :used], ys[:, :used], px, py, r2) - death]
             else:
                 c = model.beta
             born = np.flatnonzero(birth & (accept * (n + 1) < c * area))
@@ -295,7 +305,7 @@ def _strauss_chains(model: StraussModel, n_steps: int, rngs: Sequence) -> list[C
                     xs = np.concatenate((xs, np.full_like(xs, np.inf)), axis=1)
                     ys = np.concatenate((ys, np.full_like(ys, np.inf)), axis=1)
                     cap *= 2
-                    c_of_t = c_table(cap)
+                    c_of_t = _strauss_table(model, cap)
                 xs[born, slot] = px[born]
                 ys[born, slot] = py[born]
                 n[born] += 1
@@ -305,10 +315,7 @@ def _strauss_chains(model: StraussModel, n_steps: int, rngs: Sequence) -> list[C
                     coordinate[died, index[died]] = coordinate[died, last]
                     coordinate[died, last] = np.inf
                 n[died] = last
-    return [
-        frozenset(zip(xs[k, : n[k]].tolist(), ys[k, : n[k]].tolist()))
-        for k in range(chains)
-    ]
+    return xs, ys, n
 
 
 def sample_gibbs(model: StraussModel, n_steps: int, seed) -> Configuration:
@@ -330,7 +337,7 @@ def sample_gibbs(model: StraussModel, n_steps: int, seed) -> Configuration:
     the chain did. This is the one-chain call of the lockstep engine that
     the estimators and sample_many run on all replicate streams at once.
     """
-    return _strauss_chains(model, n_steps, [_as_rng(seed)])[0]
+    return _frozensets(_strauss_chains(model, n_steps, [_as_rng(seed)]))[0]
 
 
 def sample_process(model: ProcessModel, seed, n_steps: int | None = None) -> Configuration:
@@ -341,53 +348,82 @@ def sample_process(model: ProcessModel, seed, n_steps: int | None = None) -> Con
     return sample_gibbs(model, steps, seed)
 
 
-def _draw_sides(model: ProcessModel, seeds: Sequence[int], n_samples: int,
-                n_steps: int | None) -> list:
-    """Per seed, the (generator, configuration) pairs of its n_samples
-    replicate streams, in stream order.
+def _draw_sides(model: ProcessModel, sides: Sequence[tuple[int, int]], n_samples: int,
+                n_steps: int | None) -> list[tuple[Batch, np.ndarray]]:
+    """Per (seed, extra) side, the batch of its n_samples replicates and the
+    (n_samples, extra, 2) points each replicate stream draws next.
 
-    A Poisson side spawns its generators when it is first iterated and
-    draws one configuration at a time. The Strauss chains of every side run
-    in one lockstep call; the callers' later draws from each generator
-    continue its own stream.
+    The Strauss chains of every side run in one lockstep call.
     """
     if isinstance(model, PoissonModel):
-
-        def stream(seed):
-            for rng in _replicate_rngs(seed, n_samples):
-                yield rng, sample_poisson(model.window, model.intensity, rng)
-
-        return [stream(seed) for seed in seeds]
-    sides = [_replicate_rngs(seed, n_samples) for seed in seeds]
+        return [_poisson_side(model.window, model.intensity, seed, n_samples, extra)
+                for seed, extra in sides]
+    streams = [list(_replicate_rngs(seed, n_samples)) for seed, _ in sides]
     steps = default_burn_in(model) if n_steps is None else n_steps
-    configs = _strauss_chains(model, steps, [rng for rngs in sides for rng in rngs])
-    return [
-        list(zip(rngs, configs[i * n_samples : (i + 1) * n_samples]))
-        for i, rngs in enumerate(sides)
-    ]
+    xs, ys, n = _strauss_chains(model, steps, [rng for rngs in streams for rng in rngs])
+    drawn = []
+    for i, ((_, extra), rngs) in enumerate(zip(sides, streams)):
+        rows = slice(i * n_samples, (i + 1) * n_samples)
+        points = [model.window.sample_points(rng, extra) for rng in rngs]
+        points = np.array(points).reshape(n_samples, extra, 2)
+        drawn.append(((xs[rows], ys[rows], n[rows]), points))
+    return drawn
+
+
+def sample_batch(model: ProcessModel, n_samples: int, seed: int,
+                 n_steps: int | None = None) -> Batch:
+    """Independent replicates as one batch (xs, ys, n), one spawned RNG
+    stream per replicate."""
+    ((batch, _),) = _draw_sides(model, [(seed, 0)], n_samples, n_steps)
+    return batch
 
 
 def sample_many(
     model: ProcessModel, n_samples: int, seed: int, n_steps: int | None = None
 ) -> list[Configuration]:
     """Independent replicates, one spawned RNG stream per replicate."""
-    (side,) = _draw_sides(model, [seed], n_samples, n_steps)
-    return [config for _, config in side]
+    return _frozensets(sample_batch(model, n_samples, seed, n_steps))
+
+
+def _chat(model: ProcessModel, batch: Batch, points: np.ndarray) -> np.ndarray:
+    """chat(x_1..x_k, omega) per configuration omega of the batch, for the
+    new points x_j = points[:, j] of a (K, k, 2) array, multiplied in tuple
+    order: prod_j c(x_j, omega u {x_1..x_{j-1}})."""
+    xs, ys, _ = batch
+    chat = np.ones(len(points))
+    k = points.shape[1]
+    if isinstance(model, PoissonModel):
+        for _ in range(k):
+            chat *= model.intensity
+        return chat
+    c_of_t = _strauss_table(model, xs.shape[1] + k)
+    r2 = model.r * model.r
+    px, py = points[..., 0], points[..., 1]
+    for j in range(k):
+        t = _neighbours(xs, ys, px[:, j], py[:, j], r2)
+        t += _neighbours(px[:, :j], py[:, :j], px[:, j], py[:, j], r2)
+        chat *= c_of_t[t]
+    return chat
 
 
 def compound_papangelou(model: ProcessModel, points: Sequence, config: Configuration) -> float:
-    """chat(x_1..x_n, omega) = prod_k c(x_k, omega u {x_1..x_{k-1}})."""
-    value = 1.0
-    current = config
-    for x in points:
-        value *= model.papangelou(x, current)
-        if value == 0.0:
-            return 0.0
-        current = current | {x}
-    return value
+    """chat(x_1..x_n, omega) = prod_k c(x_k, omega u {x_1..x_{k-1}}) for
+    points x_k not in omega: the one-row call of the estimators' batch form."""
+    batch = _batch([np.array(list(config), dtype=float).reshape(-1, 2)])
+    return float(_chat(model, batch, np.array(points, dtype=float).reshape(1, -1, 2))[0])
 
 
 # -- estimators ---------------------------------------------------------------
+
+
+def _point_sums(batch: Batch, integrand: Callable) -> np.ndarray:
+    """Per configuration, the sum of integrand(x, y, |omega|) over its points
+    in slot order. Padded slots are never evaluated."""
+    xs, ys, n = batch
+    used = np.arange(xs.shape[1]) < n[:, None]
+    values = np.zeros(xs.shape)
+    values[used] = integrand(xs[used], ys[used], np.repeat(n, n))
+    return values.sum(axis=1)
 
 
 def estimate_gnz(
@@ -403,8 +439,7 @@ def estimate_gnz(
     area * c(x, omega) * u(x, omega u {x}) with x uniform on the window.
     The two sides use independent replicate streams.
     """
-    pairs = gnz_estimates(model, [kernel], n_samples, seed, n_steps)
-    return pairs[0]
+    return gnz_estimates(model, [kernel], n_samples, seed, n_steps)[0]
 
 
 def gnz_estimates(
@@ -416,28 +451,17 @@ def gnz_estimates(
 ) -> list[tuple[Estimate, Estimate]]:
     """GNZ estimates for several kernels sharing the same sample streams."""
     lhs_seed, rhs_seed = _side_seeds(seed)
-    lhs, rhs = _draw_sides(model, (lhs_seed, rhs_seed), n_samples, n_steps)
-    area = model.window.area
-    lhs_values = [[] for _ in kernels]
-    for _, config in lhs:
-        for slot, u in enumerate(kernels):
-            total = 0.0
-            for x in config:
-                total += u(x, config)
-            lhs_values[slot].append(total)
-    rhs_values = [[] for _ in kernels]
-    for rng, config in rhs:
-        (x,) = _tuples(model.window.sample_points(rng, 1))
-        c = model.papangelou(x, config)
-        augmented = config | {x}
-        for slot, u in enumerate(kernels):
-            rhs_values[slot].append(area * c * u(x, augmented))
+    sides = ((lhs_seed, 0), (rhs_seed, 1))
+    (lhs, _), (rhs, points) = _draw_sides(model, sides, n_samples, n_steps)
+    weight = model.window.area * _chat(model, rhs, points)
+    x, y = points[:, 0, 0], points[:, 0, 1]
+    count = rhs[2] + 1
     return [
         (
-            _estimate_from_values(lhs_values[slot], lhs_seed),
-            _estimate_from_values(rhs_values[slot], rhs_seed),
+            _estimate(_point_sums(lhs, u), lhs_seed),
+            _estimate(weight * u(x, y, count), rhs_seed),
         )
-        for slot in range(len(kernels))
+        for u in kernels
     ]
 
 
@@ -457,40 +481,23 @@ def estimate_factorial_identity(
     draws x_1..x_n i.i.d. uniform and averages
 
         area^n * chat(x, omega) * F(omega u x) * prod_k 1_{A(omega u x)}(x_k).
-
-    region is a callable (point, configuration) -> bool.
     """
     if not (1 <= n <= MAX_ESTIMATOR_ORDER):
         raise ValueError(f"order must satisfy 1 <= n <= {MAX_ESTIMATOR_ORDER}")
     lhs_seed, rhs_seed = _side_seeds(seed)
-    lhs, rhs = _draw_sides(model, (lhs_seed, rhs_seed), n_samples, n_steps)
-    area = model.window.area
+    sides = ((lhs_seed, 0), (rhs_seed, n))
+    (lhs, _), (rhs, points) = _draw_sides(model, sides, n_samples, n_steps)
+    lhs_values = functional(lhs[2]) * falling_factorial(_point_sums(lhs, region), n)
 
-    lhs_values = []
-    for _, config in lhs:
-        count = sum(1 for x in config if region(x, config))
-        lhs_values.append(functional(config) * falling_factorial(count, n))
-
-    rhs_values = []
-    for rng, config in rhs:
-        draws = _tuples(model.window.sample_points(rng, n))
-        chat = compound_papangelou(model, draws, config)
-        if chat == 0.0:
-            rhs_values.append(0.0)
-            continue
-        augmented = config | set(draws)
-        value = functional(augmented)
-        if value != 0.0:
-            for x in draws:
-                if not region(x, augmented):
-                    value = 0.0
-                    break
-        rhs_values.append(area**n * chat * value)
-
-    return (
-        _estimate_from_values(lhs_values, lhs_seed),
-        _estimate_from_values(rhs_values, rhs_seed),
+    count = rhs[2] + n
+    chat = _chat(model, rhs, points)
+    inside = chat != 0.0
+    for j in range(n):
+        inside &= region(points[:, j, 0], points[:, j, 1], count)
+    rhs_values = np.where(
+        inside, model.window.area**n * chat * functional(count), 0.0
     )
+    return _estimate(lhs_values, lhs_seed), _estimate(rhs_values, rhs_seed)
 
 
 def estimate_partition_moment(
@@ -511,45 +518,30 @@ def estimate_partition_moment(
     if not (1 <= n <= MAX_ESTIMATOR_ORDER):
         raise ValueError(f"order must satisfy 1 <= n <= {MAX_ESTIMATOR_ORDER}")
     block_sizes = [part.block_sizes() for part in partitions(n)]
+    ends = np.cumsum([len(sizes) for sizes in block_sizes])
     lhs_seed, rhs_seed = _side_seeds(seed)
-    lhs, rhs = _draw_sides(model, (lhs_seed, rhs_seed), n_samples, n_steps)
+    sides = ((lhs_seed, 0), (rhs_seed, int(ends[-1])))
+    (lhs, _), (rhs, points) = _draw_sides(model, sides, n_samples, n_steps)
     area = model.window.area
+    # float_power is the C pow of Python's float ** int; ** on arrays squares
+    # by multiplication, which differs in the last bit
+    lhs_values = np.float_power(_point_sums(lhs, kernel), n)
 
-    lhs_values = []
-    for _, config in lhs:
-        total = 0.0
-        for x in config:
-            total += kernel(x, config)
-        lhs_values.append(total**n)
-
-    rhs_values = []
-    for rng, config in rhs:
-        replicate_total = 0.0
-        for sizes in block_sizes:
-            k = len(sizes)
-            draws = _tuples(model.window.sample_points(rng, k))
-            chat = compound_papangelou(model, draws, config)
-            if chat == 0.0:
-                continue
-            augmented = config | set(draws)
-            prod_value = 1.0
-            for x, exponent in zip(draws, sizes):
-                prod_value *= kernel(x, augmented) ** exponent
-            replicate_total += area**k * chat * prod_value
-        rhs_values.append(replicate_total)
-
-    return (
-        _estimate_from_values(lhs_values, lhs_seed),
-        _estimate_from_values(rhs_values, rhs_seed),
-    )
+    rhs_values = np.zeros(n_samples)
+    for sizes, draws in zip(block_sizes, np.split(points, ends[:-1], axis=1)):
+        k = len(sizes)
+        chat = _chat(model, rhs, draws)
+        count = rhs[2] + k
+        product = np.ones(n_samples)
+        for j, exponent in enumerate(sizes):
+            product *= np.float_power(kernel(draws[:, j, 0], draws[:, j, 1], count), exponent)
+        rhs_values += np.where(chat != 0.0, area**k * chat * product, 0.0)
+    return _estimate(lhs_values, lhs_seed), _estimate(rhs_values, rhs_seed)
 
 
 def _side_seeds(seed: int) -> tuple[int, int]:
-    left, right = np.random.SeedSequence(seed).spawn(2)
-    return (
-        int(left.generate_state(1, np.uint64)[0]),
-        int(right.generate_state(1, np.uint64)[0]),
-    )
+    sides = np.random.SeedSequence(seed).spawn(2)
+    return tuple(int(side.generate_state(1, np.uint64)[0]) for side in sides)
 
 
 # -- experiment configuration --------------------------------------------------
@@ -572,24 +564,21 @@ def window_from_config(config: dict) -> Window:
     return Window(*config_floats(config, ("x_min", "x_max", "y_min", "y_max"), "window"))
 
 
+# process type -> (model, the config keys of its parameters after the window)
+_PROCESSES = {
+    "poisson": (PoissonModel, ("intensity",)),
+    "strauss": (StraussModel, ("beta", "gamma", "r")),
+}
+
+
 def process_from_config(config: dict) -> ProcessModel:
     """Build a process from the experiment configuration schema.
 
     {"process": "poisson", "window": {...}, "intensity": l} or
     {"process": "strauss", "window": {...}, "beta": b, "gamma": g, "r": r}
     """
-    try:
-        kind = config["process"]
-        window = window_from_config(config["window"])
-        if kind == "poisson":
-            return PoissonModel(window, float(config["intensity"]))
-        if kind == "strauss":
-            return StraussModel(
-                window,
-                float(config["beta"]),
-                float(config["gamma"]),
-                float(config["r"]),
-            )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed process configuration: {exc}") from exc
-    raise ValueError(f"unknown process type {kind!r}")
+    kind = config.get("process") if isinstance(config, dict) else None
+    if not isinstance(kind, str) or kind not in _PROCESSES:
+        raise ValueError(f"unknown process type {kind!r}")
+    model, keys = _PROCESSES[kind]
+    return model(window_from_config(config.get("window")), *config_floats(config, keys, kind))

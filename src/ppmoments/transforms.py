@@ -551,12 +551,8 @@ def poisson_count_gof(counts: np.ndarray, mean: float) -> tuple[float, int, floa
         [_scipy_stats.poisson.pmf(k, mean) for k in range(top + 1)]
         + [float(_scipy_stats.poisson.sf(top, mean))]
     )
-    expected = n * probs
-    obs_cells: list[float] = []
-    exp_cells: list[float] = []
-    for o, e in zip(observed, expected):
-        obs_cells.append(o)
-        exp_cells.append(e)
+    obs_cells = observed.tolist()
+    exp_cells = (n * probs).tolist()
     # pool from the right until every cell expects at least 5
     i = len(exp_cells) - 1
     while i > 0:

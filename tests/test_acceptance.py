@@ -259,9 +259,9 @@ def test_criterion_09_strauss_chain_gnz_and_poisson_reduction():
     window = Window(0.0, 1.0, 0.0, 1.0)
     model = StraussModel(window, 30.0, 0.5, 0.05)
     kernels = [
-        lambda x, cfg: 1.0,
-        lambda x, cfg: x[0],
-        lambda x, cfg: float(len(cfg)),
+        lambda x, y, count: 1.0,
+        lambda x, y, count: x,
+        lambda x, y, count: count,
     ]
     pairs = gnz_estimates(model, kernels, 1500, 909, n_steps=900)
     zs = [z_score(lhs, rhs) for lhs, rhs in pairs]

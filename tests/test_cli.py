@@ -211,6 +211,7 @@ _ONE_SAMPLE_EXPERIMENT = {
     "intensity": 2.0,
     "n_samples": 1,
 }
+_TWO_SAMPLE_EXPERIMENT = {**_ONE_SAMPLE_EXPERIMENT, "n_samples": 2}
 
 
 @pytest.mark.parametrize(
@@ -267,6 +268,17 @@ _ONE_SAMPLE_EXPERIMENT = {
          ["header", "error"]),
         ([], {"suite": "mc-identity", "seed": 1, "parameters": {"experiments": []}},
          ["header", "error"]),
+        # an experiment key that no code reads, and one of another process
+        ([], {"suite": "mc-identity", "seed": 1,
+              "parameters": {"experiments": [{**_TWO_SAMPLE_EXPERIMENT, "n_sample": 50}]}},
+         ["header", "error"]),
+        ([], {"suite": "mc-identity", "seed": 1,
+              "parameters": {"experiments": [{**_TWO_SAMPLE_EXPERIMENT, "gamma": 0.1,
+                                              "n_steps": 5}]}},
+         ["header", "error"]),
+        ([], {"suite": "mc-identity", "seed": 1,
+              "parameters": {"experiments": [{**_TWO_SAMPLE_EXPERIMENT, "n_samples": -5}]}},
+         ["header", "error"]),
     ],
     ids=[
         "instances-0",
@@ -293,6 +305,9 @@ _ONE_SAMPLE_EXPERIMENT = {
         "regions-empty",
         "experiments-not-a-list",
         "experiments-empty",
+        "experiment-unknown-key",
+        "experiment-key-of-other-process",
+        "experiment-n-samples-negative",
     ],
 )
 def test_bad_input_is_exit_3_without_traceback(argv, config, records, tmp_path, capsys):

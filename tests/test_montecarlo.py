@@ -1,12 +1,14 @@
 """Sampler and estimator tests. Statistical gates use 4 standard errors on
 seeded runs, so outcomes are deterministic."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from ppmoments.combinatorics import partitions
 from ppmoments.montecarlo import (
     Estimate,
     PoissonModel,
@@ -19,6 +21,7 @@ from ppmoments.montecarlo import (
     estimate_gnz,
     estimate_partition_moment,
     gnz_estimates,
+    mean_and_se,
     process_from_config,
     sample_gibbs,
     sample_many,
@@ -172,15 +175,15 @@ def test_gibbs_batch_equals_single_chains():
     singles = [np.random.Generator(np.random.PCG64(child)) for child in children]
     assert batch == [sample_gibbs(model, steps, rng) for rng in singles]
     # after the estimators' chains, each stream continues as after its single chain
-    kernel = lambda x, cfg: x[1] * len(cfg)
+    kernel = lambda x, y, count: y * count
     lhs_seed, rhs_seed = _side_seeds(5)
     values = []
     for child in np.random.SeedSequence(rhs_seed).spawn(40):
         rng = np.random.Generator(np.random.PCG64(child))
         config = sample_gibbs(model, steps, rng)
         (u, v) = rng.random(2)
-        x = (float(u), float(v))
-        values.append(model.window.area * model.papangelou(x, config) * kernel(x, config | {x}))
+        c = compound_papangelou(model, [(u, v)], config)
+        values.append(model.window.area * c * kernel(u, v, len(config) + 1))
     _, rhs = estimate_gnz(model, kernel, 40, 5, n_steps=steps)
     assert rhs.mean == float(np.mean(values))
 
@@ -245,14 +248,21 @@ def test_gibbs_gamma_one_matches_poisson_mean_and_pair_counts():
 def test_strauss_papangelou_and_chat():
     model = StraussModel(UNIT, 10.0, 0.5, 0.2)
     config = frozenset({(0.5, 0.5), (0.58, 0.5)})
-    assert model.papangelou((0.5, 0.58), config) == pytest.approx(10.0 * 0.25)
-    assert model.papangelou((0.9, 0.9), config) == pytest.approx(10.0)
-    # chat telescopes the sequential product
-    draws = ((0.52, 0.5), (0.9, 0.1))
-    manual = model.papangelou(draws[0], config) * model.papangelou(
-        draws[1], config | {draws[0]}
-    )
-    assert compound_papangelou(model, draws, config) == pytest.approx(manual)
+    # one point: c(x, omega) = beta gamma^t
+    assert compound_papangelou(model, [(0.5, 0.58)], config) == 10.0 * 0.25
+    assert compound_papangelou(model, [(0.9, 0.9)], config) == 10.0
+    assert compound_papangelou(model, [], config) == 1.0
+    # a point at distance exactly r is a neighbour: 0.2 - 0.0 squares to r * r
+    assert compound_papangelou(model, [(0.0, 0.0)], {(0.2, 0.0)}) == 5.0
+    assert compound_papangelou(model, [(0.0, 0.0)], {(0.2, 0.1)}) == 10.0
+    # two points: chat telescopes the sequential product, and the second
+    # point counts the first as a neighbour
+    assert compound_papangelou(model, ((0.52, 0.5), (0.9, 0.1)), config) == 2.5 * 10.0
+    assert compound_papangelou(model, ((0.9, 0.9), (0.9, 0.95)), config) == 10.0 * 5.0
+    assert compound_papangelou(model, ((0.0, 0.0), (0.2, 0.0)), frozenset()) == 10.0 * 5.0
+    hard_core = StraussModel(UNIT, 10.0, 0.0, 0.2)
+    assert compound_papangelou(hard_core, ((0.9, 0.9), (0.9, 0.95)), config) == 0.0
+    assert compound_papangelou(PoissonModel(UNIT, 3.0), ((0.5, 0.5), (0.5, 0.5)), config) == 9.0
 
 
 def test_strauss_model_validation():
@@ -275,7 +285,7 @@ def test_estimate_and_z_score_helpers():
 
 def test_gnz_estimates_poisson_unit_kernel():
     model = PoissonModel(UNIT, 3.0)
-    lhs, rhs = estimate_gnz(model, lambda x, cfg: 1.0, 20_000, 21)
+    lhs, rhs = estimate_gnz(model, lambda x, y, count: 1.0, 20_000, 21)
     assert abs(lhs.mean - 3.0) <= 4 * lhs.std_error
     assert abs(z_score(lhs, rhs)) <= 4
 
@@ -283,9 +293,9 @@ def test_gnz_estimates_poisson_unit_kernel():
 def test_gnz_estimates_strauss_within_error():
     model = StraussModel(UNIT, 20.0, 0.5, 0.05)
     kernels = [
-        lambda x, cfg: 1.0,
-        lambda x, cfg: x[0] + x[1],
-        lambda x, cfg: float(len(cfg)),
+        lambda x, y, count: 1.0,
+        lambda x, y, count: x + y,
+        lambda x, y, count: count,
     ]
     pairs = gnz_estimates(model, kernels, 700, 22, n_steps=600)
     for lhs, rhs in pairs:
@@ -294,15 +304,15 @@ def test_gnz_estimates_strauss_within_error():
 
 def test_gnz_deterministic_given_seed():
     model = PoissonModel(UNIT, 2.0)
-    first = estimate_gnz(model, lambda x, cfg: x[0], 500, 5)
-    second = estimate_gnz(model, lambda x, cfg: x[0], 500, 5)
+    first = estimate_gnz(model, lambda x, y, count: x, 500, 5)
+    second = estimate_gnz(model, lambda x, y, count: x, 500, 5)
     assert first == second
 
 
 def test_factorial_identity_estimator_poisson_closed_form():
     model = PoissonModel(UNIT, 3.0)
-    region = lambda x, cfg: True
-    lhs, rhs = estimate_factorial_identity(model, lambda c: 1.0, region, 2, 20_000, 31)
+    region = lambda x, y, count: True
+    lhs, rhs = estimate_factorial_identity(model, lambda count: 1.0, region, 2, 20_000, 31)
     assert abs(lhs.mean - 9.0) <= 4 * lhs.std_error
     # the rhs integrand is constant for the Poisson model: exactly 9
     assert rhs.mean == pytest.approx(9.0, rel=1e-12)
@@ -312,7 +322,7 @@ def test_factorial_identity_estimator_poisson_closed_form():
 def test_factorial_identity_estimator_zero_functional():
     model = PoissonModel(UNIT, 1.0)
     lhs, rhs = estimate_factorial_identity(
-        model, lambda c: 0.0, lambda x, c: True, 2, 200, 3
+        model, lambda count: 0.0, lambda x, y, count: True, 2, 200, 3
     )
     assert lhs.mean == 0.0 and lhs.std_error == 0.0
     assert rhs.mean == 0.0 and rhs.std_error == 0.0
@@ -320,8 +330,8 @@ def test_factorial_identity_estimator_zero_functional():
 
 def test_factorial_identity_estimator_strauss():
     model = StraussModel(UNIT, 12.0, 0.5, 0.08)
-    region = lambda x, cfg: x[0] <= 0.5
-    functional = lambda cfg: 1.0 + 0.1 * len(cfg)
+    region = lambda x, y, count: x <= 0.5
+    functional = lambda count: 1.0 + 0.1 * count
     lhs, rhs = estimate_factorial_identity(
         model, functional, region, 2, 2500, 33, n_steps=600
     )
@@ -331,13 +341,13 @@ def test_factorial_identity_estimator_strauss():
 def test_factorial_identity_order_guard():
     with pytest.raises(ValueError):
         estimate_factorial_identity(
-            PoissonModel(UNIT, 1.0), lambda c: 1.0, lambda x, c: True, 4, 10, 0
+            PoissonModel(UNIT, 1.0), lambda count: 1.0, lambda x, y, count: True, 4, 10, 0
         )
 
 
 def test_partition_moment_estimator_order_one_is_campbell_mean():
     model = PoissonModel(UNIT, 3.0)
-    kernel = lambda x, cfg: x[0]
+    kernel = lambda x, y, count: x
     lhs, rhs = estimate_partition_moment(model, kernel, 1, 20_000, 41)
     # E[sum u] = intensity * integral of x over the window = 1.5
     assert abs(lhs.mean - 1.5) <= 4 * lhs.std_error
@@ -347,7 +357,7 @@ def test_partition_moment_estimator_order_one_is_campbell_mean():
 def test_partition_moment_estimator_poisson_closed_form():
     # deterministic u = 1: E[N^2] = lam + lam^2 = 12 at lam = 3
     model = PoissonModel(UNIT, 3.0)
-    lhs, rhs = estimate_partition_moment(model, lambda x, c: 1.0, 2, 20_000, 43)
+    lhs, rhs = estimate_partition_moment(model, lambda x, y, count: 1.0, 2, 20_000, 43)
     assert abs(lhs.mean - 12.0) <= 4 * lhs.std_error
     assert abs(rhs.mean - 12.0) <= 4 * rhs.std_error if rhs.std_error else rhs.mean == pytest.approx(12.0)
     assert abs(z_score(lhs, rhs)) <= 4
@@ -355,7 +365,7 @@ def test_partition_moment_estimator_poisson_closed_form():
 
 def test_partition_moment_estimator_strauss():
     model = StraussModel(UNIT, 12.0, 0.5, 0.08)
-    kernel = lambda x, cfg: 1.0 + x[1] - 0.05 * len(cfg)
+    kernel = lambda x, y, count: 1.0 + y - 0.05 * count
     lhs, rhs = estimate_partition_moment(model, kernel, 2, 2500, 45, n_steps=600)
     assert abs(z_score(lhs, rhs)) <= 4
 
@@ -384,3 +394,170 @@ def test_process_from_config():
         process_from_config({"process": "unknown", "window": {}})
     with pytest.raises(ValueError):
         process_from_config({"process": "poisson"})
+
+
+# -- the batch estimators against a scalar reference ---------------------------
+
+
+def reference_papangelou(model, x, config):
+    """c(x, omega) one point at a time, with x's own copy left out of omega."""
+    if isinstance(model, PoissonModel):
+        return model.intensity
+    r2 = model.r * model.r
+    t = 0
+    for q in config - {x}:
+        dx = x[0] - q[0]
+        dy = x[1] - q[1]
+        t += dx * dx + dy * dy <= r2
+    return model.beta * model.gamma**t
+
+
+def reference_chat(model, points, config):
+    value = 1.0
+    for x in points:
+        value *= reference_papangelou(model, x, config)
+        if value == 0.0:
+            return 0.0
+        config = config | {x}
+    return value
+
+
+def reference_sides(model, n_samples, seed, n_steps):
+    """Per estimator side, its seed and its (generator, frozenset)
+    replicates, each drawn alone from its own stream as the estimators
+    document. The reference estimators draw on from deep copies."""
+    sides = []
+    for side_seed in _side_seeds(seed):
+        side = []
+        for child in np.random.SeedSequence(side_seed).spawn(n_samples):
+            rng = np.random.Generator(np.random.PCG64(child))
+            if isinstance(model, PoissonModel):
+                side.append((rng, sample_poisson(model.window, model.intensity, rng)))
+            else:
+                side.append((rng, sample_gibbs(model, n_steps, rng)))
+        sides.append((side_seed, side))
+    return sides
+
+
+def reference_draws(model, rng, count):
+    return [(float(x), float(y)) for x, y in model.window.sample_points(rng, count)]
+
+
+def reference_estimate(values, seed):
+    return Estimate(*mean_and_se(values), len(values), seed)
+
+
+def reference_gnz(model, kernel, sides):
+    (lhs_seed, lhs), (rhs_seed, rhs) = copy.deepcopy(sides)
+    lhs_values = []
+    for _, config in lhs:
+        total = 0.0
+        for x in config:
+            total += kernel(*x, len(config))
+        lhs_values.append(total)
+    rhs_values = []
+    for rng, config in rhs:
+        (x,) = reference_draws(model, rng, 1)
+        c = reference_papangelou(model, x, config)
+        rhs_values.append(model.window.area * c * kernel(*x, len(config) + 1))
+    return reference_estimate(lhs_values, lhs_seed), reference_estimate(rhs_values, rhs_seed)
+
+
+def reference_factorial(model, functional, region, n, sides):
+    (lhs_seed, lhs), (rhs_seed, rhs) = copy.deepcopy(sides)
+    area = model.window.area
+    lhs_values = []
+    for _, config in lhs:
+        count = sum(1 for x in config if region(*x, len(config)))
+        lhs_values.append(functional(len(config)) * math.perm(count, n))
+    rhs_values = []
+    for rng, config in rhs:
+        draws = reference_draws(model, rng, n)
+        chat = reference_chat(model, draws, config)
+        augmented = len(config) + n
+        value = functional(augmented)
+        if chat == 0.0 or not all(region(*x, augmented) for x in draws):
+            value = 0.0
+        rhs_values.append(area**n * chat * value)
+    return reference_estimate(lhs_values, lhs_seed), reference_estimate(rhs_values, rhs_seed)
+
+
+def reference_partition(model, kernel, n, sides):
+    (lhs_seed, lhs), (rhs_seed, rhs) = copy.deepcopy(sides)
+    area = model.window.area
+    lhs_values = []
+    for _, config in lhs:
+        total = 0.0
+        for x in config:
+            total += kernel(*x, len(config))
+        lhs_values.append(total**n)
+    rhs_values = []
+    for rng, config in rhs:
+        replicate_total = 0.0
+        for part in partitions(n):
+            sizes = part.block_sizes()
+            draws = reference_draws(model, rng, len(sizes))
+            chat = reference_chat(model, draws, config)
+            if chat == 0.0:
+                continue
+            product = 1.0
+            for x, exponent in zip(draws, sizes):
+                product *= kernel(*x, len(config) + len(sizes)) ** exponent
+            replicate_total += area ** len(sizes) * chat * product
+        rhs_values.append(replicate_total)
+    return reference_estimate(lhs_values, lhs_seed), reference_estimate(rhs_values, rhs_seed)
+
+
+def finite_points(integrand):
+    """integrand, asserting that it only ever sees the coordinates of points."""
+
+    def checked(x, y, count):
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+        return integrand(x, y, count)
+
+    return checked
+
+
+REFERENCE_MODELS = [
+    (PoissonModel(UNIT, 3.0), 300),
+    (StraussModel(UNIT, 12.0, 0.5, 0.08), 30),
+    (StraussModel(UNIT, 12.0, 0.0, 0.08), 30),
+]
+
+
+def assert_sides_match(batch, reference):
+    (lhs, rhs), (ref_lhs, ref_rhs) = batch, reference
+    assert rhs == ref_rhs
+    assert lhs.n_samples == ref_lhs.n_samples and lhs.seed == ref_lhs.seed
+    assert lhs.mean == pytest.approx(ref_lhs.mean, rel=1e-12, abs=0.0)
+    assert lhs.std_error == pytest.approx(ref_lhs.std_error, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("model,n_samples", REFERENCE_MODELS, ids=["poisson", "strauss", "hard-core"])
+@pytest.mark.parametrize("seed", [3, 2027])
+def test_batch_estimators_match_the_scalar_reference(model, n_samples, seed):
+    steps = default_burn_in(model) if isinstance(model, StraussModel) else None
+    kernel = lambda x, y, count: 1.0 + y - 0.05 * count
+    linear = lambda x, y, count: x * count
+    constant = lambda x, y, count: 1.0
+    region = lambda x, y, count: x <= 0.5
+    functional = lambda count: 1.0 + 0.1 * count
+    sides = reference_sides(model, n_samples, seed, steps)
+    with np.errstate(all="raise"):
+        pairs = gnz_estimates(
+            model, [finite_points(kernel), finite_points(linear), finite_points(constant)],
+            n_samples, seed, steps,
+        )
+        for u, pair in zip((kernel, linear, constant), pairs):
+            assert_sides_match(pair, reference_gnz(model, u, sides))
+        for n in (2, 3):
+            assert_sides_match(
+                estimate_factorial_identity(
+                    model, functional, finite_points(region), n, n_samples, seed, steps
+                ),
+                reference_factorial(model, functional, region, n, sides),
+            )
+            assert_sides_match(
+                estimate_partition_moment(model, finite_points(kernel), n, n_samples, seed, steps),
+                reference_partition(model, kernel, n, sides),
+            )
