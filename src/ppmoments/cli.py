@@ -123,14 +123,13 @@ class SuiteConfig:
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key {', '.join(unknown)}")
-        seed = raw.get("seed")
-        if seed is None:
+        if raw.get("seed") is None:
             raise ValueError("config must provide a seed")
         count = raw.get("instance_count")
         return cls(
             str(raw["suite"]),
-            int(seed),
-            None if count is None else int(count),
+            _number(raw, "seed", None, int),
+            None if count is None else _number(raw, "instance_count", None, int),
             raw.get("parameters", {}),
         )
 
@@ -141,6 +140,15 @@ class SuiteConfig:
             "instance_count": self.instance_count,
             "parameters": self.parameters,
         }
+
+
+def _number(params: dict, name: str, default, kind):
+    """kind(params.get(name, default)); a ValueError, so exit 3, when the
+    value is not a number (int([5]) raises TypeError)."""
+    try:
+        return kind(params.get(name, default))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a number: {exc}") from exc
 
 
 def _child_seed(seed: int, index: int) -> int:
@@ -211,7 +219,7 @@ def _exact_suite(
         params = config.parameters
         bounds = {"m_min": m_min}
         for name, default in defaults.items():
-            bounds[_BOUND_NAMES.get(name, name)] = int(params.get(name, default))
+            bounds[_BOUND_NAMES.get(name, name)] = _number(params, name, default, int)
         path = params.get("model_file") if model_file else None
         for i in range(config.instance_count or count):
             bundle = generate_random_instance(kind, bounds, _child_seed(config.seed, i))
@@ -235,9 +243,9 @@ def _gnz_reports(bundle: dict, instance: int):
 
 def _run_stir1(config: SuiteConfig):
     matrices = config.instance_count or 20
-    n_max = int(config.parameters.get("n_max", 4))
-    m_max = int(config.parameters.get("m_max", 3))
-    p_max = int(config.parameters.get("p_max", 2))
+    n_max = _number(config.parameters, "n_max", 4, int)
+    m_max = _number(config.parameters, "m_max", 3, int)
+    p_max = _number(config.parameters, "p_max", 2, int)
     instance = 0
     for n in range(1, n_max + 1):
         for m in range(1, m_max + 1):
@@ -259,8 +267,8 @@ def _run_stir1(config: SuiteConfig):
 
 def _run_ddd0(config: SuiteConfig):
     count = config.instance_count or 50
-    l_max = int(config.parameters.get("l_max", 3))
-    bounds = {"m_min": 3, "m_max": int(config.parameters.get("m_max", 6)),
+    l_max = _number(config.parameters, "l_max", 3, int)
+    bounds = {"m_min": 3, "m_max": _number(config.parameters, "m_max", 6, int),
               "l_max": l_max}
     for i in range(count):
         bundle = generate_random_instance(
@@ -288,7 +296,7 @@ def _run_ddd0(config: SuiteConfig):
             {"length": len(points)},
         )
         yield _identity_record(report, i, EXPANSION_GATE)
-    lemma_count = int(config.parameters.get("lemma_count", 25))
+    lemma_count = _number(config.parameters, "lemma_count", 25, int)
     for i in range(lemma_count):
         bundle = generate_random_instance(
             "cover-lemma", bounds, _child_seed(config.seed, 10_000 + i)
@@ -306,7 +314,7 @@ def _run_ddd0(config: SuiteConfig):
 def _run_mc_poisson(config: SuiteConfig):
     replicates = config.instance_count or 100_000
     window = _window(config.parameters, UNIT_WINDOW)
-    intensity = float(config.parameters.get("intensity", 3.0 / window.area))
+    intensity = _number(config.parameters, "intensity", 3.0 / window.area, float)
     orders = config.parameters.get("orders", [1, 2, 3])
     if not isinstance(orders, list) or not orders or not all(
         type(order) is int and order >= 1 for order in orders
@@ -329,11 +337,11 @@ def _run_mc_poisson(config: SuiteConfig):
 
 def _run_mc_gibbs(config: SuiteConfig):
     window = _window(config.parameters, UNIT_WINDOW)
-    beta = float(config.parameters.get("beta", 30.0 / window.area))
-    gamma = float(config.parameters.get("gamma", 0.5))
-    radius = float(config.parameters.get("r", 0.05))
+    beta = _number(config.parameters, "beta", 30.0 / window.area, float)
+    gamma = _number(config.parameters, "gamma", 0.5, float)
+    radius = _number(config.parameters, "r", 0.05, float)
     n_samples = config.instance_count or 1500
-    n_steps = int(config.parameters.get("n_steps", 900))
+    n_steps = _number(config.parameters, "n_steps", 900, int)
     model = StraussModel(window, beta, gamma, radius)
     kernels = [
         lambda x, y, count: 1.0,
@@ -371,15 +379,15 @@ def _run_mc_identity(config: SuiteConfig):
         n_samples = config.instance_count or 20_000
         poisson = {
             "process": "poisson", "window": raw_window, "n_samples": n_samples,
-            "intensity": float(params.get("intensity", 3.0 / area)),
+            "intensity": _number(params, "intensity", 3.0 / area, float),
         }
         strauss = {
             "process": "strauss", "window": raw_window,
-            "beta": float(params.get("beta", 12.0 / area)),
-            "gamma": float(params.get("gamma", 0.5)),
-            "r": float(params.get("r", 0.08)),
+            "beta": _number(params, "beta", 12.0 / area, float),
+            "gamma": _number(params, "gamma", 0.5, float),
+            "r": _number(params, "r", 0.08, float),
             "n_samples": max(2000, n_samples // 10),
-            "n_steps": int(params.get("n_steps", 600)),
+            "n_steps": _number(params, "n_steps", 600, int),
         }
         experiments = [
             {**poisson, "identity": "factorial", "n": 2},
@@ -418,12 +426,12 @@ def _run_one_experiment(experiment: dict, index: int, seed: int) -> dict:
     unknown = sorted(set(experiment) - allowed)
     if unknown:
         raise ValueError(f"a {name} experiment reads no key {', '.join(unknown)}")
-    n_samples = int(experiment.get("n_samples", 10_000))
+    n_samples = _number(experiment, "n_samples", 10_000, int)
     if n_samples < 2:
         raise ValueError("experiment n_samples must be at least 2")
     n_steps = experiment.get("n_steps")
-    n_steps = None if n_steps is None else int(n_steps)
-    seed = int(experiment.get("seed", seed))
+    n_steps = None if n_steps is None else _number(experiment, "n_steps", None, int)
+    seed = _number(experiment, "seed", seed, int)
     window = model.window
     half_x = (window.x_min + window.x_max) / 2.0
     region = lambda x, y, count: x <= half_x
@@ -433,12 +441,12 @@ def _run_one_experiment(experiment: dict, index: int, seed: int) -> dict:
         lhs, rhs = gnz_estimates(model, [kernel], n_samples, seed, n_steps)[0]
     elif identity == "factorial":
         lhs, rhs = estimate_factorial_identity(
-            model, functional, region, int(experiment.get("n", 2)),
+            model, functional, region, _number(experiment, "n", 2, int),
             n_samples, seed, n_steps,
         )
     else:
         lhs, rhs = estimate_partition_moment(
-            model, kernel, int(experiment.get("n", 2)), n_samples, seed, n_steps
+            model, kernel, _number(experiment, "n", 2, int), n_samples, seed, n_steps
         )
     return _estimate_record(name, index, lhs, rhs)
 
@@ -452,8 +460,8 @@ _DEFAULT_REGIONS = (
 
 def _run_transform_invariance(config: SuiteConfig):
     params = config.parameters
-    offset = float(params.get("offset", 0.37))
-    intensity = float(params.get("intensity", 40.0))
+    offset = _number(params, "offset", 0.37, float)
+    intensity = _number(params, "intensity", 40.0, float)
     replicates = config.instance_count or 10_000
     window = _window(params, DISK_WINDOW)
     regions = params.get("regions", _DEFAULT_REGIONS)
@@ -472,7 +480,7 @@ def _run_transform_invariance(config: SuiteConfig):
         for row in rows:
             yield _z_gated({"record": kind, "name": "transform-invariance", **row})
     # the vanishing-difference condition on sampled tuples
-    condition_count = int(params.get("condition_instances", 20))
+    condition_count = _number(params, "condition_instances", 20, int)
     rng = np.random.default_rng(np.random.SeedSequence(_child_seed(config.seed, 1)))
     for i in range(condition_count):
         sample = sample_poisson(window, intensity / 4.0, rng)
@@ -493,12 +501,12 @@ def _run_transform_invariance(config: SuiteConfig):
 def _run_rho_tau(config: SuiteConfig):
     params = config.parameters
     report = rho_tau_check(
-        TransformSpec(float(params.get("offset", 0.37))),
+        TransformSpec(_number(params, "offset", 0.37, float)),
         _window(params, DISK_WINDOW),
-        float(params.get("intensity", 30.0)),
+        _number(params, "intensity", 30.0, float),
         config.instance_count or 5_000,
         config.seed,
-        grid_size=int(params.get("grid_size", 3)),
+        grid_size=_number(params, "grid_size", 3, int),
     )
     for name, rows in (
         ("rho-tau-first", report.first_moments),

@@ -11,6 +11,15 @@ and coincides with composing single-point differences in any order. The
 expansion identities relate products of kernels differenced jointly to sums
 over families of index subsets, and the cover condition is the hypothesis
 under which that joint difference vanishes.
+
+Both are computed by one engine on value tables: float arrays of shape
+(..., l, 2^l) whose entry [..., j, eta] is u_j(x_j, omega u {x_i : bit i of
+eta is set}), so bit i of eta means that point i is added and eta = 0 is
+omega itself. The leading axes batch independent tables. `_moebius` turns
+the last axis into the multi-point differences D_Theta (Theta a bitmask
+like eta), `_families` holds the ordered families (Theta_1, ..., Theta_l)
+as one (F, l) index array, and `_family_products` multiplies the factors
+D_{Theta_j} u_j in j order for every family at once.
 """
 
 from __future__ import annotations
@@ -18,6 +27,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .combinatorics import _cover_tuples
 
@@ -82,7 +93,7 @@ def product_expansion_gap(
     at config, where D_{Theta_j} differences in the points indexed by
     Theta_j (the empty set acting as the identity).
     """
-    table = _value_tables(kernels, points, config)
+    table = _value_tables(kernels, points, config).tolist()
     l = len(table)
     full = (1 << l) - 1
 
@@ -94,15 +105,9 @@ def product_expansion_gap(
             prod *= table[j][eta]
         lhs += prod
 
-    d_tables = [_difference_table(row, l) for row in table]
-    rhs = 0.0
-    for family in _families(l, allow_empty=True):
-        prod = 1.0
-        for j in range(l):
-            prod *= d_tables[j][family[j]]
-            if prod == 0.0:
-                break
-        rhs += prod
+    products = _family_products(_moebius(table), allow_empty=True)
+    # a running sum in family order; adding it to 0.0 turns -0.0 into 0.0
+    rhs = 0.0 + float(np.cumsum(products)[-1])
     return lhs, rhs
 
 
@@ -122,55 +127,59 @@ def cover_condition_holds(
     at the given configuration. This is the hypothesis under which the full
     product difference (lhs of product_expansion_gap) vanishes.
     """
-    table = _value_tables(kernels, points, config)
-    m = len(table)
-    d_tables = [_difference_table(row, m) for row in table]
-    for family in _families(m, allow_empty=False):
-        prod = 1.0
-        for j in range(m):
-            prod *= d_tables[j][family[j]]
-            if prod == 0.0:
-                break
-        if abs(prod) > tol:
-            return False
-    return True
+    return bool(_covers_vanish(_value_tables(kernels, points, config), tol))
 
 
-def _value_tables(kernels, points, config):
-    """table[j][eta_mask] = u_j(x_j, config u {points[i] : i in eta})."""
+def _value_tables(kernels, points, config) -> np.ndarray:
+    """The (l, 2^l) value table of the kernels at the points over config."""
     pts = tuple(points)
     if len(kernels) != len(pts):
         raise ValueError("kernels and points must have equal length")
     l = len(pts)
     if not (1 <= l <= MAX_EXPANSION_LEN):
         raise ValueError(f"length must satisfy 1 <= l <= {MAX_EXPANSION_LEN}")
-    augmented = []
-    for eta in range(1 << l):
-        extra = frozenset(pts[i] for i in range(l) if eta >> i & 1)
-        augmented.append(config | extra)
-    return [
-        [kernels[j](pts[j], augmented[eta]) for eta in range(1 << l)]
-        for j in range(l)
+    augmented = [
+        config | frozenset(pts[i] for i in range(l) if eta >> i & 1)
+        for eta in range(1 << l)
     ]
+    return np.array(
+        [[kernels[j](pts[j], cfg) for cfg in augmented] for j in range(l)], dtype=float
+    )
 
 
-def _difference_table(values, l):
-    """d[theta_mask] = sum over eta subset theta of signed values[eta].
-
-    The Moebius transform on the subset lattice, one index at a time:
-    O(l 2^l) instead of the O(3^l) sum over submasks.
-    """
-    out = list(values)
-    for j in range(l):
-        bit = 1 << j
-        for theta in range(1 << l):
-            if theta & bit:
-                out[theta] -= out[theta ^ bit]
-    return out
+def _moebius(values) -> np.ndarray:
+    """A new array d[..., theta] = sum over eta subset theta of
+    (-1)^{|theta|-|eta|} values[..., eta] on the last axis: the Moebius
+    transform, one index at a time, O(l 2^l) instead of O(3^l)."""
+    d = np.array(values, dtype=float)
+    for j in range(d.shape[-1].bit_length() - 1):
+        halves = d.reshape(d.shape[:-1] + (-1, 2, 1 << j))
+        halves[..., 1, :] -= halves[..., 0, :]
+    return d
 
 
 # keys are bounded by MAX_EXPANSION_LEN
 @lru_cache(maxsize=None)
-def _families(m: int, allow_empty: bool) -> tuple:
-    """Ordered m-tuples of index subsets of {1..m} whose union is full."""
-    return tuple(_cover_tuples(m, m, allow_empty))
+def _families(l: int, allow_empty: bool) -> np.ndarray:
+    """(F, l) bitmasks of the ordered l-tuples of index subsets with full
+    union; the subsets are nonempty unless allow_empty."""
+    families = np.array(list(_cover_tuples(l, l, allow_empty)), dtype=np.intp)
+    families.flags.writeable = False
+    return families
+
+
+def _family_products(d: np.ndarray, allow_empty: bool) -> np.ndarray:
+    """(..., F) products prod_j d[..., j, Theta_j], multiplied in j order,
+    over _families(l, allow_empty) for differences d of shape (..., l, 2^l)."""
+    families = _families(d.shape[-2], allow_empty)
+    products = d[..., 0, families[:, 0]]
+    for j in range(1, families.shape[1]):
+        products = products * d[..., j, families[:, j]]
+    return products
+
+
+def _covers_vanish(values: np.ndarray, tol: float) -> np.ndarray:
+    """Per value table of a (..., l, 2^l) batch, whether no family of
+    nonempty index subsets has a product above tol in absolute value."""
+    products = _family_products(_moebius(values), allow_empty=False)
+    return ~(np.abs(products) > tol).any(axis=-1)

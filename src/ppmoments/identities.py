@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import falling_factorial, partitions, stirling2
+from .difference_ops import _covers_vanish, _moebius
 from .finite_model import (
     Configuration,
     FiniteModel,
@@ -155,6 +156,14 @@ def _tuple_layout(m: int, k: int):
     for array in (sets, orders, bases):
         array.flags.writeable = False
     return sets, orders, bases
+
+
+def _added_masks(sites: np.ndarray) -> np.ndarray:
+    """masks[..., eta] = the bitmask of {sites[..., i] : bit i of eta set},
+    for an (..., l) array of site indices."""
+    l = sites.shape[-1]
+    bits = np.arange(1 << l) >> np.arange(l)[:, None] & 1
+    return (bits << sites[..., None]).sum(axis=-2)
 
 
 def _tuple_sum(model: FiniteModel, k: int, integrand, width: int = 1) -> float:
@@ -328,24 +337,14 @@ def dtheta_joint_expansion(
     slots = _position_regions(tables, orders)
     direct = _joint_rhs(model, f, slots)
 
-    # subset_bits[j, eta] = 1 when index j lies in the subset eta
-    subset_bits = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
-
     def differences(sites, up):
-        bits = [1 << x for x in sites]
-        base = up & ~sum(bits)
         # g[..., eta] = F and indicators at omega u {x_j : j in eta}
-        added = sum(bit[..., None] * subset_bits[j] for j, bit in enumerate(bits))
-        augmented = base[..., None] | added
+        added = _added_masks(np.stack(sites, axis=-1))
+        augmented = (up & ~added[..., -1])[..., None] | added
         g = f[augmented]
         for x, table in zip(sites, slots):
             g = g * table[x[..., None], augmented]
-        # fast Moebius transform over eta: g[theta] becomes
-        # D_Theta = sum_{eta subset theta} (-1)^{|theta|-|eta|} g[eta]
-        for j in range(n):
-            halves = g.reshape(g.shape[:-1] + (-1, 2, 1 << j))
-            halves[..., 1, :] -= halves[..., 0, :]
-        return g
+        return _moebius(g)
 
     expanded = _tuple_sum(model, n, differences, width=1 << n)
     return IdentityReport.build(
@@ -384,7 +383,7 @@ def poisson_independence_check(
     _assert_poisson(model)
     tables = validate_disjoint(model, regions)
     weight_multisets = [_region_weight_multiset(model, table) for table in tables]
-    _assert_cover_condition(model, regions)
+    _assert_cover_condition(model, tables)
 
     predictions = []
     for weights in weight_multisets:
@@ -431,33 +430,27 @@ def _region_weight_multiset(model: FiniteModel, table: np.ndarray) -> tuple:
     return tuple(reference[np.isfinite(reference)].tolist())
 
 
-def _assert_cover_condition(model: FiniteModel, regions: Sequence[RandomSet]):
-    from .difference_ops import cover_condition_holds
-
-    kernels = [
-        (lambda region: lambda x, cfg: 1.0 if region(x, cfg) else 0.0)(region)
-        for region in regions
-    ]
-    base_configs = [frozenset(), frozenset(range(0, model.m, 2))]
-    sites = list(range(model.m))
+def _assert_cover_condition(model: FiniteModel, tables: Sequence[np.ndarray]):
+    """Check the vanishing-cover condition of every region indicator, read
+    from its table R[x, mask], at sampled tuples of sites over two base
+    configurations; raise CoverConditionError at the first failure in
+    (base, tuple, region) order."""
     # deterministic sample: all singles, a spread of pairs and triples
-    tuples: list[tuple] = [(x,) for x in sites]
-    pairs = [(a, b) for a in sites for b in sites if a != b]
-    tuples.extend(pairs[:: max(1, len(pairs) // 12)])
-    triples = [
-        (a, b, c) for a in sites for b in sites for c in sites
-        if len({a, b, c}) == 3
-    ]
-    tuples.extend(triples[:: max(1, len(triples) // 12)])
-    for config in base_configs:
-        for points in tuples:
-            for kernel in kernels:
-                family = [kernel] * len(points)
-                if not cover_condition_holds(family, points, config, tol=1e-9):
-                    raise CoverConditionError(
-                        f"cover condition fails at points {points}"
-                    )
-
+    groups = [[(x,) for x in range(model.m)]]
+    for k in (2, 3):
+        tuples = list(permutations(range(model.m), k))
+        groups.append(tuples[:: max(1, len(tuples) // 12)])
+    regions = np.stack(tables)
+    for base in (0, sum(1 << x for x in range(0, model.m, 2))):
+        for group in filter(None, groups):
+            points = np.array(group)
+            masks = base | _added_masks(points)
+            # values[region, tuple, j, eta] = R(x_j, base u {x_i : bit i of eta})
+            values = regions[:, points[:, :, None], masks[:, None, :]]
+            failed = ~_covers_vanish(values, 1e-9).all(axis=0)
+            if failed.any():
+                first = group[int(np.argmax(failed))]
+                raise CoverConditionError(f"cover condition fails at points {first}")
 
 
 def _factorial_moment_table(probs: Sequence[float], max_order: int) -> list[float]:

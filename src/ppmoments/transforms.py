@@ -33,7 +33,7 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from .combinatorics import falling_factorial
-from .difference_ops import cover_condition_holds
+from .difference_ops import _covers_vanish
 from .montecarlo import (
     P_GATE,
     Z_GATE,
@@ -50,6 +50,8 @@ Configuration = frozenset
 _TWO_PI = 2.0 * math.pi
 _ORIENT_FILTER = 1e-12
 MAX_CONDITION_TUPLE = 3
+# half-width of the rho-tau box grid; 0.7 sqrt(2) < 1 keeps it in the disk
+_GRID_EXTENT = 0.7
 
 
 @dataclass(frozen=True)
@@ -377,7 +379,7 @@ def verify_transform_condition(
 ) -> bool:
     """Check the vanishing-cover condition for the hull transformation.
 
-    Runs cover_condition_holds over kernel families built from tau: both
+    Checks the cover condition on kernel families built from tau: both
     coordinate projections of tau(x, omega) in every combination across the
     tuple slots, and indicator compositions 1_B(tau(x, omega)) for a fixed
     family of test boxes. True iff every family passes at tolerance tol.
@@ -387,31 +389,20 @@ def verify_transform_condition(
     if not (1 <= m <= MAX_CONDITION_TUPLE):
         raise ValueError(f"tuple length must satisfy 1 <= m <= {MAX_CONDITION_TUPLE}")
 
-    # the distinct augmented configurations, mapped as one block: per
-    # configuration each tuple point's image coordinates, then its indicator
-    # in each test box
-    configs = list(dict.fromkeys(
+    augmented = [
         config | frozenset(pts[i] for i in range(m) if eta >> i & 1)
         for eta in range(1 << m)
-    ))
-    coords = np.broadcast_to(np.array(pts, dtype=float), (len(configs), m, 2))
-    values: dict = {}
-    for cfg, images in zip(configs, _tau(spec.rotation_offset, _configurations(configs), coords)):
-        boxes = [Box(*box).contains(images) for box in _TEST_BOXES]
-        table = np.column_stack([images] + boxes)
-        values[cfg] = dict(zip(pts, table.tolist()))
-
-    def kernel(column):
-        return lambda x, cfg: values[cfg][x][column]
-
-    coordinate_kernels = (kernel(0), kernel(1))
-    box_kernels = tuple(kernel(2 + k) for k in range(len(_TEST_BOXES)))
-
-    for assignment in _iter_product(coordinate_kernels, repeat=m):
-        if not cover_condition_holds(list(assignment), pts, config, tol):
-            return False
-    for assignment in _iter_product(box_kernels, repeat=m):
-        if not cover_condition_holds(list(assignment), pts, config, tol):
+    ]
+    coords = np.broadcast_to(np.array(pts, dtype=float), (1 << m, m, 2))
+    images = _tau(spec.rotation_offset, _configurations(augmented), coords)
+    # table[column, j, eta]: tau(x_j, config u {x_i : bit i of eta}), then its
+    # indicator in each test box (images.T and contains put j before eta)
+    boxes = [Box(*box).contains(images) for box in _TEST_BOXES]
+    table = np.concatenate([images.T, boxes])
+    # one value table per assignment of a column to each tuple slot
+    for columns in (range(2), range(2, 2 + len(_TEST_BOXES))):
+        assignments = np.array(list(_iter_product(columns, repeat=m)))
+        if not _covers_vanish(table[assignments, np.arange(m)], tol).all():
             return False
     return True
 
@@ -519,11 +510,11 @@ class InvarianceReport:
     covariances: list = field(default_factory=list)
     moments: list = field(default_factory=list)
 
-    def passed(self, p_min: float = P_GATE, z_max: float = Z_GATE) -> bool:
+    def passed(self) -> bool:
         return (
-            all(row["p_value"] >= p_min for row in self.gof)
-            and all(abs(row["z"]) <= z_max for row in self.covariances)
-            and all(abs(row["z"]) <= z_max for row in self.moments)
+            all(row["p_value"] >= P_GATE for row in self.gof)
+            and all(abs(row["z"]) <= Z_GATE for row in self.covariances)
+            and all(abs(row["z"]) <= Z_GATE for row in self.moments)
         )
 
     def to_dict(self) -> dict:
@@ -638,9 +629,9 @@ class RhoTauReport:
     first_moments: list = field(default_factory=list)
     second_moments: list = field(default_factory=list)
 
-    def passed(self, z_max: float = Z_GATE) -> bool:
+    def passed(self) -> bool:
         return all(
-            abs(row["z"]) <= z_max
+            abs(row["z"]) <= Z_GATE
             for row in self.first_moments + self.second_moments
         )
 
@@ -662,26 +653,24 @@ def rho_tau_check(
     n_replicates: int,
     seed: int,
     grid_size: int = 3,
-    grid_extent: float = 0.7,
 ) -> RhoTauReport:
     """Check that the transformed Poisson process keeps constant correlation.
 
     For a Poisson base process the transformed process has correlation
     function identically 1: mean counts of disjoint boxes must match
     intensity * area and product moments of box pairs must match the product
-    of intensities. Boxes form a grid_size x grid_size grid inside the disk.
+    of intensities. Boxes form a grid_size x grid_size grid on the square
+    [-_GRID_EXTENT, _GRID_EXTENT]^2 inside the disk.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
-    if not 0.0 < grid_extent * math.sqrt(2.0) <= 1.0:
-        raise ValueError("grid must stay inside the unit disk")
-    step = 2.0 * grid_extent / grid_size
+    step = 2.0 * _GRID_EXTENT / grid_size
     boxes = [
         Box(
-            -grid_extent + i * step,
-            -grid_extent + (i + 1) * step,
-            -grid_extent + j * step,
-            -grid_extent + (j + 1) * step,
+            -_GRID_EXTENT + i * step,
+            -_GRID_EXTENT + (i + 1) * step,
+            -_GRID_EXTENT + j * step,
+            -_GRID_EXTENT + (j + 1) * step,
         )
         for i in range(grid_size)
         for j in range(grid_size)

@@ -279,6 +279,16 @@ _TWO_SAMPLE_EXPERIMENT = {**_ONE_SAMPLE_EXPERIMENT, "n_samples": 2}
         ([], {"suite": "mc-identity", "seed": 1,
               "parameters": {"experiments": [{**_TWO_SAMPLE_EXPERIMENT, "n_samples": -5}]}},
          ["header", "error"]),
+        # values that are not numbers
+        ([], {"suite": "stir1", "seed": [1]}, []),
+        ([], {"suite": "stir1", "seed": 1, "instance_count": {"a": 1}}, []),
+        ([], {"suite": "exact-gnz", "seed": 1, "parameters": {"m_max": [5]}},
+         ["header", "error"]),
+        ([], {"suite": "transform-invariance", "seed": 1, "parameters": {"offset": [0.3]}},
+         ["header", "error"]),
+        ([], {"suite": "mc-identity", "seed": 1,
+              "parameters": {"experiments": [{**_TWO_SAMPLE_EXPERIMENT, "n_samples": [50]}]}},
+         ["header", "error"]),
     ],
     ids=[
         "instances-0",
@@ -308,6 +318,11 @@ _TWO_SAMPLE_EXPERIMENT = {**_ONE_SAMPLE_EXPERIMENT, "n_samples": 2}
         "experiment-unknown-key",
         "experiment-key-of-other-process",
         "experiment-n-samples-negative",
+        "seed-not-a-number",
+        "instance-count-not-a-number",
+        "m-max-not-a-number",
+        "offset-not-a-number",
+        "experiment-n-samples-not-a-number",
     ],
 )
 def test_bad_input_is_exit_3_without_traceback(argv, config, records, tmp_path, capsys):

@@ -1,8 +1,11 @@
 """Difference operator tests: expansions, compositions, cover condition."""
 
+import functools
 import itertools
+import operator
 import random
 
+import numpy as np
 import pytest
 
 from ppmoments.difference_ops import (
@@ -12,7 +15,7 @@ from ppmoments.difference_ops import (
     diff_multi,
     product_expansion_gap,
 )
-from ppmoments.difference_ops import _difference_table
+from ppmoments.difference_ops import _family_products, _moebius
 from ppmoments.instances import generate_random_instance
 
 
@@ -145,6 +148,7 @@ def test_product_expansion_agreement_random():
 def test_difference_table_matches_the_submask_sum():
     # reference: d[theta] = sum over eta subset theta of (-1)^{|theta|-|eta|} v[eta]
     rng = random.Random(8)
+    by_length = {}
     for _ in range(200):
         length = rng.randint(1, 4)
         values = [rng.uniform(-1, 1) for _ in range(1 << length)]
@@ -156,8 +160,41 @@ def test_difference_table_matches_the_submask_sum():
             )
             for theta in range(1 << length)
         ]
-        table = _difference_table(values, length)
-        assert table == pytest.approx(expected, rel=0.0, abs=1e-14)
+        table = _moebius(values)
+        assert table.tolist() == pytest.approx(expected, rel=0.0, abs=1e-14)
+        by_length.setdefault(length, []).append((values, table))
+    # with leading batch axes every row is transformed on its own
+    for length, cases in by_length.items():
+        rows = np.array([values for values, _ in cases])
+        batch = _moebius(rows[:, None, :])
+        assert batch.shape == (len(cases), 1, 1 << length)
+        assert (batch[:, 0] == np.array([table for _, table in cases])).all()
+
+
+def test_family_products_match_the_per_family_loop():
+    # reference: for every ordered family of index subsets with full union,
+    # prod_j d[j][Theta_j], multiplied in j order
+    rng = random.Random(9)
+    for _ in range(24):
+        length = rng.randint(1, 4)
+        d = np.array([
+            [[rng.uniform(-1, 1) for _ in range(1 << length)] for _ in range(length)]
+            for _ in range(2)
+        ])
+        for allow_empty in (True, False):
+            start = 0 if allow_empty else 1
+            expected = []
+            for table in d.tolist():
+                row = []
+                for family in itertools.product(range(start, 1 << length), repeat=length):
+                    if functools.reduce(operator.or_, family) != (1 << length) - 1:
+                        continue
+                    prod = 1.0
+                    for j in range(length):
+                        prod *= table[j][family[j]]
+                    row.append(prod)
+                expected.append(row)
+            assert _family_products(d, allow_empty).tolist() == expected
 
 
 def test_product_expansion_guards():

@@ -271,6 +271,28 @@ def test_poisson_independence_swap_regions():
             assert report.rel_gap <= GATE, report.to_dict()
 
 
+def test_poisson_independence_calls_each_region_once_per_site_and_configuration():
+    # validate_disjoint tabulates R[x, mask]; the cover check reads that
+    # table and never calls a region again
+    for seed in range(3):
+        bundle = generate_random_instance(
+            "independence", {"m_min": 6, "m_max": 8, "n_max": 3}, 2600 + seed
+        )
+        model = bundle["model"]
+        calls = [0] * len(bundle["regions"])
+
+        def counted(index, region):
+            def wrapped(x, cfg):
+                calls[index] += 1
+                return region(x, cfg)
+
+            return wrapped
+
+        regions = [counted(i, region) for i, region in enumerate(bundle["regions"])]
+        assert poisson_independence_check(model, regions, bundle["max_order"])
+        assert calls == [model.m << model.m] * len(regions)
+
+
 def test_poisson_independence_error_discrimination():
     pairwise = FiniteModel(
         GroundSpace((1.0,) * 4), pairwise_log_density(0.5, [(0, 1)])

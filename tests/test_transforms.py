@@ -456,6 +456,23 @@ def test_verify_transform_condition_offset_zero_and_guard():
         verify_transform_condition(TransformSpec(0.1), config, ((0.0, 0.0),) * 4)
 
 
+def test_verify_transform_condition_rejects_a_map_of_interior_points(monkeypatch):
+    # negative control: an image that moves with the number of configuration
+    # points in the disk depends on points that are not extremal, so
+    # D_x tau(x, .) != 0 and the cover condition must fail
+    def count_shift(offset, configs, points):
+        inside = np.hypot(configs[..., 0], configs[..., 1]) <= 1.0
+        return points + 0.01 * inside.sum(axis=1)[:, None, None]
+
+    config = sample_poisson(BIG_WINDOW, 10.0, 31)
+    tuples = [((0.1, 0.2),), ((0.1, 0.2), (-0.3, 0.1)), ((0.1, 0.2), (-0.3, 0.1), (0.2, -0.4))]
+    for points in tuples:
+        assert verify_transform_condition(TransformSpec(0.3), config, points, 1e-9)
+    monkeypatch.setattr(transforms, "_tau", count_shift)
+    for points in tuples:
+        assert not verify_transform_condition(TransformSpec(0.3), config, points, 1e-9)
+
+
 def test_transform_spec_validation():
     with pytest.raises(ValueError):
         TransformSpec(1.0)
