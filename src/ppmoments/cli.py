@@ -47,10 +47,13 @@ from .identities import (
 )
 from .instances import generate_random_instance
 from .montecarlo import (
+    MAX_ESTIMATOR_ORDER,
     P_GATE,
     Z_GATE,
     PoissonModel,
     StraussModel,
+    _chain_steps,
+    _replicate_rngs,
     estimate_factorial_identity,
     estimate_partition_moment,
     gnz_estimates,
@@ -144,9 +147,13 @@ class SuiteConfig:
 
 def _number(params: dict, name: str, default, kind):
     """kind(params.get(name, default)); a ValueError, so exit 3, when the
-    value is not a number (int([5]) raises TypeError)."""
+    value is not a number (int([5]) raises TypeError) or, for kind int, a
+    float that is not integral (int(2.5) would truncate it)."""
+    value = params.get(name, default)
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, not {value!r}")
     try:
-        return kind(params.get(name, default))
+        return kind(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a number: {exc}") from exc
 
@@ -270,6 +277,7 @@ def _run_ddd0(config: SuiteConfig):
     l_max = _number(config.parameters, "l_max", 3, int)
     bounds = {"m_min": 3, "m_max": _number(config.parameters, "m_max", 6, int),
               "l_max": l_max}
+    lemma_count = _number(config.parameters, "lemma_count", 25, int)
     for i in range(count):
         bundle = generate_random_instance(
             "expansion", bounds, _child_seed(config.seed, i)
@@ -296,7 +304,6 @@ def _run_ddd0(config: SuiteConfig):
             {"length": len(points)},
         )
         yield _identity_record(report, i, EXPANSION_GATE)
-    lemma_count = _number(config.parameters, "lemma_count", 25, int)
     for i in range(lemma_count):
         bundle = generate_random_instance(
             "cover-lemma", bounds, _child_seed(config.seed, 10_000 + i)
@@ -321,11 +328,9 @@ def _run_mc_poisson(config: SuiteConfig):
     ):
         raise ValueError("orders must be a nonempty list of integers >= 1")
     target_mean = poisson_mean(window, intensity)
-    rng_seeds = np.random.SeedSequence(config.seed).spawn(replicates)
-    counts = np.empty(replicates, dtype=float)
     # the count is the first draw of each replicate stream
-    for rep, child in enumerate(rng_seeds):
-        counts[rep] = np.random.Generator(np.random.PCG64(child)).poisson(target_mean)
+    rngs = _replicate_rngs(config.seed, replicates)
+    counts = np.array([rng.poisson(target_mean) for rng in rngs], dtype=float)
     for order in orders:
         yield _z_gated({
             "record": "moment",
@@ -397,8 +402,11 @@ def _run_mc_identity(config: SuiteConfig):
         ]
     if not isinstance(experiments, list) or not experiments:
         raise ValueError("experiments must be a nonempty list")
-    for index, experiment in enumerate(experiments):
-        yield _run_one_experiment(experiment, index, _child_seed(config.seed, index))
+    # every experiment is validated before the first one runs
+    runs = [_experiment(experiment, index, _child_seed(config.seed, index))
+            for index, experiment in enumerate(experiments)]
+    for run in runs:
+        yield run()
 
 
 # the keys an experiment may carry: every experiment, then per process and
@@ -408,8 +416,9 @@ _PROCESS_KEYS = {"poisson": {"intensity"}, "strauss": {"beta", "gamma", "r", "n_
 _IDENTITY_KEYS = {"gnz": set(), "factorial": {"n"}, "partition": {"n"}}
 
 
-def _run_one_experiment(experiment: dict, index: int, seed: int) -> dict:
-    """One estimator run from an experiment description.
+def _experiment(experiment: dict, index: int, seed: int) -> Callable[[], dict]:
+    """The estimator run of an experiment description, validated, as a
+    callable that returns its estimate record.
 
     The test integrands are fixed bounded functions of the window: the
     region is the left half, the functional 1 + 0.1 |omega| and the kernel
@@ -432,23 +441,25 @@ def _run_one_experiment(experiment: dict, index: int, seed: int) -> dict:
     n_steps = experiment.get("n_steps")
     n_steps = None if n_steps is None else _number(experiment, "n_steps", None, int)
     seed = _number(experiment, "seed", seed, int)
+    n = _number(experiment, "n", 2, int)
+    if identity != "gnz" and not 1 <= n <= MAX_ESTIMATOR_ORDER:
+        raise ValueError(f"order must satisfy 1 <= n <= {MAX_ESTIMATOR_ORDER}")
+    if isinstance(model, StraussModel):
+        _chain_steps(model, n_steps)
     window = model.window
     half_x = (window.x_min + window.x_max) / 2.0
     region = lambda x, y, count: x <= half_x
     functional = lambda count: 1.0 + 0.1 * count
     kernel = lambda x, y, count: 1.0 + y - 0.05 * count
     if identity == "gnz":
-        lhs, rhs = gnz_estimates(model, [kernel], n_samples, seed, n_steps)[0]
+        estimate = lambda: gnz_estimates(model, [kernel], n_samples, seed, n_steps)[0]
     elif identity == "factorial":
-        lhs, rhs = estimate_factorial_identity(
-            model, functional, region, _number(experiment, "n", 2, int),
-            n_samples, seed, n_steps,
+        estimate = lambda: estimate_factorial_identity(
+            model, functional, region, n, n_samples, seed, n_steps
         )
     else:
-        lhs, rhs = estimate_partition_moment(
-            model, kernel, _number(experiment, "n", 2, int), n_samples, seed, n_steps
-        )
-    return _estimate_record(name, index, lhs, rhs)
+        estimate = lambda: estimate_partition_moment(model, kernel, n, n_samples, seed, n_steps)
+    return lambda: _estimate_record(name, index, *estimate())
 
 
 _DEFAULT_REGIONS = (
@@ -468,6 +479,7 @@ def _run_transform_invariance(config: SuiteConfig):
     if not isinstance(regions, (list, tuple)):
         raise ValueError("regions must be a list")
     regions = [region_from_config(r) for r in regions]
+    condition_count = _number(params, "condition_instances", 20, int)
     report = invariance_suite(
         TransformSpec(offset), window, intensity, regions, replicates, config.seed
     )
@@ -480,7 +492,6 @@ def _run_transform_invariance(config: SuiteConfig):
         for row in rows:
             yield _z_gated({"record": kind, "name": "transform-invariance", **row})
     # the vanishing-difference condition on sampled tuples
-    condition_count = _number(params, "condition_instances", 20, int)
     rng = np.random.default_rng(np.random.SeedSequence(_child_seed(config.seed, 1)))
     for i in range(condition_count):
         sample = sample_poisson(window, intensity / 4.0, rng)

@@ -6,9 +6,13 @@ Strauss-type pairwise process has density beta * gamma^{t(x, omega)} with
 t the number of points within the interaction radius.
 
 K sampled configurations are one batch (xs, ys, n): configuration k holds
-the points (xs[k, j], ys[k, j]) for j < n[k], and unused slots hold inf.
-The Poisson draw and the Strauss chains return batches, the estimators are
-array expressions over them, and only the public samplers build frozensets.
+the points (xs[k, j], ys[k, j]) for j < n[k], and unused slots hold NaN,
+which is near no point and in no region, disk or hull, and on which no
+arithmetic warns (with inf, the hull edge tests of `transforms` would
+compute 0 * inf). The Poisson draw and the Strauss chains return batches,
+the estimators and the hull transformation are array expressions over
+them, and `_batch_of` and `_frozensets` convert configurations to a batch
+and back.
 Integrands are array callables of the coordinates and the point count
 |omega|: kernel(x, y, count), functional(count), region(x, y, count). They
 never see a padded slot, and their results broadcast, so a constant such as
@@ -38,7 +42,7 @@ import numpy as np
 from .combinatorics import falling_factorial, partitions
 
 Configuration = frozenset
-# (xs, ys, n): configuration k is (xs[k, j], ys[k, j]) for j < n[k]
+# (xs, ys, n): configuration k is (xs[k, j], ys[k, j]) for j < n[k], NaN after
 Batch = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 MAX_POISSON_MEAN = 1e6
@@ -47,7 +51,8 @@ MAX_ESTIMATOR_ORDER = 3
 
 @dataclass(frozen=True)
 class Window:
-    """Axis-aligned rectangle in the plane."""
+    """Closed axis-aligned rectangle in the plane: a sampling window, and
+    (as `transforms.Box`) a test region."""
 
     x_min: float
     x_max: float
@@ -56,15 +61,20 @@ class Window:
 
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("window must have positive extent in both axes")
+            raise ValueError("a window or box must have positive extent in both axes")
 
     @property
     def area(self) -> float:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
-    def contains(self, point) -> bool:
-        x, y = point
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
+    def contains(self, x, y):
+        """Closed-rectangle membership of the points (x, y), elementwise."""
+        return (self.x_min <= x) & (x <= self.x_max) & (self.y_min <= y) & (y <= self.y_max)
+
+    def max_norm(self) -> float:
+        """Largest distance from the origin to a point of the rectangle."""
+        return max(math.hypot(x, y) for x in (self.x_min, self.x_max)
+                   for y in (self.y_min, self.y_max))
 
     def sample_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count uniform points as a (count, 2) array. Point i is mapped from
@@ -85,6 +95,7 @@ class PoissonModel:
     def __post_init__(self):
         if not self.intensity > 0.0:
             raise ValueError("intensity must be positive")
+        poisson_mean(self.window, self.intensity)
 
 
 @dataclass(frozen=True)
@@ -108,6 +119,8 @@ class StraussModel:
             raise ValueError("gamma must lie in [0, 1]")
         if not self.r > 0.0:
             raise ValueError("interaction radius must be positive")
+        # the chains start from a Poisson(beta) draw
+        poisson_mean(self.window, self.beta)
 
 
 ProcessModel = PoissonModel | StraussModel
@@ -195,23 +208,28 @@ def _poisson_points(window: Window, intensity: float, rng) -> np.ndarray:
 
 
 def _batch(samples: Sequence[np.ndarray]) -> Batch:
-    """The batch of K (n_k, 2) point arrays, with inf in the unused slots."""
+    """The batch of K (n_k, 2) point arrays, with NaN in the unused slots."""
     n = np.array([len(sample) for sample in samples], dtype=np.int64)
     used = np.arange(max(1, int(n.max(initial=0)))) < n[:, None]
-    xs, ys = np.full((2, *used.shape), np.inf)
+    xs, ys = np.full((2, *used.shape), np.nan)
     xs[used], ys[used] = np.concatenate([np.empty((0, 2)), *samples]).T
     return xs, ys, n
 
 
+def _batch_of(configs) -> Batch:
+    """The batch of configurations (iterables of points), in their order."""
+    return _batch([np.array(list(config), dtype=float).reshape(-1, 2) for config in configs])
+
+
 def _frozensets(batch: Batch) -> list[Configuration]:
+    """The configurations of a batch, each a frozenset of (x, y) tuples."""
     return [frozenset(zip(x[:k].tolist(), y[:k].tolist())) for x, y, k in zip(*batch)]
 
 
 def sample_poisson(window: Window, intensity: float, seed) -> Configuration:
     """One draw of a Poisson process: N ~ Poisson(intensity * area), then
     N points uniform on the window. Deterministic given the seed."""
-    points = _poisson_points(window, intensity, _as_rng(seed))
-    return frozenset(map(tuple, points.tolist()))
+    return _frozensets(_batch([_poisson_points(window, intensity, _as_rng(seed))]))[0]
 
 
 def _poisson_side(window: Window, intensity: float, seed: int, n_samples: int,
@@ -234,10 +252,19 @@ def default_burn_in(model: StraussModel) -> int:
     return 10 * math.ceil(model.beta * model.window.area)
 
 
+def _chain_steps(model: StraussModel, n_steps: int | None) -> int:
+    """n_steps, or the default burn-in when it is None; a ValueError when
+    n_steps is below the default burn-in."""
+    burn_in = default_burn_in(model)
+    if n_steps is not None and n_steps < burn_in:
+        raise ValueError(f"n_steps must be at least the default burn-in {burn_in}")
+    return burn_in if n_steps is None else n_steps
+
+
 def _neighbours(xs: np.ndarray, ys: np.ndarray, px: np.ndarray, py: np.ndarray,
                 r2: float) -> np.ndarray:
     """Per row k, how many of the points (xs[k, j], ys[k, j]) lie within
-    distance sqrt(r2) of (px[k], py[k]); inf slots never do."""
+    distance sqrt(r2) of (px[k], py[k]); NaN slots never do."""
     dx = xs - px[:, None]
     dy = ys - py[:, None]
     dx *= dx
@@ -255,17 +282,15 @@ def _strauss_table(model: StraussModel, size: int) -> np.ndarray:
 _CHUNK_STEPS = 64
 
 
-def _strauss_chains(model: StraussModel, n_steps: int, rngs: Sequence) -> Batch:
-    """One birth-death chain per generator, all advanced together, as a batch.
+def _strauss_chains(model: StraussModel, n_steps: int | None, rngs: Sequence) -> Batch:
+    """One birth-death chain per generator, all advanced together, as a batch,
+    n_steps long (by default the burn-in).
 
     Chain k draws its Poisson(beta) start and then 4 uniforms per step from
     rngs[k] alone, so its result and the position of rngs[k] afterwards do
     not depend on the other chains.
     """
-    if n_steps < default_burn_in(model):
-        raise ValueError(
-            f"n_steps must be at least the default burn-in {default_burn_in(model)}"
-        )
+    n_steps = _chain_steps(model, n_steps)
     window = model.window
     area = window.area
     width = window.x_max - window.x_min
@@ -302,8 +327,8 @@ def _strauss_chains(model: StraussModel, n_steps: int, rngs: Sequence) -> Batch:
             if born.size:
                 slot = n[born]
                 if slot.max() == cap:
-                    xs = np.concatenate((xs, np.full_like(xs, np.inf)), axis=1)
-                    ys = np.concatenate((ys, np.full_like(ys, np.inf)), axis=1)
+                    xs = np.concatenate((xs, np.full_like(xs, np.nan)), axis=1)
+                    ys = np.concatenate((ys, np.full_like(ys, np.nan)), axis=1)
                     cap *= 2
                     c_of_t = _strauss_table(model, cap)
                 xs[born, slot] = px[born]
@@ -313,7 +338,7 @@ def _strauss_chains(model: StraussModel, n_steps: int, rngs: Sequence) -> Batch:
                 last = n[died] - 1
                 for coordinate in (xs, ys):
                     coordinate[died, index[died]] = coordinate[died, last]
-                    coordinate[died, last] = np.inf
+                    coordinate[died, last] = np.nan
                 n[died] = last
     return xs, ys, n
 
@@ -344,8 +369,7 @@ def sample_process(model: ProcessModel, seed, n_steps: int | None = None) -> Con
     """Draw one configuration from either process type."""
     if isinstance(model, PoissonModel):
         return sample_poisson(model.window, model.intensity, seed)
-    steps = default_burn_in(model) if n_steps is None else n_steps
-    return sample_gibbs(model, steps, seed)
+    return sample_gibbs(model, _chain_steps(model, n_steps), seed)
 
 
 def _draw_sides(model: ProcessModel, sides: Sequence[tuple[int, int]], n_samples: int,
@@ -359,8 +383,7 @@ def _draw_sides(model: ProcessModel, sides: Sequence[tuple[int, int]], n_samples
         return [_poisson_side(model.window, model.intensity, seed, n_samples, extra)
                 for seed, extra in sides]
     streams = [list(_replicate_rngs(seed, n_samples)) for seed, _ in sides]
-    steps = default_burn_in(model) if n_steps is None else n_steps
-    xs, ys, n = _strauss_chains(model, steps, [rng for rngs in streams for rng in rngs])
+    xs, ys, n = _strauss_chains(model, n_steps, [rng for rngs in streams for rng in rngs])
     drawn = []
     for i, ((_, extra), rngs) in enumerate(zip(sides, streams)):
         rows = slice(i * n_samples, (i + 1) * n_samples)
@@ -409,8 +432,8 @@ def _chat(model: ProcessModel, batch: Batch, points: np.ndarray) -> np.ndarray:
 def compound_papangelou(model: ProcessModel, points: Sequence, config: Configuration) -> float:
     """chat(x_1..x_n, omega) = prod_k c(x_k, omega u {x_1..x_{k-1}}) for
     points x_k not in omega: the one-row call of the estimators' batch form."""
-    batch = _batch([np.array(list(config), dtype=float).reshape(-1, 2)])
-    return float(_chat(model, batch, np.array(points, dtype=float).reshape(1, -1, 2))[0])
+    points = np.array(points, dtype=float).reshape(1, -1, 2)
+    return float(_chat(model, _batch_of([config]), points)[0])
 
 
 # -- estimators ---------------------------------------------------------------

@@ -38,6 +38,9 @@ from .montecarlo import (
     P_GATE,
     Z_GATE,
     Window,
+    _batch,
+    _batch_of,
+    _frozensets,
     _poisson_points,
     config_floats,
     mean_and_se,
@@ -119,6 +122,8 @@ def convex_hull(points) -> list:
 
 
 # -- hull frames, a block at a time ------------------------------------------------
+# A block is the (xs, ys) of a `montecarlo` batch: each row holds its points,
+# then NaN, which no disk, hull or region test accepts.
 
 # replicates per block of _transformed_counts
 _BLOCK = 32
@@ -129,23 +134,9 @@ _PREFILTER_DIRECTIONS = (
 )
 
 
-def _pad(samples: Sequence[np.ndarray]) -> np.ndarray:
-    """(B, cap, 2) block of B (n_b, 2) point arrays, padded with NaN rows,
-    which no disk, hull or region test accepts."""
-    lengths = np.array([len(sample) for sample in samples])
-    block = np.full((len(samples), int(lengths.max(initial=0)), 2), np.nan)
-    block[np.arange(block.shape[1]) < lengths[:, None]] = np.concatenate(samples)
-    return block
-
-
-def _configurations(configs) -> np.ndarray:
-    """NaN-padded (B, cap, 2) block of B configurations (iterables of points)."""
-    return _pad([np.array(list(config), dtype=float).reshape(-1, 2) for config in configs])
-
-
-def _hull_candidates(points: np.ndarray) -> np.ndarray:
-    """Mask of the points of a (B, N, 2) block that may be extreme points of
-    the hull of their row's points in the closed unit disk.
+def _hull_candidates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mask of the points of a (B, N) block that may be extreme points of the
+    hull of their row's points in the closed unit disk.
 
     Keeps the points in the disk, then drops those strictly inside the
     polygon of the row's arg-max points in eight directions (Akl & Toussaint
@@ -155,8 +146,6 @@ def _hull_candidates(points: np.ndarray) -> np.ndarray:
     of nonzero length. (When every edge has zero length, all the row's
     points coincide and there is no hull either way.)
     """
-    x = points[..., 0]
-    y = points[..., 1]
     keep = x * x + y * y <= 1.0
     if not keep.any():
         return keep
@@ -178,13 +167,13 @@ def _hull_candidates(points: np.ndarray) -> np.ndarray:
     return keep & ~inside
 
 
-def _hulls(points: np.ndarray) -> list:
-    """Per row of a (B, N, 2) block, the extreme points of the hull of its
+def _hulls(x: np.ndarray, y: np.ndarray) -> list:
+    """Per row of a (B, N) block, the extreme points of the hull of its
     points in the closed unit disk (as `convex_hull`), or None when there
     are fewer than 3."""
     hulls = []
-    for row, mask in zip(points, _hull_candidates(points)):
-        hull = convex_hull(map(tuple, row[mask].tolist()))
+    for row_x, row_y, mask in zip(x, y, _hull_candidates(x, y)):
+        hull = convex_hull(zip(row_x[mask].tolist(), row_y[mask].tolist()))
         hulls.append(tuple(hull) if len(hull) >= 3 else None)
     return hulls
 
@@ -234,9 +223,9 @@ class _Frames:
         self.cum[:, 1:][~valid] = np.inf
         self.last = n - 1
 
-    def rotate(self, offset: float, points: np.ndarray) -> np.ndarray:
+    def rotate(self, offset: float, x: np.ndarray, y: np.ndarray):
         """Star rotation by offset * total area of row b's hull of every point
-        of row b of a (B, N, 2) block.
+        of row b of a (B, N) block, as new (x, y) arrays.
 
         Points not strictly inside their hull (vertices and edges included)
         and the anchor come back unchanged. The ray of a point anchor + r
@@ -246,9 +235,7 @@ class _Frames:
         lies at the same fraction of the way to the boundary point of sector
         area (s + offset * T) mod T.
         """
-        out = np.array(points, dtype=float)
-        x = out[..., 0]
-        y = out[..., 1]
+        x, y = np.array((x, y), dtype=float)
         # strictly left of every counterclockwise edge
         inside = np.ones(x.shape, dtype=bool)
         for ex, ey, vx, vy in zip(self.ex.T, self.ey.T, self.vx.T, self.vy.T):
@@ -273,7 +260,7 @@ class _Frames:
         f = (target - self.cum[b, j]) / self.tri[b, j]
         x[b, k] = self.anchor[b, 0] + (self.relx[b, j] + f * self.ex[b, j]) / lam
         y[b, k] = self.anchor[b, 1] + (self.rely[b, j] + f * self.ey[b, j]) / lam
-        return out
+        return x, y
 
 
 def _count_at_most(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -302,7 +289,9 @@ class HullFrame:
     def rotate(self, offset: float, points: np.ndarray) -> np.ndarray:
         """Star rotation by offset * total_area of every row of an (N, 2)
         array; see `_Frames.rotate`."""
-        return self._frames.rotate(offset, np.asarray(points, dtype=float).reshape(1, -1, 2))[0]
+        x, y = np.asarray(points, dtype=float).reshape(-1, 2).T
+        x, y = self._frames.rotate(offset, x[None], y[None])
+        return np.stack((x[0], y[0]), axis=1)
 
 
 def hull_frame(config) -> HullFrame | None:
@@ -311,30 +300,32 @@ def hull_frame(config) -> HullFrame | None:
     Returns None when fewer than 3 extreme points exist (the transformation
     is then the identity everywhere).
     """
-    hull = _hulls(_configurations([config]))[0]
+    xs, ys, _ = _batch_of([config])
+    hull = _hulls(xs, ys)[0]
     return None if hull is None else HullFrame(hull)
 
 
 # -- the transformation ---------------------------------------------------------
 
 
-def _tau(offset: float, configs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """tau(x, configs[b]) for every point x of row b of a (B, N, 2) block,
-    with configs a (B, M, 2) block of configurations.
+def _tau(offset: float, xs: np.ndarray, ys: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """tau(p, configuration b) for every point p = (x[b, k], y[b, k]) of row
+    b, with (xs, ys) the block of the B configurations; new (x, y) arrays
+    or the inputs.
 
     The identity when the offset is 0 (no hull is extracted then) and on rows
     whose configuration has no hull frame; otherwise the star rotation in the
     row's hull frame.
     """
     if offset == 0.0:
-        return points
-    hulls = _hulls(configs)
+        return x, y
+    hulls = _hulls(xs, ys)
     rows = [b for b, hull in enumerate(hulls) if hull is not None]
     if not rows:
-        return points
-    out = np.array(points, dtype=float)
-    out[rows] = _Frames([hulls[b] for b in rows]).rotate(offset, out[rows])
-    return out
+        return x, y
+    x, y = np.array((x, y), dtype=float)
+    x[rows], y[rows] = _Frames([hulls[b] for b in rows]).rotate(offset, x[rows], y[rows])
+    return x, y
 
 
 def apply_tau(spec: TransformSpec, point, config) -> tuple:
@@ -344,8 +335,10 @@ def apply_tau(spec: TransformSpec, point, config) -> tuple:
     inside the hull; otherwise the area-preserving star rotation. The result
     depends on the configuration only through its extremal vertices.
     """
-    image = _tau(spec.rotation_offset, _configurations([config]), np.array([[point]], dtype=float))
-    return tuple(image[0, 0].tolist())
+    xs, ys, _ = _batch_of([config])
+    x, y = np.array(point, dtype=float).reshape(2, 1, 1)
+    x, y = _tau(spec.rotation_offset, xs, ys, x, y)
+    return x.item(), y.item()
 
 
 def push_forward(spec: TransformSpec, config) -> Configuration:
@@ -355,11 +348,9 @@ def push_forward(spec: TransformSpec, config) -> Configuration:
     is fixed, so cardinality is preserved; a collision among images (which
     has probability zero in continuous data) raises an error.
     """
-    points = list(config)
-    coords = np.array(points, dtype=float).reshape(1, -1, 2)
-    images = _tau(spec.rotation_offset, coords, coords)[0]
-    result = frozenset(map(tuple, images.tolist()))
-    if len(result) != len(points):
+    xs, ys, n = _batch_of([config])
+    result = _frozensets((*_tau(spec.rotation_offset, xs, ys, xs, ys), n))[0]
+    if len(result) != n[0]:
         raise ValueError("push-forward produced coinciding image points")
     return result
 
@@ -389,16 +380,15 @@ def verify_transform_condition(
     if not (1 <= m <= MAX_CONDITION_TUPLE):
         raise ValueError(f"tuple length must satisfy 1 <= m <= {MAX_CONDITION_TUPLE}")
 
-    augmented = [
+    xs, ys, _ = _batch_of(
         config | frozenset(pts[i] for i in range(m) if eta >> i & 1)
         for eta in range(1 << m)
-    ]
-    coords = np.broadcast_to(np.array(pts, dtype=float), (1 << m, m, 2))
-    images = _tau(spec.rotation_offset, _configurations(augmented), coords)
+    )
+    x, y = np.broadcast_to(np.array(pts, dtype=float).T[:, None], (2, 1 << m, m))
+    x, y = _tau(spec.rotation_offset, xs, ys, x, y)
     # table[column, j, eta]: tau(x_j, config u {x_i : bit i of eta}), then its
-    # indicator in each test box (images.T and contains put j before eta)
-    boxes = [Box(*box).contains(images) for box in _TEST_BOXES]
-    table = np.concatenate([images.T, boxes])
+    # indicator in each test box
+    table = np.stack([x.T, y.T, *(Box(*box).contains(x.T, y.T) for box in _TEST_BOXES)])
     # one value table per assignment of a column to each tuple slot
     for columns in (range(2), range(2, 2 + len(_TEST_BOXES))):
         assignments = np.array(list(_iter_product(columns, repeat=m)))
@@ -410,33 +400,8 @@ def verify_transform_condition(
 # -- fixed planar regions --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Box:
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-
-    def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("box must have positive extent")
-
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
-    def contains(self, points) -> np.ndarray:
-        """Closed-box membership of each row of an (N, 2) array, or of one point."""
-        x, y = np.asarray(points, dtype=float).T
-        inside_x = (self.x_min <= x) & (x <= self.x_max)
-        return inside_x & (self.y_min <= y) & (y <= self.y_max)
-
-    def max_norm(self) -> float:
-        return max(
-            math.hypot(x, y)
-            for x in (self.x_min, self.x_max)
-            for y in (self.y_min, self.y_max)
-        )
+# a closed box region is a rectangle, the same class as a sampling window
+Box = Window
 
 
 @dataclass(frozen=True)
@@ -453,9 +418,8 @@ class Disk:
     def area(self) -> float:
         return math.pi * self.radius * self.radius
 
-    def contains(self, points) -> np.ndarray:
-        """Closed-disk membership of each row of an (N, 2) array, or of one point."""
-        x, y = np.asarray(points, dtype=float).T
+    def contains(self, x, y):
+        """Closed-disk membership of the points (x, y), elementwise."""
         dx = x - self.cx
         dy = y - self.cy
         return dx * dx + dy * dy <= self.radius * self.radius
@@ -691,12 +655,8 @@ def rho_tau_check(
 
 
 def _validate_geometry(window: Window, regions: Sequence[Region]):
-    if not (
-        window.x_min <= -1.0
-        and window.x_max >= 1.0
-        and window.y_min <= -1.0
-        and window.y_max >= 1.0
-    ):
+    # a closed rectangle holds the unit disk iff it holds (-1, -1) and (1, 1)
+    if not (window.contains(-1.0, -1.0) and window.contains(1.0, 1.0)):
         raise ValueError("window must contain the unit disk")
     for region in regions:
         if region.max_norm() > 1.0 + 1e-12:
@@ -717,10 +677,8 @@ def _transformed_counts(spec, window, intensity, regions, n_replicates, seed):
     counts = np.zeros((n_replicates, len(regions)), dtype=np.int64)
     for start in range(0, n_replicates, _BLOCK):
         size = min(_BLOCK, n_replicates - start)
-        points = _pad([_poisson_points(window, intensity, rng) for _ in range(size)])
-        points = _tau(spec.rotation_offset, points, points)
-        flat = points.reshape(-1, 2)
+        xs, ys, _ = _batch([_poisson_points(window, intensity, rng) for _ in range(size)])
+        x, y = _tau(spec.rotation_offset, xs, ys, xs, ys)
         for index, region in enumerate(regions):
-            inside = region.contains(flat).reshape(points.shape[:2])
-            counts[start : start + size, index] = np.count_nonzero(inside, axis=1)
+            counts[start : start + size, index] = np.count_nonzero(region.contains(x, y), axis=1)
     return counts

@@ -289,6 +289,40 @@ _TWO_SAMPLE_EXPERIMENT = {**_ONE_SAMPLE_EXPERIMENT, "n_samples": 2}
         ([], {"suite": "mc-identity", "seed": 1,
               "parameters": {"experiments": [{**_TWO_SAMPLE_EXPERIMENT, "n_samples": [50]}]}},
          ["header", "error"]),
+        # integers that are not integral, which int() would truncate
+        ([], {"suite": "exact-gnz", "seed": 1.9}, []),
+        ([], {"suite": "exact-gnz", "seed": 1, "instance_count": 2.5}, []),
+        ([], {"suite": "exact-gnz", "seed": 1, "parameters": {"m_max": 5.7}},
+         ["header", "error"]),
+        ([], {"suite": "mc-identity", "seed": 1,
+              "parameters": {"experiments": [{**_TWO_SAMPLE_EXPERIMENT, "n_samples": 50.5}]}},
+         ["header", "error"]),
+        # every parameter is read before the first record
+        ([], {"suite": "transform-invariance", "seed": 1, "instance_count": 50,
+              "parameters": {"condition_instances": "x"}},
+         ["header", "error"]),
+        ([], {"suite": "ddd0", "seed": 1, "instance_count": 3,
+              "parameters": {"lemma_count": [2]}},
+         ["header", "error"]),
+        ([], {"suite": "mc-identity", "seed": 1,
+              "parameters": {"experiments": [_TWO_SAMPLE_EXPERIMENT,
+                                             {**_TWO_SAMPLE_EXPERIMENT, "n_sample": 50}]}},
+         ["header", "error"]),
+        ([], {"suite": "mc-identity", "seed": 1,
+              "parameters": {"experiments": [_TWO_SAMPLE_EXPERIMENT,
+                                             {**_TWO_SAMPLE_EXPERIMENT, "n": 4}]}},
+         ["header", "error"]),
+        ([], {"suite": "mc-identity", "seed": 1,
+              "parameters": {"experiments": [_TWO_SAMPLE_EXPERIMENT,
+                                             {**_TWO_SAMPLE_EXPERIMENT, "intensity": 1e7}]}},
+         ["header", "error"]),
+        ([], {"suite": "mc-identity", "seed": 1,
+              "parameters": {"experiments": [
+                  _TWO_SAMPLE_EXPERIMENT,
+                  {**_TWO_SAMPLE_EXPERIMENT, "process": "strauss", "beta": 5.0, "gamma": 0.5,
+                   "r": 0.1, "n_steps": 10},
+              ]}},
+         ["header", "error"]),
     ],
     ids=[
         "instances-0",
@@ -323,6 +357,16 @@ _TWO_SAMPLE_EXPERIMENT = {**_ONE_SAMPLE_EXPERIMENT, "n_samples": 2}
         "m-max-not-a-number",
         "offset-not-a-number",
         "experiment-n-samples-not-a-number",
+        "seed-not-integral",
+        "instance-count-not-integral",
+        "m-max-not-integral",
+        "experiment-n-samples-not-integral",
+        "condition-instances-read-first",
+        "lemma-count-read-first",
+        "every-experiment-validated-first",
+        "experiment-order-validated-first",
+        "experiment-mean-count-validated-first",
+        "experiment-burn-in-validated-first",
     ],
 )
 def test_bad_input_is_exit_3_without_traceback(argv, config, records, tmp_path, capsys):

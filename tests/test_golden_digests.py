@@ -1,0 +1,41 @@
+"""Report bodies change only when CHANGES.md says why.
+
+golden_digests.json holds, per suite, the exit status and the sha256 of the
+report body that `tools/report_digest.py --seeds 1` prints, at its reduced
+Monte Carlo sizes, together with the numpy and scipy versions it was
+recorded with. A change that moves a body fails here; record the new digests
+with that tool and give the reason in CHANGES.md. Other library versions may
+round differently in the last bit, so there the test is skipped.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy
+import pytest
+import scipy
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = json.loads(Path(__file__).with_name("golden_digests.json").read_text())
+_SPEC = importlib.util.spec_from_file_location(
+    "report_digest", ROOT / "tools" / "report_digest.py"
+)
+report_digest = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(report_digest)
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN["digests"]))
+def test_report_body_matches_its_golden_digest(suite):
+    versions = (numpy.__version__, scipy.__version__)
+    if versions != (GOLDEN["numpy"], GOLDEN["scipy"]):
+        pytest.skip(
+            f"digests were recorded with numpy {GOLDEN['numpy']} and scipy "
+            f"{GOLDEN['scipy']}, not numpy {versions[0]} and scipy {versions[1]}"
+        )
+    status, body = report_digest.digest(suite, GOLDEN["seed"])
+    assert [status, body] == GOLDEN["digests"][suite]
+
+
+def test_every_suite_has_a_golden_digest():
+    assert sorted(GOLDEN["digests"]) == sorted(report_digest.cli.SUITES)

@@ -51,7 +51,7 @@ def test_sample_poisson_deterministic():
     a = sample_poisson(UNIT, 5.0, 42)
     b = sample_poisson(UNIT, 5.0, 42)
     assert a == b
-    assert all(UNIT.contains(p) for p in a)
+    assert all(UNIT.contains(*p) for p in a)
 
 
 def test_sample_poisson_near_zero_intensity():

@@ -1,6 +1,7 @@
 """Geometry and invariance tests for the hull-conditioned transformation."""
 
 import math
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +9,18 @@ import numpy as np
 import pytest
 
 from ppmoments import transforms
-from ppmoments.montecarlo import Window, _poisson_points, sample_poisson
+from ppmoments.montecarlo import (
+    StraussModel,
+    Window,
+    _batch,
+    _chat,
+    _neighbours,
+    _poisson_points,
+    _replicate_rngs,
+    _strauss_chains,
+    compound_papangelou,
+    sample_poisson,
+)
 from ppmoments.transforms import (
     _BLOCK,
     Box,
@@ -23,7 +35,6 @@ from ppmoments.transforms import (
     push_forward,
     _hull_candidates,
     _hulls,
-    _pad,
     _transformed_counts,
     region_from_config,
     regions_disjoint,
@@ -248,19 +259,20 @@ def _prefilter_cases():
 
 def test_prefilter_never_changes_a_hull():
     cases = _prefilter_cases()
-    block = _pad([np.array(case, dtype=float).reshape(-1, 2) for case in cases])
-    assert _hulls(block) == [_unfiltered_hull(case) for case in cases]
+    xs, ys, _ = _batch([np.array(case, dtype=float).reshape(-1, 2) for case in cases])
+    assert _hulls(xs, ys) == [_unfiltered_hull(case) for case in cases]
     for case in cases:
         frame = hull_frame(case)
         reference = _unfiltered_hull(case)
         assert (frame and frame.extremal_vertices) == (reference and tuple(reference))
     # a triangle is extreme in several directions at each vertex: the
     # polygon's zero-length edges do not stop it dropping interior points
-    triangle = np.array([[(0.8, 0.0), (0.0, 0.0), (-0.4, 0.6), (0.1, 0.1), (-0.4, -0.6)]])
-    assert _hull_candidates(triangle).tolist() == [[True, False, True, False, True]]
+    triangle = np.array([(0.8, 0.0), (0.0, 0.0), (-0.4, 0.6), (0.1, 0.1), (-0.4, -0.6)])
+    x, y = triangle.T[:, None]
+    assert _hull_candidates(x, y).tolist() == [[True, False, True, False, True]]
     # the filter does drop most of a default-size sample
-    kept = _hull_candidates(block[:300]).sum(axis=1)
-    in_disk = ((block[:300] ** 2).sum(axis=2) <= 1.0).sum(axis=1)
+    kept = _hull_candidates(xs[:300], ys[:300]).sum(axis=1)
+    in_disk = (xs[:300] ** 2 + ys[:300] ** 2 <= 1.0).sum(axis=1)
     assert kept.sum() < 0.3 * in_disk.sum()
 
 
@@ -273,7 +285,7 @@ def _reference_counts(offset, window, intensity, regions, n_replicates, seed):
         frame = hull_frame(map(tuple, points.tolist()))
         if frame is not None and offset != 0.0:
             points = frame.rotate(offset, points)
-        counts[rep] = [np.count_nonzero(region.contains(points)) for region in regions]
+        counts[rep] = [np.count_nonzero(region.contains(*points.T)) for region in regions]
     return counts
 
 
@@ -299,6 +311,44 @@ def test_block_counts_equal_the_per_replicate_reference(monkeypatch):
                     TransformSpec(offset), window, intensity, regions, 130, seed
                 )
                 assert np.array_equal(counts, expected), (seed, offset, block)
+
+
+def test_padding_is_inert_on_rows_of_any_length():
+    # one batch of rows from 0 to 300 points: its padding must neither warn
+    # (warnings are errors here) nor change any row's images, region counts
+    # or neighbour counts against the same row alone
+    rng = np.random.default_rng(41)
+    samples = [rng.uniform(-1.05, 1.05, (k, 2)) for k in (0, 300, 1, 3, 0, 40, 2, 120)]
+    regions = [Box(-0.6, -0.2, -0.2, 0.2), Disk(0.0, 0.45, 0.15)]
+    px, py = rng.uniform(-1.0, 1.0, (2, len(samples), 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs, ys, n = _batch(samples)
+        x, y = transforms._tau(0.37, xs, ys, xs, ys)
+        near = _neighbours(xs, ys, px[:, 0], py[:, 0], 0.09)
+        for b, sample in enumerate(samples):
+            row_xs, row_ys, _ = _batch([sample])
+            row_x, row_y = transforms._tau(0.37, row_xs, row_ys, row_xs, row_ys)
+            assert np.array_equal(x[b, : n[b]], row_x[0, : n[b]])
+            assert np.array_equal(y[b, : n[b]], row_y[0, : n[b]])
+            for region in regions:
+                assert np.count_nonzero(region.contains(x[b], y[b])) == np.count_nonzero(
+                    region.contains(row_x, row_y)
+                )
+            assert near[b] == _neighbours(row_xs, row_ys, px[b], py[b], 0.09)[0]
+
+        # the lockstep chains grow, shrink and empty their rows in one batch
+        model = StraussModel(Window(0.0, 1.0, 0.0, 1.0), 4.0, 0.5, 0.15)
+        chains = _strauss_chains(model, 200, list(_replicate_rngs(5, 40)))
+        assert chains[2].min() == 0 and chains[2].max() >= 6
+        points = rng.random((40, 2, 2))
+        chat = _chat(model, chains, points)
+        for b, rng_b in enumerate(_replicate_rngs(5, 40)):
+            xs, ys, n = _strauss_chains(model, 200, [rng_b])
+            assert np.array_equal(chains[0][b, : n[0]], xs[0, : n[0]])
+            assert np.array_equal(chains[1][b, : n[0]], ys[0, : n[0]])
+            config = frozenset(zip(xs[0, : n[0]].tolist(), ys[0, : n[0]].tolist()))
+            assert chat[b] == compound_papangelou(model, points[b].tolist(), config)
 
 
 def test_hull_frame_degenerate_cases():
@@ -389,8 +439,8 @@ def test_apply_tau_preserves_area_on_random_boxes():
         x0, y0 = rng.uniform(-0.45, 0.2, 2)
         w, h = rng.uniform(0.05, 0.25, 2)
         box = Box(x0, x0 + w, y0, y0 + h)
-        inside_before = int(np.count_nonzero(box.contains(points)))
-        inside_after = int(np.count_nonzero(box.contains(images)))
+        inside_before = int(np.count_nonzero(box.contains(*points.T)))
+        inside_after = int(np.count_nonzero(box.contains(*images.T)))
         p = inside_before / n
         se = math.sqrt(2 * p * (1 - p) / n)
         assert abs(inside_after - inside_before) / n <= 5 * se
@@ -460,9 +510,9 @@ def test_verify_transform_condition_rejects_a_map_of_interior_points(monkeypatch
     # negative control: an image that moves with the number of configuration
     # points in the disk depends on points that are not extremal, so
     # D_x tau(x, .) != 0 and the cover condition must fail
-    def count_shift(offset, configs, points):
-        inside = np.hypot(configs[..., 0], configs[..., 1]) <= 1.0
-        return points + 0.01 * inside.sum(axis=1)[:, None, None]
+    def count_shift(offset, xs, ys, x, y):
+        shift = 0.01 * (np.hypot(xs, ys) <= 1.0).sum(axis=1)[:, None]
+        return x + shift, y + shift
 
     config = sample_poisson(BIG_WINDOW, 10.0, 31)
     tuples = [((0.1, 0.2),), ((0.1, 0.2), (-0.3, 0.1)), ((0.1, 0.2), (-0.3, 0.1), (0.2, -0.4))]
@@ -485,19 +535,23 @@ def test_region_helpers():
     disk = Disk(0.4, 0.4, 0.2)
     assert box.area == pytest.approx(0.25)
     assert disk.area == pytest.approx(math.pi * 0.04)
-    assert box.contains((-0.25, -0.25))
-    assert not box.contains((0.1, -0.25))
-    assert disk.contains((0.4, 0.5))
+    assert box.contains(-0.25, -0.25)
+    assert not box.contains(0.1, -0.25)
+    assert disk.contains(0.4, 0.5)
     # arrays: closed at the boundary, corners and edges included
     on_box = np.array([(-0.5, -0.5), (0.0, 0.0), (-0.5, -0.2), (-0.3, 0.0), (0.0, -0.5)])
-    assert box.contains(on_box).tolist() == [True] * 5
+    assert box.contains(*on_box.T).tolist() == [True] * 5
     off_box = np.array([(-0.5 - 1e-12, -0.2), (-0.2, 1e-12), (0.1, 0.1)])
-    assert box.contains(off_box).tolist() == [False] * 3
+    assert box.contains(*off_box.T).tolist() == [False] * 3
     on_disk = np.array([(0.6, 0.4), (0.4, 0.2), (0.2, 0.4), (0.4, 0.4)])
-    assert disk.contains(on_disk).tolist() == [True] * 4
+    assert disk.contains(*on_disk.T).tolist() == [True] * 4
     off_disk = np.array([(0.6 + 1e-12, 0.4), (0.4, 0.2 - 1e-12), (0.0, 0.0)])
-    assert disk.contains(off_disk).tolist() == [False] * 3
-    assert box.contains(np.empty((0, 2))).shape == (0,)
+    assert disk.contains(*off_disk.T).tolist() == [False] * 3
+    # NaN, the padding of a batch, is in no region
+    assert box.contains(*np.full((2, 3), np.nan)).tolist() == [False] * 3
+    assert disk.contains(*np.full((2, 3), np.nan)).tolist() == [False] * 3
+    assert box.contains(*np.empty((2, 0))).shape == (0,)
+    assert Box is Window
     assert regions_disjoint(box, disk)
     assert not regions_disjoint(box, Box(-0.6, -0.4, -0.6, -0.4))
     assert region_from_config(
