@@ -45,7 +45,7 @@ from .identities import (
     poisson_independence_check,
     stirling_moment_identity,
 )
-from .instances import generate_random_instance
+from .instances import MAX_INSTANCE_SITES, generate_random_instance
 from .montecarlo import (
     MAX_ESTIMATOR_ORDER,
     P_GATE,
@@ -219,7 +219,8 @@ def _exact_suite(
     the bounds m_min and the suite parameters in defaults (name -> default);
     evaluate(bundle, i) yields its IdentityReports. When model_file is set,
     the "model_file" parameter replaces each generated model by the model
-    that file describes.
+    that file describes, loaded once; the instances are then drawn at its
+    site count.
     """
 
     def run(config: SuiteConfig):
@@ -228,10 +229,24 @@ def _exact_suite(
         for name, default in defaults.items():
             bounds[_BOUND_NAMES.get(name, name)] = _number(params, name, default, int)
         path = params.get("model_file") if model_file else None
+        model = None
+        if path is not None:
+            if "m_max" in params:
+                raise ValueError("m_max does not apply with model_file: the file fixes the sites")
+            try:
+                model = load_model(path)
+            except OSError as exc:
+                raise ValueError(f"cannot read model_file: {exc}") from exc
+            if model.m > MAX_INSTANCE_SITES:
+                raise ValueError(
+                    f"model_file has {model.m} sites; generated instances "
+                    f"support at most {MAX_INSTANCE_SITES}"
+                )
+            bounds["m_min"] = bounds["m_max"] = model.m
         for i in range(config.instance_count or count):
             bundle = generate_random_instance(kind, bounds, _child_seed(config.seed, i))
-            if path is not None:
-                bundle["model"] = load_model(path)
+            if model is not None:
+                bundle["model"] = model
             for report in evaluate(bundle, i):
                 yield _identity_record(report, i, EXACT_GATE)
 

@@ -22,6 +22,17 @@ configuration. Expectations and identity sides are array expressions over
 those tables, added with math.fsum. Frozensets are built only while a table
 is filled and none is kept: there is no configuration cache. The
 hereditary check is exhaustive at every size.
+
+A callable may carry an array form, which fills a table in one call:
+
+    functional.on_masks(masks)     -> values at an integer array of bitmasks
+    kernel.on_sites(sites, masks)  -> values at integer arrays of sites and
+                                      bitmasks of one broadcast shape
+
+It is called on the same configurations (and sites) as the callable and
+must agree with it bit for bit. The densities below and the generated
+instances carry one; a user callable needs neither and is then called
+once per configuration, or per site of each configuration.
 """
 
 from __future__ import annotations
@@ -154,7 +165,11 @@ class FiniteModel:
             yield sites, frozenset(sites)
 
     def _values(self, functional: Functional, masks: np.ndarray) -> np.ndarray:
-        """functional(omega) for each bitmask, one call per mask."""
+        """functional(omega) for each bitmask: one call of its array form
+        when it has one, else one call per mask."""
+        on_masks = getattr(functional, "on_masks", None)
+        if on_masks is not None:
+            return np.asarray(on_masks(masks), float)
         values = (functional(config) for _, config in self._configs(masks))
         return np.fromiter(values, float, len(masks))
 
@@ -165,6 +180,9 @@ class FiniteModel:
         site and its value, ordered by configuration and then by site.
         """
         rows, sites = np.nonzero((masks[:, None] >> np.arange(self.m)) & 1)
+        on_sites = getattr(kernel, "on_sites", None)
+        if on_sites is not None:
+            return rows, sites, np.asarray(on_sites(sites, masks[rows]), dtype)
         values = (
             kernel(x, config) for points, config in self._configs(masks) for x in points
         )
@@ -186,6 +204,9 @@ class FiniteModel:
     def _full_site_table(self, region: RandomSet) -> np.ndarray:
         """R[x, mask] at every site and every configuration, allowed or not."""
         m = self.m
+        on_sites = getattr(region, "on_sites", None)
+        if on_sites is not None:
+            return np.asarray(on_sites(np.arange(m)[:, None], np.arange(1 << m)), bool)
         configs = self._configs(np.arange(1 << m))
         values = (region(x, config) for _, config in configs for x in range(m))
         return np.fromiter(values, bool, m << m).reshape(1 << m, m).T.copy()
@@ -299,6 +320,7 @@ def poisson_log_density() -> Functional:
     def log_q(config: Configuration) -> float:
         return 0.0
 
+    log_q.on_masks = lambda masks: np.zeros(len(masks))
     return log_q
 
 
@@ -324,6 +346,17 @@ def pairwise_log_density(gamma: float, pairs: Sequence[tuple[int, int]]) -> Func
             return 0.0
         return count * log_gamma
 
+    pair_masks = [(1 << a) | (1 << b) for a, b in pair_list]
+
+    def on_masks(masks: np.ndarray) -> np.ndarray:
+        count = np.zeros(len(masks), np.int64)
+        for pm in pair_masks:
+            count += (masks & pm) == pm
+        # a hard core has log_gamma = -inf, and 0 * -inf would be NaN
+        with np.errstate(invalid="ignore"):
+            return np.where(count == 0, 0.0, count * log_gamma)
+
+    log_q.on_masks = on_masks
     return log_q
 
 

@@ -8,6 +8,8 @@ Functionals and kernels are bounded and configuration dependent (site
 tables plus a parity term). Random regions flip site membership with the
 parity of a control set; disjoint families restrict each region to its own
 site pool so disjointness holds for every configuration by construction.
+Each generated callable carries its array form (on_masks or on_sites, see
+finite_model), equal to it bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from .finite_model import FiniteModel, GroundSpace, pairwise_log_density, poisson_log_density
 
 GAMMA_CHOICES = (0.0, 0.25, 0.5, 0.75, 1.0)
+MAX_INSTANCE_SITES = 12
 
 
 def generate_random_instance(kind: str, size_bounds: dict, seed: int) -> dict:
@@ -40,8 +43,10 @@ def generate_random_instance(kind: str, size_bounds: dict, seed: int) -> dict:
     m_min = int(size_bounds.get("m_min", 3))
     m_max = int(size_bounds.get("m_max", 8))
     n_max = int(size_bounds.get("n_max", 3))
-    if not (1 <= m_min <= m_max <= 12):
-        raise ValueError("site bounds must satisfy 1 <= m_min <= m_max <= 12")
+    if not (1 <= m_min <= m_max <= MAX_INSTANCE_SITES):
+        raise ValueError(
+            f"site bounds must satisfy 1 <= m_min <= m_max <= {MAX_INSTANCE_SITES}"
+        )
     m = int(rng.integers(m_min, m_max + 1))
 
     if kind == "gnz":
@@ -117,15 +122,26 @@ def _random_functional(rng, m: int):
     table = [float(v) for v in rng.uniform(-1.0, 1.0, m)]
     parity_term = float(rng.uniform(-1.0, 1.0))
     parity_set = frozenset(x for x in range(m) if rng.random() < 0.5)
+    control = _mask(parity_set)
 
+    # both forms add the site terms in ascending site order, so they agree
+    # bit for bit (frozenset iteration is not ascending for every mask)
     def functional(config):
         total = base
-        for x in config:
+        for x in sorted(config):
             total += table[x]
         if len(config & parity_set) % 2 == 0:
             return total + parity_term
         return total - parity_term
 
+    def on_masks(masks):
+        total = np.full(len(masks), base)
+        for x, value in enumerate(table):
+            total = np.where(masks >> x & 1, total + value, total)
+        odd = np.bitwise_count(masks & control) & 1
+        return np.where(odd, total - parity_term, total + parity_term)
+
+    functional.on_masks = on_masks
     return functional
 
 
@@ -133,25 +149,46 @@ def _random_kernel(rng, m: int):
     site_term = [float(v) for v in rng.uniform(-1.0, 1.0, m)]
     parity_scale = [float(v) for v in rng.uniform(-1.0, 1.0, m)]
     parity_set = frozenset(x for x in range(m) if rng.random() < 0.5)
-
-    def kernel(x, config):
-        if len(config & parity_set) % 2 == 0:
-            return site_term[x] + parity_scale[x]
-        return site_term[x] - parity_scale[x]
-
-    return kernel
+    return _by_parity(
+        [s + p for s, p in zip(site_term, parity_scale)],
+        [s - p for s, p in zip(site_term, parity_scale)],
+        parity_set,
+    )
 
 
 def _random_region(rng, m: int):
     base = [bool(rng.random() < 0.5) for _ in range(m)]
     flip = [bool(rng.random() < 0.4) for _ in range(m)]
     control = frozenset(x for x in range(m) if rng.random() < 0.4)
+    return _by_parity(base, [b != f for b, f in zip(base, flip)], control)
 
-    def region(x, config):
-        odd = len(config & control) % 2 == 1
-        return base[x] != (flip[x] and odd)
 
-    return region
+def _by_parity(even: list, odd: list, control: frozenset):
+    """(x, omega) -> even[x] when |omega n control| is even, else odd[x].
+
+    The callable carries its array form on_sites(sites, masks) for the
+    exact engine: the same values at integer arrays of sites and bitmasks.
+    """
+    rows = (even, odd)
+    table = np.array(rows)
+    control_mask = _mask(control)
+
+    def value(x, config):
+        return rows[len(config & control) % 2][x]
+
+    def on_sites(sites, masks):
+        return table[np.bitwise_count(masks & control_mask) & 1, sites]
+
+    value.on_sites = on_sites
+    return value
+
+
+def _mask(sites: frozenset) -> int:
+    return sum(1 << x for x in sites)
+
+
+def _members(m: int, sites: frozenset, kind=bool) -> list:
+    return [kind(x in sites) for x in range(m)]
 
 
 def _disjoint_regions(rng, m: int, p: int):
@@ -164,12 +201,7 @@ def _disjoint_regions(rng, m: int, p: int):
         even = frozenset(int(x) for x in pool if rng.random() < 0.7)
         odd = frozenset(int(x) for x in pool if rng.random() < 0.7)
         control = frozenset(x for x in range(m) if rng.random() < 0.4)
-
-        def region(x, config, even=even, odd=odd, control=control):
-            selected = even if len(config & control) % 2 == 0 else odd
-            return x in selected
-
-        regions.append(region)
+        regions.append(_by_parity(_members(m, even), _members(m, odd), control))
     return regions
 
 
@@ -195,12 +227,7 @@ def _independence_bundle(rng, m: int):
         even = frozenset(int(x) for x in pool[:k])
         odd = frozenset(int(x) for x in pool[-k:])
         control = frozenset(x for x in control_pool if rng.random() < 0.7)
-
-        def region(x, config, even=even, odd=odd, control=control):
-            selected = even if len(config & control) % 2 == 0 else odd
-            return x in selected
-
-        regions.append(region)
+        regions.append(_by_parity(_members(m, even), _members(m, odd), control))
     return model, regions
 
 
@@ -220,10 +247,7 @@ def _cover_safe_kernels(rng, m: int, length: int):
         members_even = frozenset(x for x in pool_sites if rng.random() < 0.6)
         members_odd = frozenset(x for x in pool_sites if rng.random() < 0.6)
         control = frozenset(x for x in control_sites if rng.random() < 0.8)
-
-        def kernel(x, config, even=members_even, odd=members_odd, control=control):
-            selected = even if len(config & control) % 2 == 0 else odd
-            return 1.0 if x in selected else 0.0
-
-        kernels.append(kernel)
+        kernels.append(
+            _by_parity(_members(m, members_even, float), _members(m, members_odd, float), control)
+        )
     return kernels

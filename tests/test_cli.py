@@ -17,7 +17,8 @@ from ppmoments.cli import (
     main,
     run_suite,
 )
-from ppmoments.instances import generate_random_instance
+from ppmoments import cli
+from ppmoments.instances import MAX_INSTANCE_SITES, generate_random_instance
 
 
 def run_to_lines(suite, seed, instances=None, parameters=None):
@@ -323,6 +324,9 @@ _TWO_SAMPLE_EXPERIMENT = {**_ONE_SAMPLE_EXPERIMENT, "n_samples": 2}
                    "r": 0.1, "n_steps": 10},
               ]}},
          ["header", "error"]),
+        ([], {"suite": "exact-gnz", "seed": 1, "instance_count": 5,
+              "parameters": {"model_file": "no-such-model.json"}},
+         ["header", "error"]),
     ],
     ids=[
         "instances-0",
@@ -367,6 +371,7 @@ _TWO_SAMPLE_EXPERIMENT = {**_ONE_SAMPLE_EXPERIMENT, "n_samples": 2}
         "experiment-order-validated-first",
         "experiment-mean-count-validated-first",
         "experiment-burn-in-validated-first",
+        "model-file-missing",
     ],
 )
 def test_bad_input_is_exit_3_without_traceback(argv, config, records, tmp_path, capsys):
@@ -398,23 +403,50 @@ def test_list_suites_and_explain(capsys):
     assert main(["explain", "nope"]) == EXIT_VALIDATION_ERROR
 
 
-def test_model_file_parameter(tmp_path):
-    model_path = tmp_path / "model.json"
-    model_path.write_text(
+def _write_model(path, m):
+    path.write_text(
         json.dumps(
             {
-                "sites": 4,
-                "weights": [0.5, 1.0, 0.7, 1.2],
+                "sites": m,
+                "weights": [0.5, 1.0, 0.7, 1.2] * (m // 4) + [0.9] * (m % 4),
                 "density": {"type": "pairwise", "gamma": 0.5, "pairs": [[0, 1], [2, 3]]},
             }
         )
     )
-    status, lines = run_to_lines(
-        "exact-gnz", 5, 2, {"model_file": str(model_path)}
-    )
-    assert status == EXIT_PASS
-    record = json.loads(lines[1])
-    assert record["parameters"]["sites"] == 4
+    return str(path)
+
+
+def test_model_file_parameter(tmp_path, monkeypatch):
+    # the model is loaded once per run, and the instances are drawn at its
+    # site count: at seed 1 some generated instances have fewer than 4 sites
+    loads = []
+    load_model = cli.load_model
+    monkeypatch.setattr(cli, "load_model", lambda path: loads.append(path) or load_model(path))
+    path = _write_model(tmp_path / "model.json", 4)
+    for suite in ("exact-gnz", "exact-factorial", "exact-joint", "exact-stirling",
+                  "exact-partition"):
+        loads.clear()
+        status, lines = run_to_lines(suite, 1, 50, {"model_file": path})
+        assert status == EXIT_PASS, suite
+        records = [json.loads(line) for line in body_of(lines)]
+        identities = [r for r in records if r["record"] == "identity"]
+        assert len(identities) >= 50
+        assert all(r["parameters"]["sites"] == 4 for r in identities)
+        assert loads == [path]
+
+
+@pytest.mark.parametrize(
+    "sites,parameters,message",
+    [(MAX_INSTANCE_SITES + 1, {}, "at most"), (4, {"m_max": 5}, "m_max")],
+    ids=["above-instance-bound", "and-m-max"],
+)
+def test_model_file_conflicts_are_exit_3(tmp_path, sites, parameters, message):
+    path = _write_model(tmp_path / "model.json", sites)
+    status, lines = run_to_lines("exact-gnz", 1, 5, {"model_file": path, **parameters})
+    assert status == EXIT_VALIDATION_ERROR
+    records = [json.loads(line) for line in lines]
+    assert [r["record"] for r in records] == ["header", "error"]
+    assert message in records[1]["message"]
 
 
 def test_gate_failure_exit_code():
