@@ -52,8 +52,9 @@ from .montecarlo import (
     Z_GATE,
     PoissonModel,
     StraussModel,
+    _block_streams,
     _chain_steps,
-    _replicate_rngs,
+    _child_seed,
     estimate_factorial_identity,
     estimate_partition_moment,
     gnz_estimates,
@@ -156,10 +157,6 @@ def _number(params: dict, name: str, default, kind):
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a number: {exc}") from exc
-
-
-def _child_seed(seed: int, index: int) -> int:
-    return (seed * 1_000_003 + index) % (1 << 62)
 
 
 def _emit(stream, record: dict):
@@ -272,9 +269,7 @@ def _run_stir1(config: SuiteConfig):
     for n in range(1, n_max + 1):
         for m in range(1, m_max + 1):
             for p in range(1, p_max + 1):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(_child_seed(config.seed, instance))
-                )
+                rng = np.random.default_rng(_child_seed(config.seed, instance))
                 for k in range(matrices):
                     alphas = [[float(v) for v in rng.uniform(-1, 1, m)] for _ in range(p)]
                     betas = [float(v) for v in rng.uniform(-1, 1, p)]
@@ -343,9 +338,9 @@ def _run_mc_poisson(config: SuiteConfig):
     ):
         raise ValueError("orders must be a nonempty list of integers >= 1")
     target_mean = poisson_mean(window, intensity)
-    # the count is the first draw of each replicate stream
-    rngs = _replicate_rngs(config.seed, replicates)
-    counts = np.array([rng.poisson(target_mean) for rng in rngs], dtype=float)
+    # the counts are the first draw of each block stream, as in sample_batch
+    blocks = _block_streams(config.seed, replicates)
+    counts = np.concatenate([rng.poisson(target_mean, size) for rng, size in blocks]).astype(float)
     for order in orders:
         yield _z_gated({
             "record": "moment",
@@ -507,7 +502,7 @@ def _run_transform_invariance(config: SuiteConfig):
         for row in rows:
             yield _z_gated({"record": kind, "name": "transform-invariance", **row})
     # the vanishing-difference condition on sampled tuples
-    rng = np.random.default_rng(np.random.SeedSequence(_child_seed(config.seed, 1)))
+    rng = np.random.default_rng(_child_seed(config.seed, 1))
     for i in range(condition_count):
         sample = sample_poisson(window, intensity / 4.0, rng)
         length = int(rng.integers(1, 4))
@@ -650,7 +645,10 @@ SUITES = {
         "Monte Carlo factorial moments of Poisson counts against "
         "(intensity * area)^n.",
         "Empirical factorial moments E[N(A)_(n)] of a sampled Poisson "
-        "process must match (intensity * |A|)^n within Monte Carlo error.",
+        "process must match (intensity * |A|)^n within Monte Carlo error. "
+        "Only the counts are drawn: the first draw of each block stream of "
+        "the seed, so they are the counts of the replicates that the "
+        "Monte Carlo engine samples at that seed.",
         ("window", "intensity", "orders"),
     ),
     "mc-gibbs": Suite(

@@ -14,6 +14,8 @@ finite_model), equal to it bit for bit.
 
 from __future__ import annotations
 
+from itertools import combinations, compress
+
 import numpy as np
 
 from .finite_model import FiniteModel, GroundSpace, pairwise_log_density, poisson_log_density
@@ -39,7 +41,7 @@ def generate_random_instance(kind: str, size_bounds: dict, seed: int) -> dict:
     size_bounds may set m_min, m_max, n_max, n_kernels; unset entries use
     the guards' defaults.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     m_min = int(size_bounds.get("m_min", 3))
     m_max = int(size_bounds.get("m_max", 8))
     n_max = int(size_bounds.get("n_max", 3))
@@ -106,12 +108,9 @@ def generate_random_instance(kind: str, size_bounds: dict, seed: int) -> dict:
 def _random_model(rng, m: int) -> FiniteModel:
     weights = tuple(float(w) for w in rng.uniform(0.1, 2.0, m))
     gamma = float(rng.choice(GAMMA_CHOICES))
-    pairs = [
-        (a, b)
-        for a in range(m)
-        for b in range(a + 1, m)
-        if rng.random() < 0.3
-    ]
+    # one uniform per pair (a, b), a < b, in lexicographic order
+    kept = rng.random(m * (m - 1) // 2) < 0.3
+    pairs = list(compress(combinations(range(m), 2), kept.tolist()))
     if gamma == 1.0 or not pairs:
         return FiniteModel(GroundSpace(weights), poisson_log_density())
     return FiniteModel(GroundSpace(weights), pairwise_log_density(gamma, pairs))
@@ -121,7 +120,7 @@ def _random_functional(rng, m: int):
     base = float(rng.uniform(-1.0, 1.0))
     table = [float(v) for v in rng.uniform(-1.0, 1.0, m)]
     parity_term = float(rng.uniform(-1.0, 1.0))
-    parity_set = frozenset(x for x in range(m) if rng.random() < 0.5)
+    parity_set = _sites(rng, range(m), 0.5)
     control = _mask(parity_set)
 
     # both forms add the site terms in ascending site order, so they agree
@@ -148,7 +147,7 @@ def _random_functional(rng, m: int):
 def _random_kernel(rng, m: int):
     site_term = [float(v) for v in rng.uniform(-1.0, 1.0, m)]
     parity_scale = [float(v) for v in rng.uniform(-1.0, 1.0, m)]
-    parity_set = frozenset(x for x in range(m) if rng.random() < 0.5)
+    parity_set = _sites(rng, range(m), 0.5)
     return _by_parity(
         [s + p for s, p in zip(site_term, parity_scale)],
         [s - p for s, p in zip(site_term, parity_scale)],
@@ -157,9 +156,9 @@ def _random_kernel(rng, m: int):
 
 
 def _random_region(rng, m: int):
-    base = [bool(rng.random() < 0.5) for _ in range(m)]
-    flip = [bool(rng.random() < 0.4) for _ in range(m)]
-    control = frozenset(x for x in range(m) if rng.random() < 0.4)
+    base = (rng.random(m) < 0.5).tolist()
+    flip = (rng.random(m) < 0.4).tolist()
+    control = _sites(rng, range(m), 0.4)
     return _by_parity(base, [b != f for b, f in zip(base, flip)], control)
 
 
@@ -183,6 +182,12 @@ def _by_parity(even: list, odd: list, control: frozenset):
     return value
 
 
+def _sites(rng, sites, p: float) -> frozenset:
+    """The sites kept by independent coin flips of probability p, one
+    uniform per site in the given order, drawn in one call."""
+    return frozenset(compress(sites, (rng.random(len(sites)) < p).tolist()))
+
+
 def _mask(sites: frozenset) -> int:
     return sum(1 << x for x in sites)
 
@@ -193,14 +198,14 @@ def _members(m: int, sites: frozenset, kind=bool) -> list:
 
 def _disjoint_regions(rng, m: int, p: int):
     """Regions confined to disjoint site pools; disjoint for every omega."""
-    sites = list(rng.permutation(m))
+    sites = rng.permutation(m).tolist()
     cut = m // p
     pools = [sites[i * cut : (i + 1) * cut] for i in range(p)]
     regions = []
     for pool in pools:
-        even = frozenset(int(x) for x in pool if rng.random() < 0.7)
-        odd = frozenset(int(x) for x in pool if rng.random() < 0.7)
-        control = frozenset(x for x in range(m) if rng.random() < 0.4)
+        even = _sites(rng, pool, 0.7)
+        odd = _sites(rng, pool, 0.7)
+        control = _sites(rng, range(m), 0.4)
         regions.append(_by_parity(_members(m, even), _members(m, odd), control))
     return regions
 
@@ -226,7 +231,7 @@ def _independence_bundle(rng, m: int):
         k = max(1, len(pool) - 1)
         even = frozenset(int(x) for x in pool[:k])
         odd = frozenset(int(x) for x in pool[-k:])
-        control = frozenset(x for x in control_pool if rng.random() < 0.7)
+        control = _sites(rng, control_pool, 0.7)
         regions.append(_by_parity(_members(m, even), _members(m, odd), control))
     return model, regions
 
@@ -244,9 +249,9 @@ def _cover_safe_kernels(rng, m: int, length: int):
     pool_sites = [int(x) for x in sites[n_control:]]
     kernels = []
     for _ in range(length):
-        members_even = frozenset(x for x in pool_sites if rng.random() < 0.6)
-        members_odd = frozenset(x for x in pool_sites if rng.random() < 0.6)
-        control = frozenset(x for x in control_sites if rng.random() < 0.8)
+        members_even = _sites(rng, pool_sites, 0.6)
+        members_odd = _sites(rng, pool_sites, 0.6)
+        control = _sites(rng, control_sites, 0.8)
         kernels.append(
             _by_parity(_members(m, members_even, float), _members(m, members_odd, float), control)
         )

@@ -19,16 +19,26 @@ never see a padded slot, and their results broadcast, so a constant such as
 lambda x, y, count: 1.0 works.
 
 All randomness flows from a single integer seed through
-numpy.random.SeedSequence, with one spawned stream per replicate, so runs
-are reproducible bit for bit. Estimator left and right sides use separate
-top-level streams, which makes the 4 * combined-standard-error comparisons
-between them honest. A replicate's stream is read in a fixed order: its
-count, then two uniforms (x, y) per point, then its right-side points the
-same way. A Strauss chain takes its Poisson(beta) start, then exactly 4
-uniforms per step (move, u, v, accept), whatever the step does. The Strauss
-chains of a call (all replicates of sample_many, or both sides of an
-estimator) advance together in lockstep, each reading its own stream, so a
-chain's result does not depend on which chains share its call.
+numpy.random.SeedSequence, so runs are reproducible bit for bit. Estimator
+left and right sides use separate child seeds, which makes the 4 *
+combined-standard-error comparisons between them honest. The replicates of
+a seed come in blocks of BLOCK_REPLICATES (the last block holds the rest),
+and block b reads the stream of SeedSequence(seed, spawn_key=(b,)) in a
+fixed layout:
+
+1. the block's Poisson counts, in one draw;
+2. all the block's points, two uniforms (x, y) per point, replicate after
+   replicate, in one sample_points call;
+3. for the Strauss chains, one (size, steps, 4) array of uniforms per chunk
+   of _CHUNK_STEPS steps: chain k reads row k, 4 uniforms per step (move, u,
+   v, accept), whatever the step does;
+4. the right-side points of an estimator, extra per replicate, replicate
+   after replicate.
+
+Results depend on BLOCK_REPLICATES, but not on how blocks are grouped into
+calls: every block can be drawn alone, and the Strauss chains of all blocks
+of a call (all replicates of sample_many, or both sides of an estimator)
+advance together in lockstep without reading each other's streams.
 """
 
 from __future__ import annotations
@@ -47,6 +57,9 @@ Batch = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 MAX_POISSON_MEAN = 1e6
 MAX_ESTIMATOR_ORDER = 3
+# replicates per block stream; results depend on it, so changing it changes
+# every Monte Carlo report body
+BLOCK_REPLICATES = 1024
 
 
 @dataclass(frozen=True)
@@ -182,10 +195,24 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _replicate_rngs(seed: int, n: int):
-    """The generators of n replicate streams, created as they are iterated."""
-    for child in np.random.SeedSequence(seed).spawn(n):
-        yield np.random.Generator(np.random.PCG64(child))
+def _child_seed(seed: int, index: int) -> int:
+    """The integer seed of child index of seed: a 64-bit word of
+    SeedSequence(seed, spawn_key=(index,)). Two (seed, index) pairs share a
+    child only by a 64-bit hash collision."""
+    child = np.random.SeedSequence(seed, spawn_key=(index,))
+    return int(child.generate_state(1, np.uint64)[0])
+
+
+def _block_streams(seed: int, n_samples: int) -> list[tuple[np.random.Generator, int]]:
+    """(generator, size) of each block of n_samples replicates: block b holds
+    the replicates b R .. b R + size - 1, R = BLOCK_REPLICATES, and reads the
+    stream of SeedSequence(seed, spawn_key=(b,)), so it can be drawn without
+    the blocks before it."""
+    return [
+        (np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,)))),
+         min(BLOCK_REPLICATES, n_samples - first))
+        for b, first in enumerate(range(0, n_samples, BLOCK_REPLICATES))
+    ]
 
 
 def _estimate(values: np.ndarray, seed: int) -> Estimate:
@@ -203,17 +230,20 @@ def poisson_mean(window: Window, intensity: float) -> float:
     return mean
 
 
-def _poisson_points(window: Window, intensity: float, rng) -> np.ndarray:
-    return window.sample_points(rng, int(rng.poisson(poisson_mean(window, intensity))))
+def _batch_from(n: np.ndarray, points: np.ndarray) -> Batch:
+    """The batch of K configurations with n[k] points each, taken in order
+    from the rows of a (sum n, 2) array, with NaN in the unused slots."""
+    n = np.asarray(n, dtype=np.int64)
+    used = np.arange(max(1, int(n.max(initial=0)))) < n[:, None]
+    xs, ys = np.full((2, *used.shape), np.nan)
+    xs[used], ys[used] = points.T
+    return xs, ys, n
 
 
 def _batch(samples: Sequence[np.ndarray]) -> Batch:
     """The batch of K (n_k, 2) point arrays, with NaN in the unused slots."""
-    n = np.array([len(sample) for sample in samples], dtype=np.int64)
-    used = np.arange(max(1, int(n.max(initial=0)))) < n[:, None]
-    xs, ys = np.full((2, *used.shape), np.nan)
-    xs[used], ys[used] = np.concatenate([np.empty((0, 2)), *samples]).T
-    return xs, ys, n
+    n = [len(sample) for sample in samples]
+    return _batch_from(n, np.concatenate([np.empty((0, 2)), *samples]))
 
 
 def _batch_of(configs) -> Batch:
@@ -226,25 +256,23 @@ def _frozensets(batch: Batch) -> list[Configuration]:
     return [frozenset(zip(x[:k].tolist(), y[:k].tolist())) for x, y, k in zip(*batch)]
 
 
+def _poisson_batch(window: Window, intensity: float, blocks: Sequence) -> Batch:
+    """The batch of the Poisson replicates of the (generator, size) blocks,
+    in order. A block reads its size counts in one draw, then all its points
+    in one sample_points call, replicate after replicate."""
+    mean = poisson_mean(window, intensity)
+    # the empty first entries keep a call without blocks valid
+    counts, points = [np.zeros(0, np.int64)], [np.zeros((0, 2))]
+    for rng, size in blocks:
+        counts.append(rng.poisson(mean, size))
+        points.append(window.sample_points(rng, int(counts[-1].sum())))
+    return _batch_from(np.concatenate(counts), np.concatenate(points))
+
+
 def sample_poisson(window: Window, intensity: float, seed) -> Configuration:
     """One draw of a Poisson process: N ~ Poisson(intensity * area), then
     N points uniform on the window. Deterministic given the seed."""
-    return _frozensets(_batch([_poisson_points(window, intensity, _as_rng(seed))]))[0]
-
-
-def _poisson_side(window: Window, intensity: float, seed: int, n_samples: int,
-                  extra: int) -> tuple[Batch, np.ndarray]:
-    """The batch of n_samples Poisson replicates and the (n_samples, extra, 2)
-    points each replicate draws after its configuration, in one sample_points
-    call per replicate stream; each generator is dropped once drawn from."""
-    mean = poisson_mean(window, intensity)
-    samples, drawn = [], []
-    for rng in _replicate_rngs(seed, n_samples):
-        count = rng.poisson(mean)
-        points = window.sample_points(rng, count + extra)
-        samples.append(points[:count])
-        drawn.append(points[count:])
-    return _batch(samples), np.array(drawn).reshape(n_samples, extra, 2)
+    return _frozensets(_poisson_batch(window, intensity, [(_as_rng(seed), 1)]))[0]
 
 
 def default_burn_in(model: StraussModel) -> int:
@@ -282,13 +310,15 @@ def _strauss_table(model: StraussModel, size: int) -> np.ndarray:
 _CHUNK_STEPS = 64
 
 
-def _strauss_chains(model: StraussModel, n_steps: int | None, rngs: Sequence) -> Batch:
-    """One birth-death chain per generator, all advanced together, as a batch,
-    n_steps long (by default the burn-in).
+def _strauss_chains(model: StraussModel, n_steps: int | None, blocks: Sequence) -> Batch:
+    """One birth-death chain per replicate of the (generator, size) blocks,
+    all advanced together, as a batch, n_steps long (by default the burn-in).
 
-    Chain k draws its Poisson(beta) start and then 4 uniforms per step from
-    rngs[k] alone, so its result and the position of rngs[k] afterwards do
-    not depend on the other chains.
+    A block reads its Poisson(beta) starts as _poisson_batch does, then one
+    (size, steps, 4) array of uniforms per chunk of _CHUNK_STEPS steps (the
+    last chunk shorter), chain k of the block reading row k. A block's chains
+    and the position of its generator afterwards do not depend on the other
+    blocks of the call.
     """
     n_steps = _chain_steps(model, n_steps)
     window = model.window
@@ -296,19 +326,18 @@ def _strauss_chains(model: StraussModel, n_steps: int | None, rngs: Sequence) ->
     width = window.x_max - window.x_min
     height = window.y_max - window.y_min
     r2 = model.r * model.r
-    xs, ys, n = _batch([_poisson_points(window, model.beta, rng) for rng in rngs])
+    xs, ys, n = _poisson_batch(window, model.beta, blocks)
     chains, cap = xs.shape
     c_of_t = _strauss_table(model, cap)
     # gamma == 1 gives c = beta whatever t is, so no distances are needed
     interacting = model.gamma != 1.0
     rows = np.arange(chains)
-    block = np.empty((chains, _CHUNK_STEPS, 4))
     for first in range(0, n_steps, _CHUNK_STEPS):
         steps = min(_CHUNK_STEPS, n_steps - first)
-        for k, rng in enumerate(rngs):
-            rng.random(out=block[k, :steps])
+        block = np.concatenate([np.zeros((0, steps, 4)),
+                                *(rng.random((size, steps, 4)) for rng, size in blocks)])
         # (step, uniform, chain): each step reads four contiguous rows
-        uniforms = block[:, :steps].transpose(1, 2, 0).copy()
+        uniforms = block.transpose(1, 2, 0).copy()
         for move, u, v, accept in uniforms:
             birth = move < 0.5
             death = ~birth & (n > 0)
@@ -359,10 +388,10 @@ def sample_gibbs(model: StraussModel, n_steps: int, seed) -> Configuration:
     in slot min(floor(u n), n - 1), where a death swaps the last point into
     the freed slot. A step with n = 0 and no birth does nothing. The
     generator therefore ends 4 n_steps uniforms after the start, whatever
-    the chain did. This is the one-chain call of the lockstep engine that
-    the estimators and sample_many run on all replicate streams at once.
+    the chain did. This is the lockstep engine on one block of one chain;
+    the estimators and sample_many run it on all their blocks at once.
     """
-    return _frozensets(_strauss_chains(model, n_steps, [_as_rng(seed)]))[0]
+    return _frozensets(_strauss_chains(model, n_steps, [(_as_rng(seed), 1)]))[0]
 
 
 def sample_process(model: ProcessModel, seed, n_steps: int | None = None) -> Configuration:
@@ -375,28 +404,32 @@ def sample_process(model: ProcessModel, seed, n_steps: int | None = None) -> Con
 def _draw_sides(model: ProcessModel, sides: Sequence[tuple[int, int]], n_samples: int,
                 n_steps: int | None) -> list[tuple[Batch, np.ndarray]]:
     """Per (seed, extra) side, the batch of its n_samples replicates and the
-    (n_samples, extra, 2) points each replicate stream draws next.
+    (n_samples, extra, 2) right-side points of each.
 
-    The Strauss chains of every side run in one lockstep call.
+    Each block stream of a side yields its configurations (Poisson draws or
+    Strauss chains), then extra points per replicate in one sample_points
+    call. The configurations of every side come from one call, so the
+    Strauss chains of all sides run in lockstep.
     """
+    streams = [_block_streams(seed, n_samples) for seed, _ in sides]
+    blocks = [block for side in streams for block in side]
     if isinstance(model, PoissonModel):
-        return [_poisson_side(model.window, model.intensity, seed, n_samples, extra)
-                for seed, extra in sides]
-    streams = [list(_replicate_rngs(seed, n_samples)) for seed, _ in sides]
-    xs, ys, n = _strauss_chains(model, n_steps, [rng for rngs in streams for rng in rngs])
+        xs, ys, n = _poisson_batch(model.window, model.intensity, blocks)
+    else:
+        xs, ys, n = _strauss_chains(model, n_steps, blocks)
     drawn = []
-    for i, ((_, extra), rngs) in enumerate(zip(sides, streams)):
+    for i, ((_, extra), side) in enumerate(zip(sides, streams)):
         rows = slice(i * n_samples, (i + 1) * n_samples)
-        points = [model.window.sample_points(rng, extra) for rng in rngs]
-        points = np.array(points).reshape(n_samples, extra, 2)
+        points = [model.window.sample_points(rng, size * extra) for rng, size in side]
+        points = np.concatenate([np.zeros((0, 2)), *points]).reshape(n_samples, extra, 2)
         drawn.append(((xs[rows], ys[rows], n[rows]), points))
     return drawn
 
 
 def sample_batch(model: ProcessModel, n_samples: int, seed: int,
                  n_steps: int | None = None) -> Batch:
-    """Independent replicates as one batch (xs, ys, n), one spawned RNG
-    stream per replicate."""
+    """Independent replicates as one batch (xs, ys, n), drawn from the block
+    streams of seed."""
     ((batch, _),) = _draw_sides(model, [(seed, 0)], n_samples, n_steps)
     return batch
 
@@ -404,7 +437,7 @@ def sample_batch(model: ProcessModel, n_samples: int, seed: int,
 def sample_many(
     model: ProcessModel, n_samples: int, seed: int, n_steps: int | None = None
 ) -> list[Configuration]:
-    """Independent replicates, one spawned RNG stream per replicate."""
+    """Independent replicates, drawn from the block streams of seed."""
     return _frozensets(sample_batch(model, n_samples, seed, n_steps))
 
 
@@ -440,13 +473,15 @@ def compound_papangelou(model: ProcessModel, points: Sequence, config: Configura
 
 
 def _point_sums(batch: Batch, integrand: Callable) -> np.ndarray:
-    """Per configuration, the sum of integrand(x, y, |omega|) over its points
-    in slot order. Padded slots are never evaluated."""
+    """Per configuration, the sum of integrand(x, y, |omega|) over its points,
+    added one after another in slot order, so that the padding width of the
+    batch cannot change a rounding. Padded slots are never evaluated."""
     xs, ys, n = batch
     used = np.arange(xs.shape[1]) < n[:, None]
     values = np.zeros(xs.shape)
     values[used] = integrand(xs[used], ys[used], np.repeat(n, n))
-    return values.sum(axis=1)
+    # a row with no points reads its last column, a sum of zeros
+    return np.cumsum(values, axis=1)[np.arange(len(n)), n - 1]
 
 
 def estimate_gnz(
@@ -563,8 +598,7 @@ def estimate_partition_moment(
 
 
 def _side_seeds(seed: int) -> tuple[int, int]:
-    sides = np.random.SeedSequence(seed).spawn(2)
-    return tuple(int(side.generate_state(1, np.uint64)[0]) for side in sides)
+    return _child_seed(seed, 0), _child_seed(seed, 1)
 
 
 # -- experiment configuration --------------------------------------------------

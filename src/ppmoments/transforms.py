@@ -30,7 +30,6 @@ from itertools import product as _iter_product
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .combinatorics import falling_factorial
 from .difference_ops import _covers_vanish
@@ -38,10 +37,9 @@ from .montecarlo import (
     P_GATE,
     Z_GATE,
     Window,
-    _batch,
     _batch_of,
     _frozensets,
-    _poisson_points,
+    _poisson_batch,
     config_floats,
     mean_and_se,
     target_check,
@@ -499,6 +497,10 @@ def poisson_count_gof(counts: np.ndarray, mean: float) -> tuple[float, int, floa
     Cells with expected count below 5 are pooled into their left neighbor,
     starting from the upper tail. Returns (statistic, dof, p_value).
     """
+    # the only scipy use: imported here, so that importing ppmoments does not
+    # pay for scipy.stats
+    from scipy import stats as _scipy_stats
+
     n = counts.size
     top = int(counts.max())
     observed = np.bincount(counts, minlength=top + 2).astype(float)
@@ -670,14 +672,15 @@ def _validate_geometry(window: Window, regions: Sequence[Region]):
 def _transformed_counts(spec, window, intensity, regions, n_replicates, seed):
     """Counts of the pushed-forward Poisson sample in each region.
 
-    Replicates are drawn one after another from one stream and mapped and
-    counted _BLOCK at a time; the counts do not depend on the grouping.
+    Replicates are drawn one after another from one stream, each as a block
+    of one (`montecarlo._poisson_batch`), and mapped and counted _BLOCK at a
+    time; the counts do not depend on the grouping.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = np.zeros((n_replicates, len(regions)), dtype=np.int64)
     for start in range(0, n_replicates, _BLOCK):
         size = min(_BLOCK, n_replicates - start)
-        xs, ys, _ = _batch([_poisson_points(window, intensity, rng) for _ in range(size)])
+        xs, ys, _ = _poisson_batch(window, intensity, [(rng, 1)] * size)
         x, y = _tau(spec.rotation_offset, xs, ys, xs, ys)
         for index, region in enumerate(regions):
             counts[start : start + size, index] = np.count_nonzero(region.contains(x, y), axis=1)

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -501,3 +504,24 @@ def test_hard_core_instances_are_hereditary():
     for seed in range(30):
         bundle = generate_random_instance("gnz", {"m_min": 3, "m_max": 6}, 6000 + seed)
         assert bundle["model"].partition_constant > 0
+
+
+def test_child_seeds_of_different_seeds_differ():
+    # an affine child seed (seed * 1_000_003 + index) gave seed 0's child
+    # 1_000_003 the stream of seed 1's child 0
+    assert cli._child_seed(0, 1_000_003) != cli._child_seed(1, 0)
+    children = {cli._child_seed(seed, index) for seed in range(50) for index in range(50)}
+    assert len(children) == 2500
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    # scipy.stats takes most of a second to import, and only the p-values
+    # of poisson_count_gof need it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, ppmoments.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

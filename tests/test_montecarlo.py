@@ -8,13 +8,20 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ppmoments import montecarlo
 from ppmoments.combinatorics import partitions
 from ppmoments.montecarlo import (
+    _CHUNK_STEPS,
     Estimate,
     PoissonModel,
     StraussModel,
     Window,
+    _block_streams,
+    _frozensets,
+    _point_sums,
+    _poisson_batch,
     _side_seeds,
+    _strauss_chains,
     compound_papangelou,
     default_burn_in,
     estimate_factorial_identity,
@@ -23,6 +30,7 @@ from ppmoments.montecarlo import (
     gnz_estimates,
     mean_and_se,
     process_from_config,
+    sample_batch,
     sample_gibbs,
     sample_many,
     sample_poisson,
@@ -115,22 +123,46 @@ def test_gibbs_hard_core_at_window_diameter_keeps_at_most_one_point():
         assert len(config) <= 1
 
 
-def reference_chain(model, n_steps, rng):
-    """The birth-death chain one step at a time, on the draw layout that
-    sample_gibbs documents: the Poisson start, then (move, u, v, accept)
-    per step, with deaths swapping the last point into the freed slot."""
+def reference_start(model, rng, count):
+    """count start points of a chain, two uniforms (x, y) each."""
     window = model.window
-    area = window.area
-    r2 = model.r * model.r
-    count = int(rng.poisson(model.beta * area))
-    points = [
+    return [
         (window.x_min + (window.x_max - window.x_min) * float(u),
          window.y_min + (window.y_max - window.y_min) * float(v))
         for u, v in rng.random((count, 2))
     ]
+
+
+def reference_chain(model, n_steps, rng):
+    """The birth-death chain one step at a time, on the draw layout that
+    sample_gibbs documents: the Poisson start, then (move, u, v, accept)
+    per step."""
+    points = reference_start(model, rng, int(rng.poisson(model.beta * model.window.area)))
+    return run_reference_chain(model, points, (rng.random(4) for _ in range(n_steps)))
+
+
+def reference_block(model, n_steps, rng, size):
+    """The chains of one block stream, read in its documented layout by one
+    call per chain and per chunk: the block's Poisson counts, each chain's
+    start in turn, then one (size, steps, 4) draw per chunk of steps."""
+    counts = rng.poisson(model.beta * model.window.area, size)
+    starts = [reference_start(model, rng, count) for count in counts]
+    chunks = [rng.random((size, min(_CHUNK_STEPS, n_steps - first), 4))
+              for first in range(0, n_steps, _CHUNK_STEPS)]
+    uniforms = np.concatenate(chunks, axis=1)
+    return [run_reference_chain(model, start, steps)[0] for start, steps in zip(starts, uniforms)]
+
+
+def run_reference_chain(model, points, uniforms):
+    """The chain from the start points, one step per (move, u, v, accept) of
+    uniforms, with deaths swapping the last point into the freed slot; the
+    final configuration and the largest count reached."""
+    window = model.window
+    area = window.area
+    r2 = model.r * model.r
     largest = len(points)
-    for _ in range(n_steps):
-        move, u, v, accept = (float(w) for w in rng.random(4))
+    for step in uniforms:
+        move, u, v, accept = (float(w) for w in step)
         n = len(points)
         if move < 0.5:
             x = (window.x_min + (window.x_max - window.x_min) * u,
@@ -167,25 +199,61 @@ def test_gibbs_matches_the_reference_chain(beta, gamma, r, n_steps):
         assert rng.random() == reference.random()
 
 
-def test_gibbs_batch_equals_single_chains():
+def test_gibbs_batch_equals_single_chains(monkeypatch):
     model = StraussModel(UNIT, 25.0, 0.4, 0.08)
+    # 300 steps: four full chunks and a short one
     steps = 300
-    batch = sample_many(model, 7, 99, n_steps=steps)
-    children = np.random.SeedSequence(99).spawn(7)
-    singles = [np.random.Generator(np.random.PCG64(child)) for child in children]
-    assert batch == [sample_gibbs(model, steps, rng) for rng in singles]
-    # after the estimators' chains, each stream continues as after its single chain
+    # 7 replicates in blocks of 3, 3 and 1
+    monkeypatch.setattr(montecarlo, "BLOCK_REPLICATES", 3)
+    expected = [config for rng, size in _block_streams(99, 7)
+                for config in reference_block(model, steps, rng, size)]
+    assert sample_many(model, 7, 99, n_steps=steps) == expected
+    # after the estimators' chains, each block stream goes on with the
+    # right-side points, replicate after replicate
     kernel = lambda x, y, count: y * count
     lhs_seed, rhs_seed = _side_seeds(5)
     values = []
-    for child in np.random.SeedSequence(rhs_seed).spawn(40):
-        rng = np.random.Generator(np.random.PCG64(child))
-        config = sample_gibbs(model, steps, rng)
-        (u, v) = rng.random(2)
-        c = compound_papangelou(model, [(u, v)], config)
-        values.append(model.window.area * c * kernel(u, v, len(config) + 1))
+    for rng, size in _block_streams(rhs_seed, 40):
+        configs = reference_block(model, steps, rng, size)
+        for config, (u, v) in zip(configs, rng.random((size, 2))):
+            c = compound_papangelou(model, [(u, v)], config)
+            values.append(model.window.area * c * kernel(u, v, len(config) + 1))
     _, rhs = estimate_gnz(model, kernel, 40, 5, n_steps=steps)
     assert rhs.mean == float(np.mean(values))
+
+
+def test_blocks_do_not_depend_on_how_they_are_grouped_into_calls(monkeypatch):
+    sizes = (5, 1, 3)
+
+    def blocks():
+        return [(np.random.default_rng([8, b]), size) for b, size in enumerate(sizes)]
+
+    model = StraussModel(UNIT, 25.0, 0.4, 0.08)
+    poisson = PoissonModel(UNIT, 6.0)
+    for draw in (lambda group: _strauss_chains(model, 250, group),
+                 lambda group: _poisson_batch(poisson.window, poisson.intensity, group)):
+        grouped = blocks()
+        together = _frozensets(draw(grouped))
+        alone = blocks()
+        apart = [config for block in alone for config in _frozensets(draw([block]))]
+        assert together == apart
+        # each generator stands at the same place afterwards
+        assert [rng.random() for rng, _ in grouped] == [rng.random() for rng, _ in alone]
+    # the block of one chain is sample_gibbs on its generator
+    chains = _frozensets(_strauss_chains(model, 250, blocks()))
+    assert chains[5] == sample_gibbs(model, 250, np.random.default_rng([8, 1]))
+    # an estimator's side gives the same values whichever blocks share its
+    # call: the lhs of estimate_gnz against its replicates drawn alone
+    monkeypatch.setattr(montecarlo, "BLOCK_REPLICATES", 4)
+    kernel = lambda x, y, count: x * count
+    lhs, _ = estimate_gnz(model, kernel, 10, 3, n_steps=250)
+    alone = sample_batch(model, 10, _side_seeds(3)[0], n_steps=250)
+    assert lhs.mean == float(np.mean(_point_sums(alone, kernel)))
+    # point sums do not depend on the padding width of the batch
+    xs, ys, n = alone
+    for width in range(n.max(), n.max() + 9):
+        trimmed = (xs[:, :width], ys[:, :width], n)
+        assert np.array_equal(_point_sums(trimmed, kernel), _point_sums(alone, kernel))
 
 
 def test_gibbs_capacity_growth():
@@ -423,18 +491,23 @@ def reference_chat(model, points, config):
 
 
 def reference_sides(model, n_samples, seed, n_steps):
-    """Per estimator side, its seed and its (generator, frozenset)
-    replicates, each drawn alone from its own stream as the estimators
-    document. The reference estimators draw on from deep copies."""
+    """Per estimator side, its seed and its (frozenset, extras) replicates,
+    each block stream read in its documented layout by one call per
+    replicate: the block's Poisson counts and then each replicate's points
+    in turn, or reference_block's chains; then the right-side points.
+    extras(e) is a replicate's right-side points when each replicate of its
+    side draws e of them."""
     sides = []
     for side_seed in _side_seeds(seed):
         side = []
-        for child in np.random.SeedSequence(side_seed).spawn(n_samples):
-            rng = np.random.Generator(np.random.PCG64(child))
+        for rng, size in _block_streams(side_seed, n_samples):
             if isinstance(model, PoissonModel):
-                side.append((rng, sample_poisson(model.window, model.intensity, rng)))
+                counts = rng.poisson(model.intensity * model.window.area, size)
+                configs = [frozenset(reference_draws(model, rng, count)) for count in counts]
             else:
-                side.append((rng, sample_gibbs(model, n_steps, rng)))
+                configs = reference_block(model, n_steps, rng, size)
+            for k, config in enumerate(configs):
+                side.append((config, lambda e, rng=rng, k=k: reference_extras(model, rng, k, e)))
         sides.append((side_seed, side))
     return sides
 
@@ -443,36 +516,45 @@ def reference_draws(model, rng, count):
     return [(float(x), float(y)) for x, y in model.window.sample_points(rng, count)]
 
 
+def reference_extras(model, rng, k, extra):
+    """Replicate k's extra right-side points, read from a copy of its block
+    stream after the configurations, past the points of the k replicates
+    before it."""
+    rng = copy.deepcopy(rng)
+    reference_draws(model, rng, k * extra)
+    return reference_draws(model, rng, extra)
+
+
 def reference_estimate(values, seed):
     return Estimate(*mean_and_se(values), len(values), seed)
 
 
 def reference_gnz(model, kernel, sides):
-    (lhs_seed, lhs), (rhs_seed, rhs) = copy.deepcopy(sides)
+    (lhs_seed, lhs), (rhs_seed, rhs) = sides
     lhs_values = []
-    for _, config in lhs:
+    for config, _ in lhs:
         total = 0.0
         for x in config:
             total += kernel(*x, len(config))
         lhs_values.append(total)
     rhs_values = []
-    for rng, config in rhs:
-        (x,) = reference_draws(model, rng, 1)
+    for config, extras in rhs:
+        (x,) = extras(1)
         c = reference_papangelou(model, x, config)
         rhs_values.append(model.window.area * c * kernel(*x, len(config) + 1))
     return reference_estimate(lhs_values, lhs_seed), reference_estimate(rhs_values, rhs_seed)
 
 
 def reference_factorial(model, functional, region, n, sides):
-    (lhs_seed, lhs), (rhs_seed, rhs) = copy.deepcopy(sides)
+    (lhs_seed, lhs), (rhs_seed, rhs) = sides
     area = model.window.area
     lhs_values = []
-    for _, config in lhs:
+    for config, _ in lhs:
         count = sum(1 for x in config if region(*x, len(config)))
         lhs_values.append(functional(len(config)) * math.perm(count, n))
     rhs_values = []
-    for rng, config in rhs:
-        draws = reference_draws(model, rng, n)
+    for config, extras in rhs:
+        draws = extras(n)
         chat = reference_chat(model, draws, config)
         augmented = len(config) + n
         value = functional(augmented)
@@ -483,20 +565,21 @@ def reference_factorial(model, functional, region, n, sides):
 
 
 def reference_partition(model, kernel, n, sides):
-    (lhs_seed, lhs), (rhs_seed, rhs) = copy.deepcopy(sides)
+    (lhs_seed, lhs), (rhs_seed, rhs) = sides
     area = model.window.area
     lhs_values = []
-    for _, config in lhs:
+    for config, _ in lhs:
         total = 0.0
         for x in config:
             total += kernel(*x, len(config))
         lhs_values.append(total**n)
     rhs_values = []
-    for rng, config in rhs:
+    parts = [part.block_sizes() for part in partitions(n)]
+    for config, extras in rhs:
+        points = iter(extras(sum(len(sizes) for sizes in parts)))
         replicate_total = 0.0
-        for part in partitions(n):
-            sizes = part.block_sizes()
-            draws = reference_draws(model, rng, len(sizes))
+        for sizes in parts:
+            draws = [next(points) for _ in sizes]
             chat = reference_chat(model, draws, config)
             if chat == 0.0:
                 continue
@@ -535,7 +618,14 @@ def assert_sides_match(batch, reference):
 
 @pytest.mark.parametrize("model,n_samples", REFERENCE_MODELS, ids=["poisson", "strauss", "hard-core"])
 @pytest.mark.parametrize("seed", [3, 2027])
-def test_batch_estimators_match_the_scalar_reference(model, n_samples, seed):
+def test_batch_estimators_match_the_scalar_reference(model, n_samples, seed, monkeypatch):
+    # the sides in one block stream each, then in three
+    for blocks in (1, 3):
+        monkeypatch.setattr(montecarlo, "BLOCK_REPLICATES", -(-n_samples // blocks))
+        check_batch_estimators(model, n_samples, seed)
+
+
+def check_batch_estimators(model, n_samples, seed):
     steps = default_burn_in(model) if isinstance(model, StraussModel) else None
     kernel = lambda x, y, count: 1.0 + y - 0.05 * count
     linear = lambda x, y, count: x * count

@@ -15,8 +15,6 @@ from ppmoments.montecarlo import (
     _batch,
     _chat,
     _neighbours,
-    _poisson_points,
-    _replicate_rngs,
     _strauss_chains,
     compound_papangelou,
     sample_poisson,
@@ -224,6 +222,11 @@ def _unfiltered_hull(points):
     return tuple(hull) if len(hull) >= 3 else None
 
 
+def _poisson_points(window, intensity, rng):
+    """One Poisson sample drawn alone from rng: its count, then its points."""
+    return window.sample_points(rng, int(rng.poisson(intensity * window.area)))
+
+
 def _prefilter_cases():
     rng = np.random.default_rng(33)
     disk_window = Window(-1.05, 1.05, -1.05, 1.05)
@@ -339,12 +342,13 @@ def test_padding_is_inert_on_rows_of_any_length():
 
         # the lockstep chains grow, shrink and empty their rows in one batch
         model = StraussModel(Window(0.0, 1.0, 0.0, 1.0), 4.0, 0.5, 0.15)
-        chains = _strauss_chains(model, 200, list(_replicate_rngs(5, 40)))
+        chains = _strauss_chains(model, 200, [(np.random.default_rng([5, b]), 1)
+                                              for b in range(40)])
         assert chains[2].min() == 0 and chains[2].max() >= 6
         points = rng.random((40, 2, 2))
         chat = _chat(model, chains, points)
-        for b, rng_b in enumerate(_replicate_rngs(5, 40)):
-            xs, ys, n = _strauss_chains(model, 200, [rng_b])
+        for b in range(40):
+            xs, ys, n = _strauss_chains(model, 200, [(np.random.default_rng([5, b]), 1)])
             assert np.array_equal(chains[0][b, : n[0]], xs[0, : n[0]])
             assert np.array_equal(chains[1][b, : n[0]], ys[0, : n[0]])
             config = frozenset(zip(xs[0, : n[0]].tolist(), ys[0, : n[0]].tolist()))
