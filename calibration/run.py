@@ -1,15 +1,15 @@
 """Calibration of the statistical gates: failure rates over many seeds.
 
-    python3 calibration/run.py --seeds 500 --out CALIBRATION.json
+    python3 calibration/run.py --out CALIBRATION.json
 
 Run from the root of a source checkout; ppmoments is imported from its src/
-directory. For each workload seed s in first-seed .. first-seed + seeds - 1,
-it builds the suite configs of the benchmark's two Monte Carlo workloads
-(`perfbench/workloads.py`: mc-poisson-hull and mc-strauss) at seed s and runs
-every Monte Carlo suite among them through `cli.run_suite`: mc-poisson,
-transform-invariance, rho-tau and mc-identity at their mc-poisson-hull
-sizes, mc-gibbs and mc-identity at their mc-strauss sizes. The default
-seeds start at 1,000,000, clear of the benchmark seeds (1, 17, 105, 9001)
+directory. For each of the SEED_COUNT = 500 workload seeds s from FIRST_SEED
+= 1,000,000 on, it builds the suite configs of the benchmark's two Monte
+Carlo workloads (`perfbench/workloads.py`: mc-poisson-hull and mc-strauss)
+at seed s and runs every Monte Carlo suite among them through
+`cli.run_suite`: mc-poisson, transform-invariance, rho-tau and mc-identity
+at their mc-poisson-hull sizes, mc-gibbs and mc-identity at their mc-strauss
+sizes. The seeds are fixed, clear of the benchmark seeds (1, 17, 105, 9001)
 and of every seed the tests pin (all below 800,000).
 
 A gate family is one kind of gated record of one suite run, such as the
@@ -46,7 +46,8 @@ from scipy import stats  # noqa: E402
 import workloads  # noqa: E402
 from ppmoments.montecarlo import P_GATE, Z_GATE  # noqa: E402
 
-BENCHMARK_SEEDS = {1, 17, 105, 9001}
+FIRST_SEED = 1_000_000
+SEED_COUNT = 500
 MC_SUITES = {"mc-poisson", "mc-gibbs", "mc-identity", "transform-invariance", "rho-tau"}
 NOMINAL = {"z": math.erfc(Z_GATE / math.sqrt(2.0)), "p": P_GATE}
 CONFIDENCE = 0.95
@@ -112,13 +113,9 @@ def summarize(families: dict, runs: dict) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, default=500, help="number of workload seeds")
-    parser.add_argument("--first-seed", type=int, default=1_000_000)
     parser.add_argument("--out", help="JSON result path (default: none)")
     args = parser.parse_args(argv)
-    seeds = range(args.first_seed, args.first_seed + args.seeds)
-    if args.seeds < 1 or BENCHMARK_SEEDS & set(seeds):
-        parser.error(f"seeds: at least 1, none of the benchmark seeds {sorted(BENCHMARK_SEEDS)}")
+    seeds = range(FIRST_SEED, FIRST_SEED + SEED_COUNT)
 
     # (run label, family) -> [gate kind, values, failures]
     families = defaultdict(lambda: [None, [], 0])
@@ -144,7 +141,7 @@ def main(argv=None) -> int:
             print(f"{done} seeds, {time.perf_counter() - start:.0f} s", file=sys.stderr, flush=True)
 
     result = {
-        "seeds": {"first": args.first_seed, "count": args.seeds},
+        "seeds": {"first": FIRST_SEED, "count": SEED_COUNT},
         "confidence": CONFIDENCE,
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
