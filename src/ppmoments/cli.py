@@ -14,7 +14,8 @@ every gate passes, 1 on gate failure, 2 on config parse errors and 3 on
 validation errors. Validation errors include a config key or suite parameter
 the suite does not read, an mc-identity experiment list next to the
 parameters it replaces, an instance count below 1 and a negative seed; these
-exit before the header is written.
+exit before the header is written. A suite parameter out of range exits
+after the header, with an error record and before any other record.
 
 SUITES is the registry: per suite the runner, the one-line summary that
 list-suites prints, the statement that explain prints and the parameter
@@ -34,7 +35,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .combinatorics import falling_factorial, stirling_reindex_gap
+from .combinatorics import (
+    MAX_REINDEX_M,
+    MAX_REINDEX_N,
+    MAX_REINDEX_P,
+    falling_factorial,
+    stirling_reindex_gap,
+)
 from .difference_ops import diff, diff_multi, product_expansion_gap
 from .finite_model import load_model
 from .identities import (
@@ -159,6 +166,16 @@ def _number(params: dict, name: str, default, kind):
         raise ValueError(f"{name} must be a number: {exc}") from exc
 
 
+def _count(params: dict, name: str, default: int, low: int, high: int | None = None) -> int:
+    """_number(params, name, default, int), a ValueError unless it is at
+    least low and, when high is given, at most high."""
+    value = _number(params, name, default, int)
+    if value < low or (high is not None and value > high):
+        bound = f"at least {low}" if high is None else f"between {low} and {high}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
 def _emit(stream, record: dict):
     stream.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -224,7 +241,7 @@ def _exact_suite(
         params = config.parameters
         bounds = {"m_min": m_min}
         for name, default in defaults.items():
-            bounds[_BOUND_NAMES.get(name, name)] = _number(params, name, default, int)
+            bounds[_BOUND_NAMES.get(name, name)] = _count(params, name, default, 1)
         path = params.get("model_file") if model_file else None
         model = None
         if path is not None:
@@ -253,8 +270,7 @@ def _exact_suite(
 
 def _gnz_reports(bundle: dict, instance: int):
     model = bundle["model"]
-    for j, kernel in enumerate(bundle["kernels"]):
-        lhs, rhs = model.gnz_residual(kernel)
+    for j, (lhs, rhs) in enumerate(model.gnz_residuals(bundle["kernels"])):
         yield IdentityReport.build(
             "gnz", lhs, rhs, {"instance": instance, "kernel": j, "sites": model.m}
         )
@@ -262,9 +278,9 @@ def _gnz_reports(bundle: dict, instance: int):
 
 def _run_stir1(config: SuiteConfig):
     matrices = config.instance_count or 20
-    n_max = _number(config.parameters, "n_max", 4, int)
-    m_max = _number(config.parameters, "m_max", 3, int)
-    p_max = _number(config.parameters, "p_max", 2, int)
+    n_max = _count(config.parameters, "n_max", 4, 1, MAX_REINDEX_N)
+    m_max = _count(config.parameters, "m_max", 3, 1, MAX_REINDEX_M)
+    p_max = _count(config.parameters, "p_max", 2, 1, MAX_REINDEX_P)
     instance = 0
     for n in range(1, n_max + 1):
         for m in range(1, m_max + 1):
@@ -284,10 +300,11 @@ def _run_stir1(config: SuiteConfig):
 
 def _run_ddd0(config: SuiteConfig):
     count = config.instance_count or 50
-    l_max = _number(config.parameters, "l_max", 3, int)
-    bounds = {"m_min": 3, "m_max": _number(config.parameters, "m_max", 6, int),
-              "l_max": l_max}
-    lemma_count = _number(config.parameters, "lemma_count", 25, int)
+    # an instance draws l_max distinct sites of a model with at least m_min
+    m_min = 3
+    bounds = {"m_min": m_min, "m_max": _number(config.parameters, "m_max", 6, int),
+              "l_max": _count(config.parameters, "l_max", 3, 1, m_min)}
+    lemma_count = _count(config.parameters, "lemma_count", 25, 0)
     for i in range(count):
         bundle = generate_random_instance(
             "expansion", bounds, _child_seed(config.seed, i)
@@ -489,7 +506,7 @@ def _run_transform_invariance(config: SuiteConfig):
     if not isinstance(regions, (list, tuple)):
         raise ValueError("regions must be a list")
     regions = [region_from_config(r) for r in regions]
-    condition_count = _number(params, "condition_instances", 20, int)
+    condition_count = _count(params, "condition_instances", 20, 0)
     report = invariance_suite(
         TransformSpec(offset), window, intensity, regions, replicates, config.seed
     )

@@ -278,8 +278,38 @@ def stirling_reindex_gap(alphas, betas: Sequence, n: int, m: int):
         raise ValueError(f"p must satisfy p <= {MAX_REINDEX_P}")
 
     m_fact = math.factorial(m)
+    left, right = _reindex_terms(n, m, p)
 
     lhs = 0
+    for comp, assignment, weight in left:
+        term = weight
+        for i in range(p):
+            term = term * betas[i] ** comp[i]
+        for j, i in enumerate(assignment):
+            term = term * alphas[i][j]
+        lhs = lhs + term / m_fact
+
+    rhs = 0
+    for sizes, idx in right:
+        term = 1
+        for j in range(m):
+            term = term * betas[idx[j]] ** sizes[j] * alphas[idx[j]][j]
+        rhs = rhs + term / m_fact
+
+    return lhs, rhs
+
+
+@lru_cache(maxsize=None)
+def _reindex_terms(n: int, m: int, p: int):
+    """The enumeration behind stirling_reindex_gap, which depends only on the
+    shape (n, m, p); the MAX_REINDEX_* guards bound the cache at 60 shapes.
+
+    Left: (composition, assignment, integer weight) for every term of
+    nonzero weight. Right: (ordered block sizes, index tuple) for every
+    ordered m-block partition of {1..n} and index tuple. Both in the order
+    their sums add them.
+    """
+    left = []
     for comp in _compositions(n, p):
         multinom = math.factorial(n)
         for n_i in comp:
@@ -294,28 +324,17 @@ def stirling_reindex_gap(alphas, betas: Sequence, n: int, m: int):
             weight = multinom
             for i in range(p):
                 weight *= _stirling2(comp[i], sizes[i]) * math.factorial(sizes[i])
-            if weight == 0:
-                continue
-            term = weight
-            for i in range(p):
-                term = term * betas[i] ** comp[i]
-            for j, i in enumerate(assignment):
-                term = term * alphas[i][j]
-            lhs = lhs + term / m_fact
+            if weight != 0:
+                left.append((comp, assignment, weight))
 
-    rhs = 0
+    right = []
     for part in partitions(n):
         if part.n_blocks != m:
             continue
         for ordered_blocks in permutations(part.blocks):
-            sizes = [len(b) for b in ordered_blocks]
-            for idx in product(range(p), repeat=m):
-                term = 1
-                for j in range(m):
-                    term = term * betas[idx[j]] ** sizes[j] * alphas[idx[j]][j]
-                rhs = rhs + term / m_fact
-
-    return lhs, rhs
+            sizes = tuple(len(b) for b in ordered_blocks)
+            right.extend((sizes, idx) for idx in product(range(p), repeat=m))
+    return tuple(left), tuple(right)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

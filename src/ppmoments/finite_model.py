@@ -20,8 +20,11 @@ construction; functionals and kernels are evaluated once per support
 configuration (positive density), kernels only at the sites of the
 configuration. Expectations and identity sides are array expressions over
 those tables, added with math.fsum. Frozensets are built only while a table
-is filled and none is kept: there is no configuration cache. The
-hereditary check is exhaustive at every size.
+is filled and none is kept: there is no configuration cache. The kernels of
+one GNZ call share one table of (configuration, site) pairs per block of the
+support, built once for all of them and dropped after the block. The
+hereditary check is exhaustive at every size whenever some configuration is
+forbidden (a density positive everywhere is hereditary).
 
 A callable may carry an array form, which fills a table in one call:
 
@@ -149,6 +152,8 @@ class FiniteModel:
         # single-point removals cover all eta < omega pairs by induction;
         # axis 1 of the view splits each mask pair by bit x
         allowed = self._q > 0.0
+        if allowed.all():
+            return
         for x in range(self.m):
             pairs = allowed.reshape(-1, 2, 1 << x)
             if (pairs[:, 1] & ~pairs[:, 0]).any():
@@ -173,20 +178,24 @@ class FiniteModel:
         values = (functional(config) for _, config in self._configs(masks))
         return np.fromiter(values, float, len(masks))
 
-    def _site_values(self, kernel: Kernel, masks: np.ndarray, dtype=float):
-        """kernel(x, omega) for every site x of every configuration in masks.
-
-        Returns (rows, sites, values): the pair's index into masks, its
-        site and its value, ordered by configuration and then by site.
-        """
+    def _site_pairs(self, masks: np.ndarray):
+        """(sites, up): every site x of every configuration in masks, as the
+        site and its configuration's bitmask, ordered by configuration and
+        then by site."""
         rows, sites = np.nonzero((masks[:, None] >> np.arange(self.m)) & 1)
+        return sites, masks[rows]
+
+    def _site_values(self, kernel: Kernel, masks: np.ndarray, pairs, dtype=float):
+        """kernel(x, omega) at each pair of _site_pairs(masks): one call of
+        its array form when it has one, else one call per pair."""
+        sites, up = pairs
         on_sites = getattr(kernel, "on_sites", None)
         if on_sites is not None:
-            return rows, sites, np.asarray(on_sites(sites, masks[rows]), dtype)
+            return np.asarray(on_sites(sites, up), dtype)
         values = (
             kernel(x, config) for points, config in self._configs(masks) for x in points
         )
-        return rows, sites, np.fromiter(values, dtype, len(rows))
+        return np.fromiter(values, dtype, len(sites))
 
     def _table(self, functional: Functional) -> np.ndarray:
         """F[mask] on the support, 0 elsewhere."""
@@ -197,8 +206,8 @@ class FiniteModel:
     def _site_table(self, kernel: Kernel, dtype=float) -> np.ndarray:
         """U[x, mask] for x in omega and omega in the support, 0 elsewhere."""
         table = np.zeros((self.m, 1 << self.m), dtype)
-        rows, sites, values = self._site_values(kernel, self._support, dtype)
-        table[sites, self._support[rows]] = values
+        pairs = sites, up = self._site_pairs(self._support)
+        table[sites, up] = self._site_values(kernel, self._support, pairs, dtype)
         return table
 
     def _full_site_table(self, region: RandomSet) -> np.ndarray:
@@ -259,21 +268,34 @@ class FiniteModel:
 
         lhs = E[sum_{x in omega} u(x, omega)],
         rhs = sum_x sigma_x E[c(x, omega) u(x, omega u {x})].
+        """
+        return self.gnz_residuals([u])[0]
+
+    def gnz_residuals(self, kernels: Sequence[Kernel]) -> list[tuple[float, float]]:
+        """gnz_residual(u) for each kernel u, from one pass over the support.
 
         The rhs terms are indexed by the augmented configuration: u is
         called once per site of each support configuration and each value
-        serves both sides.
+        serves both sides. The (configuration, site) pairs of a block and
+        their probability-weighted Papangelou factor are built once per
+        block for all the kernels.
         """
         q, prob = self._q, self._prob
-        lhs, rhs = [], []
+        lhs = [[] for _ in kernels]
+        rhs = [[] for _ in kernels]
         for masks in _blocks(self._support):
-            rows, sites, values = self._site_values(u, masks)
-            up = masks[rows]
+            pairs = sites, up = self._site_pairs(masks)
             base = up ^ (1 << sites)
-            lhs.append(_fsum(prob[up] * values))
-            chat = q[up] / q[base]
-            rhs.append(_fsum(self._weights[sites] * (prob[base] * chat * values)))
-        return math.fsum(lhs), math.fsum(rhs)
+            campbell = prob[base] * (q[up] / q[base])
+            # the gathers below are redone per kernel and base is dropped:
+            # each table held through the loop raises the peak memory of a
+            # large model by one pair-sized array
+            del base
+            for u, left, right in zip(kernels, lhs, rhs):
+                values = self._site_values(u, masks, pairs)
+                left.append(_fsum(prob[up] * values))
+                right.append(_fsum(self._weights[sites] * (campbell * values)))
+        return [(math.fsum(left), math.fsum(right)) for left, right in zip(lhs, rhs)]
 
     def correlation(self, points: Sequence) -> float:
         """Correlation function rho_n(points) = E[chat(points, omega)]."""
@@ -353,8 +375,7 @@ def pairwise_log_density(gamma: float, pairs: Sequence[tuple[int, int]]) -> Func
         for pm in pair_masks:
             count += (masks & pm) == pm
         # a hard core has log_gamma = -inf, and 0 * -inf would be NaN
-        with np.errstate(invalid="ignore"):
-            return np.where(count == 0, 0.0, count * log_gamma)
+        return np.multiply(count, log_gamma, out=np.zeros(len(masks)), where=count > 0)
 
     log_q.on_masks = on_masks
     return log_q

@@ -217,6 +217,28 @@ _ONE_SAMPLE_EXPERIMENT = {
 }
 _TWO_SAMPLE_EXPERIMENT = {**_ONE_SAMPLE_EXPERIMENT, "n_samples": 2}
 
+# (suite, parameter, value) of a bound or count outside its range
+_OUT_OF_RANGE = [
+    ("stir1", "n_max", 6),
+    ("stir1", "n_max", 0),
+    ("stir1", "m_max", 5),
+    ("stir1", "m_max", 0),
+    ("stir1", "p_max", 4),
+    ("stir1", "p_max", 0),
+    ("exact-gnz", "kernels", 0),
+    ("exact-factorial", "n_max", 0),
+    ("exact-partition", "n_max", 0),
+    ("exact-stirling", "n_max", 0),
+    ("exact-joint", "n_max", 0),
+    ("ddd0", "l_max", 0),
+    ("ddd0", "l_max", 9),
+    ("ddd0", "lemma_count", -3),
+    ("transform-invariance", "condition_instances", -1),
+]
+_OUT_OF_RANGE_IDS = [
+    f"{suite}-{name}-{value}".replace("_", "-") for suite, name, value in _OUT_OF_RANGE
+]
+
 
 @pytest.mark.parametrize(
     "argv,config,records",
@@ -330,6 +352,9 @@ _TWO_SAMPLE_EXPERIMENT = {**_ONE_SAMPLE_EXPERIMENT, "n_samples": 2}
         ([], {"suite": "exact-gnz", "seed": 1, "instance_count": 5,
               "parameters": {"model_file": "no-such-model.json"}},
          ["header", "error"]),
+        # a bound or count outside its range, before any other record
+        *[([], {"suite": suite, "seed": 1, "parameters": {name: value}}, ["header", "error"])
+          for suite, name, value in _OUT_OF_RANGE],
     ],
     ids=[
         "instances-0",
@@ -375,6 +400,7 @@ _TWO_SAMPLE_EXPERIMENT = {**_ONE_SAMPLE_EXPERIMENT, "n_samples": 2}
         "experiment-mean-count-validated-first",
         "experiment-burn-in-validated-first",
         "model-file-missing",
+        *_OUT_OF_RANGE_IDS,
     ],
 )
 def test_bad_input_is_exit_3_without_traceback(argv, config, records, tmp_path, capsys):
@@ -386,6 +412,14 @@ def test_bad_input_is_exit_3_without_traceback(argv, config, records, tmp_path, 
     captured = capsys.readouterr()
     assert [json.loads(line)["record"] for line in captured.out.splitlines()] == records
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("suite,name,value", _OUT_OF_RANGE, ids=_OUT_OF_RANGE_IDS)
+def test_out_of_range_errors_name_the_parameter(suite, name, value):
+    status, lines = run_to_lines(suite, 1, None, {name: value})
+    assert status == EXIT_VALIDATION_ERROR
+    message = json.loads(lines[-1])["message"]
+    assert message.startswith(f"{name} must be ") and message.endswith(f", got {value}")
 
 
 def test_readme_table_lists_the_registry():

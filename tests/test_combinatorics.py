@@ -9,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppmoments.combinatorics import (
+    MAX_REINDEX_M,
+    MAX_REINDEX_N,
+    MAX_REINDEX_P,
     Cover,
     Partition,
     compound_poisson_moment,
@@ -247,6 +250,24 @@ def test_stirling_reindex_exact_on_rationals():
         betas = [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(p)]
         lhs, rhs = stirling_reindex_gap(alphas, betas, n, m)
         assert lhs == rhs
+
+
+def test_stirling_reindex_exact_at_every_shape():
+    # two matrices per shape, so the second reads the cached enumeration
+    import random
+
+    rng = random.Random(29)
+    for n, m, p in product(
+        range(1, MAX_REINDEX_N + 1), range(1, MAX_REINDEX_M + 1), range(1, MAX_REINDEX_P + 1)
+    ):
+        for _ in range(2):
+            alphas = [
+                [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(m)]
+                for _ in range(p)
+            ]
+            betas = [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(p)]
+            lhs, rhs = stirling_reindex_gap(alphas, betas, n, m)
+            assert lhs == rhs, (n, m, p)
 
 
 def test_stirling_reindex_float_tolerance():

@@ -4,6 +4,7 @@ import json
 import math
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from ppmoments.finite_model import (
@@ -14,6 +15,7 @@ from ppmoments.finite_model import (
     pairwise_log_density,
     poisson_log_density,
 )
+from ppmoments.instances import _by_parity
 
 
 def q1_model(weights):
@@ -148,6 +150,49 @@ def test_gnz_residual_random_models():
         kernel = lambda x, cfg, t=table: t[(x, len(cfg))]
         lhs, rhs = model.gnz_residual(kernel)
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
+
+
+@pytest.mark.parametrize(
+    "gamma,pairs",
+    [(0.5, [(0, 1), (2, 7), (3, 14), (9, 12)]), (0.0, [(0, 1)]), (0.0, [(0, 1), (1, 5), (4, 9)])],
+    ids=["pairwise-full-support", "hard-core-two-blocks", "hard-core-one-block"],
+)
+def test_gnz_residuals_equal_each_kernel_alone(gamma, pairs):
+    # m = 15: the full support is two blocks of the chunked sums, and the
+    # hard cores leave a partial support of two blocks and of one
+    m = 15
+    rng = np.random.default_rng(23)
+    weights = tuple(float(w) for w in rng.uniform(0.1, 2.0, m))
+    model = FiniteModel(GroundSpace(weights), pairwise_log_density(gamma, pairs))
+    assert (len(model.support) > 1 << 14) == (len(pairs) == 1 or gamma > 0.0)
+    site_term = [float(v) for v in rng.uniform(-1, 1, m)]
+    scalar = lambda x, cfg: site_term[x] * (1.0 + 0.1 * len(cfg))
+    array_kernels = [
+        _by_parity(
+            [float(v) for v in rng.uniform(-1, 1, m)],
+            [float(v) for v in rng.uniform(-1, 1, m)],
+            frozenset(int(x) for x in rng.choice(m, 5, replace=False)),
+        )
+        for _ in range(3)
+    ]
+    kernels = [array_kernels[0], scalar, *array_kernels[1:]]
+    sides = model.gnz_residuals(kernels)
+    assert sides == [model.gnz_residual(u) for u in kernels]
+    assert model.gnz_residuals([]) == []
+    for lhs, rhs in sides:
+        assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_pairwise_array_form_raises_no_floating_point_error(gamma):
+    pairs = [(0, 1), (1, 2), (0, 3), (2, 4)]
+    log_q = pairwise_log_density(gamma, pairs)
+    masks = np.arange(1 << 5)
+    with np.errstate(all="raise"):
+        values = log_q.on_masks(masks)
+    expected = [log_q(frozenset(x for x in range(5) if mask >> x & 1)) for mask in range(32)]
+    assert values.tolist() == expected
+    assert (gamma == 0.0) == (-math.inf in expected)
 
 
 def test_correlation_poisson_product_form():

@@ -3,9 +3,12 @@
 golden_digests.json holds, per suite, the exit status and the sha256 of the
 report body that `tools/report_digest.py --seeds 1` prints, at its reduced
 Monte Carlo sizes, together with the numpy and scipy versions it was
-recorded with. A change that moves a body fails here; record the new digests
-with that tool and give the reason in CHANGES.md. Other library versions may
-round differently in the last bit, so there the test is skipped.
+recorded with. The eight exact suites are pinned at a second seed as well
+(`exact_seed`), so that a last-bit change in the exact engine shows beyond
+the instances of seed 1. A change that moves a body fails here; record the
+new digests with that tool and give the reason in CHANGES.md. Other library
+versions may round differently in the last bit, so there the test is
+skipped.
 """
 
 import importlib.util
@@ -25,17 +28,31 @@ report_digest = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(report_digest)
 
 
-@pytest.mark.parametrize("suite", sorted(GOLDEN["digests"]))
-def test_report_body_matches_its_golden_digest(suite):
+def _skip_on_other_versions():
     versions = (numpy.__version__, scipy.__version__)
     if versions != (GOLDEN["numpy"], GOLDEN["scipy"]):
         pytest.skip(
             f"digests were recorded with numpy {GOLDEN['numpy']} and scipy "
             f"{GOLDEN['scipy']}, not numpy {versions[0]} and scipy {versions[1]}"
         )
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN["digests"]))
+def test_report_body_matches_its_golden_digest(suite):
+    _skip_on_other_versions()
     status, body = report_digest.digest(suite, GOLDEN["seed"])
     assert [status, body] == GOLDEN["digests"][suite]
 
 
+@pytest.mark.parametrize("suite", sorted(GOLDEN["exact_digests"]))
+def test_exact_report_body_matches_its_second_seed_digest(suite):
+    _skip_on_other_versions()
+    status, body = report_digest.digest(suite, GOLDEN["exact_seed"])
+    assert [status, body] == GOLDEN["exact_digests"][suite]
+
+
 def test_every_suite_has_a_golden_digest():
     assert sorted(GOLDEN["digests"]) == sorted(report_digest.cli.SUITES)
+    # the Monte Carlo suites are the ones the tool runs at reduced sizes
+    exact = set(report_digest.cli.SUITES) - set(report_digest.INSTANCES)
+    assert sorted(GOLDEN["exact_digests"]) == sorted(exact)
