@@ -14,8 +14,9 @@ every gate passes, 1 on gate failure, 2 on config parse errors and 3 on
 validation errors. Validation errors include a config key or suite parameter
 the suite does not read, an mc-identity experiment list next to the
 parameters it replaces, an instance count below 1 and a negative seed; these
-exit before the header is written. A suite parameter out of range exits
-after the header, with an error record and before any other record.
+exit before the header is written. A malformed or out-of-range suite
+parameter exits after the header, with an error record and before any
+other record.
 
 SUITES is the registry: per suite the runner, the one-line summary that
 list-suites prints, the statement that explain prints and the parameter
@@ -45,6 +46,7 @@ from .combinatorics import (
 from .difference_ops import diff, diff_multi, product_expansion_gap
 from .finite_model import load_model
 from .identities import (
+    MAX_IDENTITY_ORDER,
     IdentityReport,
     factorial_moment_identity,
     joint_factorial_identity,
@@ -57,6 +59,7 @@ from .montecarlo import (
     MAX_ESTIMATOR_ORDER,
     P_GATE,
     Z_GATE,
+    _PROCESSES,
     PoissonModel,
     StraussModel,
     _block_streams,
@@ -189,13 +192,16 @@ def _identity_record(report: IdentityReport, instance: int, gate: float) -> dict
     return record
 
 
-def _z_gated(record: dict) -> dict:
-    """The record with the |z| <= Z_GATE verdict added."""
+def _gated(record: dict) -> dict:
+    """The record with its statistical verdict added: a record with a
+    p_value passes at p_value >= P_GATE, any other at |z| <= Z_GATE."""
+    if "p_value" in record:
+        return {**record, "gate": P_GATE, "passed": record["p_value"] >= P_GATE}
     return {**record, "gate": Z_GATE, "passed": abs(record["z"]) <= Z_GATE}
 
 
 def _estimate_record(name, instance, lhs, rhs) -> dict:
-    return _z_gated({
+    return _gated({
         "record": "estimate",
         "name": name,
         "instance": instance,
@@ -226,22 +232,26 @@ def _exact_suite(
     defaults: dict,
     evaluate: Callable,
     model_file: bool = True,
+    n_range: tuple = (1, MAX_IDENTITY_ORDER),
 ) -> "Suite":
     """Registry entry of an instance-driven exact suite.
 
     Instance i is generate_random_instance(kind, bounds, child seed i), with
     the bounds m_min and the suite parameters in defaults (name -> default);
-    evaluate(bundle, i) yields its IdentityReports. When model_file is set,
-    the "model_file" parameter replaces each generated model by the model
-    that file describes, loaded once; the instances are then drawn at its
-    site count.
+    evaluate(bundle, i) yields its IdentityReports. m_max lies in [m_min,
+    MAX_INSTANCE_SITES], n_max in n_range (None: no upper bound) and any
+    other parameter is at least 1. When model_file is set, the "model_file"
+    parameter replaces each generated model by the model that file
+    describes, loaded once; the instances are then drawn at its site count.
     """
+    ranges = {"m_max": (m_min, MAX_INSTANCE_SITES), "n_max": n_range}
 
     def run(config: SuiteConfig):
         params = config.parameters
         bounds = {"m_min": m_min}
         for name, default in defaults.items():
-            bounds[_BOUND_NAMES.get(name, name)] = _count(params, name, default, 1)
+            low, high = ranges.get(name, (1, None))
+            bounds[_BOUND_NAMES.get(name, name)] = _count(params, name, default, low, high)
         path = params.get("model_file") if model_file else None
         model = None
         if path is not None:
@@ -302,7 +312,8 @@ def _run_ddd0(config: SuiteConfig):
     count = config.instance_count or 50
     # an instance draws l_max distinct sites of a model with at least m_min
     m_min = 3
-    bounds = {"m_min": m_min, "m_max": _number(config.parameters, "m_max", 6, int),
+    bounds = {"m_min": m_min,
+              "m_max": _count(config.parameters, "m_max", 6, m_min, MAX_INSTANCE_SITES),
               "l_max": _count(config.parameters, "l_max", 3, 1, m_min)}
     lemma_count = _count(config.parameters, "lemma_count", 25, 0)
     for i in range(count):
@@ -359,7 +370,7 @@ def _run_mc_poisson(config: SuiteConfig):
     blocks = _block_streams(config.seed, replicates)
     counts = np.concatenate([rng.poisson(target_mean, size) for rng, size in blocks]).astype(float)
     for order in orders:
-        yield _z_gated({
+        yield _gated({
             "record": "moment",
             "name": "poisson-factorial-moment",
             "order": order,
@@ -393,7 +404,7 @@ def _run_mc_gibbs(config: SuiteConfig):
     direct_mean, direct_se = mean_and_se(direct)
     # np.hypot, not math.hypot: the two differ in the last bit on some inputs
     se = float(np.hypot(chain_se, direct_se))
-    yield _z_gated({
+    yield _gated({
         "record": "comparison",
         "name": "gibbs-vs-poisson-mean-count",
         "chain_mean": chain_mean,
@@ -439,7 +450,8 @@ def _run_mc_identity(config: SuiteConfig):
 # the keys an experiment may carry: every experiment, then per process and
 # per identity (only the factorial and partition identities have an order n)
 _EXPERIMENT_KEYS = {"process", "window", "identity", "n_samples", "seed"}
-_PROCESS_KEYS = {"poisson": {"intensity"}, "strauss": {"beta", "gamma", "r", "n_steps"}}
+_PROCESS_KEYS = {kind: set(keys) for kind, (_, keys) in _PROCESSES.items()}
+_PROCESS_KEYS["strauss"].add("n_steps")
 _IDENTITY_KEYS = {"gnz": set(), "factorial": {"n"}, "partition": {"n"}}
 
 
@@ -507,17 +519,11 @@ def _run_transform_invariance(config: SuiteConfig):
         raise ValueError("regions must be a list")
     regions = [region_from_config(r) for r in regions]
     condition_count = _count(params, "condition_instances", 20, 0)
-    report = invariance_suite(
+    for kind, group in invariance_suite(
         TransformSpec(offset), window, intensity, regions, replicates, config.seed
-    )
-    for row in report.gof:
-        yield {
-            "record": "gof", "name": "transform-invariance", **row,
-            "gate": P_GATE, "passed": row["p_value"] >= P_GATE,
-        }
-    for kind, rows in (("covariance", report.covariances), ("moment", report.moments)):
-        for row in rows:
-            yield _z_gated({"record": kind, "name": "transform-invariance", **row})
+    ).items():
+        for row in group:
+            yield _gated({"record": kind, "name": "transform-invariance", **row})
     # the vanishing-difference condition on sampled tuples
     rng = np.random.default_rng(_child_seed(config.seed, 1))
     for i in range(condition_count):
@@ -538,20 +544,16 @@ def _run_transform_invariance(config: SuiteConfig):
 
 def _run_rho_tau(config: SuiteConfig):
     params = config.parameters
-    report = rho_tau_check(
+    for name, group in rho_tau_check(
         TransformSpec(_number(params, "offset", 0.37, float)),
         _window(params, DISK_WINDOW),
         _number(params, "intensity", 30.0, float),
         config.instance_count or 5_000,
         config.seed,
         grid_size=_number(params, "grid_size", 3, int),
-    )
-    for name, rows in (
-        ("rho-tau-first", report.first_moments),
-        ("rho-tau-second", report.second_moments),
-    ):
-        for row in rows:
-            yield _z_gated({"record": "moment", "name": name, **row})
+    ).items():
+        for row in group:
+            yield _gated({"record": "moment", "name": name, **row})
 
 
 # -- the registry ----------------------------------------------------------------
@@ -601,6 +603,8 @@ SUITES = {
         lambda b, i: [
             joint_factorial_identity(b["model"], b["functional"], b["regions"], b["orders"])
         ],
+        # an instance draws two orders of at least 1
+        n_range=(2, MAX_IDENTITY_ORDER),
     ),
     "exact-stirling": _exact_suite(
         "Exact raw-moment identity E[F N(A)^n] via Stirling numbers over "
@@ -632,6 +636,7 @@ SUITES = {
         "independence", 25, 6, {"m_max": 8, "n_max": 3},
         lambda b, i: poisson_independence_check(b["model"], b["regions"], b["max_order"]),
         model_file=False,
+        n_range=(1, None),
     ),
     "stir1": Suite(
         _run_stir1,

@@ -23,7 +23,7 @@ inverse are closed-form per edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as _iter_product
@@ -34,8 +34,6 @@ import numpy as np
 from .combinatorics import falling_factorial
 from .difference_ops import _covers_vanish
 from .montecarlo import (
-    P_GATE,
-    Z_GATE,
     Window,
     _batch_of,
     _frozensets,
@@ -280,10 +278,6 @@ class HullFrame:
         self.anchor = tuple(self._frames.anchor[0].tolist())
         self.total_area = float(self._frames.total[0])
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.extremal_vertices)
-
     def rotate(self, offset: float, points: np.ndarray) -> np.ndarray:
         """Star rotation by offset * total_area of every row of an (N, 2)
         array; see `_Frames.rotate`."""
@@ -460,37 +454,6 @@ def regions_disjoint(a: Region, b: Region) -> bool:
 # -- statistical reports ----------------------------------------------------------
 
 
-@dataclass
-class InvarianceReport:
-    """Counts of the transformed process against the Poisson prediction."""
-
-    offset: float
-    intensity: float
-    n_replicates: int
-    seed: int
-    gof: list = field(default_factory=list)
-    covariances: list = field(default_factory=list)
-    moments: list = field(default_factory=list)
-
-    def passed(self) -> bool:
-        return (
-            all(row["p_value"] >= P_GATE for row in self.gof)
-            and all(abs(row["z"]) <= Z_GATE for row in self.covariances)
-            and all(abs(row["z"]) <= Z_GATE for row in self.moments)
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "offset": self.offset,
-            "intensity": self.intensity,
-            "n_replicates": self.n_replicates,
-            "seed": self.seed,
-            "gof": self.gof,
-            "covariances": self.covariances,
-            "moments": self.moments,
-        }
-
-
 def poisson_count_gof(counts: np.ndarray, mean: float) -> tuple[float, int, float]:
     """Chi-square goodness of fit of integer counts to a Poisson law.
 
@@ -535,26 +498,26 @@ def invariance_suite(
     regions: Sequence[Region],
     n_replicates: int,
     seed: int,
-) -> InvarianceReport:
+) -> dict:
     """Distribution test of the transformed Poisson process on fixed regions.
 
     Samples omega ~ Poisson(intensity) on the window, pushes it through the
-    transformation and counts points in each region. Reports a chi-square
-    goodness-of-fit of every region's count against Poisson(intensity *
-    area), all pairwise count covariances with standard errors, and the
-    factorial moments of orders 1..3 against (intensity * area)^n.
+    transformation and counts points in each region. Returns the rows of the
+    test, without verdicts, keyed by record kind in report order: "gof", the
+    chi-square goodness of fit of every region's count against
+    Poisson(intensity * area), with its p_value; "covariance", all pairwise
+    count covariances with standard errors and z; "moment", the factorial
+    moments of orders 1..3 against (intensity * area)^n, with z.
     """
     if not regions:
         raise ValueError("regions must not be empty")
     _validate_geometry(window, regions)
     counts = _transformed_counts(spec, window, intensity, regions, n_replicates, seed)
-    report = InvarianceReport(
-        spec.rotation_offset, intensity, n_replicates, seed
-    )
+    rows = {"gof": [], "covariance": [], "moment": []}
     for index, region in enumerate(regions):
         mean = intensity * region.area
         stat, dof, p = poisson_count_gof(counts[:, index], mean)
-        report.gof.append(
+        rows["gof"].append(
             {
                 "region": index,
                 "area": region.area,
@@ -565,51 +528,20 @@ def invariance_suite(
                 "p_value": p,
             }
         )
+        for order in (1, 2, 3):
+            rows["moment"].append(
+                {"region": index, "order": order,
+                 **target_check(falling_factorial(counts[:, index], order), mean**order)}
+            )
     centered = counts - counts.mean(axis=0, keepdims=True)
     for i, j in combinations(range(len(regions)), 2):
         products = centered[:, i] * centered[:, j]
         _, se = mean_and_se(products)
         cov = float(products.sum() / (n_replicates - 1))
-        report.covariances.append(
+        rows["covariance"].append(
             {"regions": [i, j], "covariance": cov, "se": se, "z": z_value(cov, 0.0, se)}
         )
-    for index, region in enumerate(regions):
-        mean = intensity * region.area
-        for order in (1, 2, 3):
-            report.moments.append(
-                {"region": index, "order": order,
-                 **target_check(falling_factorial(counts[:, index], order), mean**order)}
-            )
-    return report
-
-
-@dataclass
-class RhoTauReport:
-    """First and second factorial moment measures of the transformed process
-    on a grid of boxes, against the constant-correlation prediction."""
-
-    offset: float
-    intensity: float
-    n_replicates: int
-    seed: int
-    first_moments: list = field(default_factory=list)
-    second_moments: list = field(default_factory=list)
-
-    def passed(self) -> bool:
-        return all(
-            abs(row["z"]) <= Z_GATE
-            for row in self.first_moments + self.second_moments
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "offset": self.offset,
-            "intensity": self.intensity,
-            "n_replicates": self.n_replicates,
-            "seed": self.seed,
-            "first_moments": self.first_moments,
-            "second_moments": self.second_moments,
-        }
+    return rows
 
 
 def rho_tau_check(
@@ -619,14 +551,16 @@ def rho_tau_check(
     n_replicates: int,
     seed: int,
     grid_size: int = 3,
-) -> RhoTauReport:
+) -> dict:
     """Check that the transformed Poisson process keeps constant correlation.
 
     For a Poisson base process the transformed process has correlation
     function identically 1: mean counts of disjoint boxes must match
     intensity * area and product moments of box pairs must match the product
     of intensities. Boxes form a grid_size x grid_size grid on the square
-    [-_GRID_EXTENT, _GRID_EXTENT]^2 inside the disk.
+    [-_GRID_EXTENT, _GRID_EXTENT]^2 inside the disk. Returns the rows with z,
+    without verdicts, keyed by record name: "rho-tau-first" per box and
+    "rho-tau-second" per pair of boxes.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
@@ -643,17 +577,17 @@ def rho_tau_check(
     ]
     _validate_geometry(window, boxes)
     counts = _transformed_counts(spec, window, intensity, boxes, n_replicates, seed)
-    report = RhoTauReport(spec.rotation_offset, intensity, n_replicates, seed)
+    rows = {"rho-tau-first": [], "rho-tau-second": []}
     for index, box in enumerate(boxes):
-        report.first_moments.append(
+        rows["rho-tau-first"].append(
             {"box": index, **target_check(counts[:, index], intensity * box.area)}
         )
     for i, j in combinations(range(len(boxes)), 2):
         target = intensity**2 * boxes[i].area * boxes[j].area
-        report.second_moments.append(
+        rows["rho-tau-second"].append(
             {"boxes": [i, j], **target_check(counts[:, i] * counts[:, j], target)}
         )
-    return report
+    return rows
 
 
 def _validate_geometry(window: Window, regions: Sequence[Region]):

@@ -8,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ppmoments import montecarlo, transforms
 from ppmoments.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_GATE_FAILURE,
@@ -234,10 +236,29 @@ _OUT_OF_RANGE = [
     ("ddd0", "l_max", 9),
     ("ddd0", "lemma_count", -3),
     ("transform-invariance", "condition_instances", -1),
+    # orders above identities.MAX_IDENTITY_ORDER; a joint instance draws
+    # two orders of at least 1
+    ("exact-factorial", "n_max", 5),
+    ("exact-stirling", "n_max", 5),
+    ("exact-partition", "n_max", 6),
+    ("exact-joint", "n_max", 1),
+    ("exact-joint", "n_max", 5),
+    # site bounds below the suite's m_min or above the instance generator's
+    ("exact-gnz", "m_max", 2),
+    ("exact-joint", "m_max", 3),
+    ("exact-independence", "m_max", 5),
+    ("ddd0", "m_max", 2),
+    *[(suite, "m_max", MAX_INSTANCE_SITES + 1)
+      for suite in ("exact-gnz", "exact-factorial", "exact-joint", "exact-stirling",
+                    "exact-partition", "exact-independence", "ddd0")],
 ]
 _OUT_OF_RANGE_IDS = [
     f"{suite}-{name}-{value}".replace("_", "-") for suite, name, value in _OUT_OF_RANGE
 ]
+# every parameter of the registry, each of which must reject a malformed value
+# before the first record: a parameter that is declared but never read would
+# accept it silently
+_DECLARED = [(suite, name) for suite in SUITES for name in SUITES[suite].parameters]
 
 
 @pytest.mark.parametrize(
@@ -355,6 +376,8 @@ _OUT_OF_RANGE_IDS = [
         # a bound or count outside its range, before any other record
         *[([], {"suite": suite, "seed": 1, "parameters": {name: value}}, ["header", "error"])
           for suite, name, value in _OUT_OF_RANGE],
+        *[([], {"suite": suite, "seed": 1, "parameters": {name: "x"}}, ["header", "error"])
+          for suite, name in _DECLARED],
     ],
     ids=[
         "instances-0",
@@ -401,6 +424,7 @@ _OUT_OF_RANGE_IDS = [
         "experiment-burn-in-validated-first",
         "model-file-missing",
         *_OUT_OF_RANGE_IDS,
+        *[f"{suite}-{name}-malformed".replace("_", "-") for suite, name in _DECLARED],
     ],
 )
 def test_bad_input_is_exit_3_without_traceback(argv, config, records, tmp_path, capsys):
@@ -506,6 +530,68 @@ def test_gate_failure_exit_code():
     finally:
         cli_module.SUITES["stir1"] = original
     assert status == EXIT_GATE_FAILURE
+
+
+class _InflatedPoisson:
+    """A generator whose Poisson draws have 1.05 times the mean asked for."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def poisson(self, lam, size):
+        return self.rng.poisson(1.05 * lam, size)
+
+
+def _inflate_poisson_counts(monkeypatch):
+    block_streams = cli._block_streams
+    monkeypatch.setattr(cli, "_block_streams", lambda seed, count: [
+        (_InflatedPoisson(rng), size) for rng, size in block_streams(seed, count)
+    ])
+
+
+def _unit_papangelou(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_chat", lambda model, batch, points: np.ones(len(points)))
+
+
+def _pull_toward_anchor(monkeypatch):
+    rotate = transforms._Frames.rotate
+
+    def pulled(frames, offset, x, y):
+        new_x, new_y = rotate(frames, offset, x, y)
+        moved = (new_x != x) | (new_y != y)
+        ax, ay = frames.anchor[:, :1], frames.anchor[:, 1:]
+        return (np.where(moved, ax + 0.9 * (new_x - ax), new_x),
+                np.where(moved, ay + 0.9 * (new_y - ay), new_y))
+
+    monkeypatch.setattr(transforms._Frames, "rotate", pulled)
+
+
+_POISSON_FACTORIAL = {
+    "process": "poisson", "window": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1},
+    "intensity": 3.0, "identity": "factorial", "n": 2, "n_samples": 2000,
+}
+
+
+# negative controls: each statistical suite passes at its size and seed, and
+# fails its gates there with a fault patched into the engine (mc-gibbs has
+# none: its natural fault lies inside montecarlo._strauss_chains)
+@pytest.mark.parametrize(
+    "suite,instances,parameters,fault",
+    [
+        ("mc-poisson", 5000, {}, _inflate_poisson_counts),
+        ("mc-identity", None, {"experiments": [_POISSON_FACTORIAL]}, _unit_papangelou),
+        ("transform-invariance", 1000, {"condition_instances": 0}, _pull_toward_anchor),
+        ("rho-tau", 600, {}, _pull_toward_anchor),
+    ],
+    ids=["mc-poisson-counts-at-1.05-mean", "mc-identity-unit-papangelou",
+         "transform-invariance-pulled-to-anchor", "rho-tau-pulled-to-anchor"],
+)
+def test_negative_controls_fail_the_gates(suite, instances, parameters, fault, monkeypatch):
+    assert run_to_lines(suite, 1, instances, parameters)[0] == EXIT_PASS
+    fault(monkeypatch)
+    status, lines = run_to_lines(suite, 1, instances, parameters)
+    assert status == EXIT_GATE_FAILURE
+    assert json.loads(lines[-1])["n_failures"] > 0
 
 
 def test_generate_random_instance_determinism_and_kinds():

@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ppmoments import transforms
+from ppmoments import cli, transforms
 from ppmoments.montecarlo import (
     StraussModel,
     Window,
@@ -579,16 +579,20 @@ def test_poisson_count_gof_calibration():
     assert p_bad < 1e-6
 
 
+def gate_failures(rows: dict) -> list:
+    """The rows of a transform suite's result that fail their cli gate."""
+    return [row for group in rows.values() for row in group if not cli._gated(row)["passed"]]
+
+
 def test_invariance_suite_offset_zero_matches_poisson_exactly():
     regions = [Box(-0.6, -0.2, -0.2, 0.2), Box(0.2, 0.6, -0.2, 0.2)]
-    report = invariance_suite(
+    rows = invariance_suite(
         TransformSpec(0.0), Window(-1.05, 1.05, -1.05, 1.05), 30.0, regions, 800, 5
     )
-    assert report.passed()
-    payload = report.to_dict()
-    assert len(payload["gof"]) == 2
-    assert len(payload["covariances"]) == 1
-    assert len(payload["moments"]) == 6
+    assert not gate_failures(rows)
+    assert [(kind, len(group)) for kind, group in rows.items()] == [
+        ("gof", 2), ("covariance", 1), ("moment", 6)
+    ]
 
 
 def test_invariance_suite_rotated_counts_stay_poisson():
@@ -597,10 +601,10 @@ def test_invariance_suite_rotated_counts_stay_poisson():
         Box(0.2, 0.6, -0.2, 0.2),
         Box(-0.2, 0.2, 0.3, 0.62),
     ]
-    report = invariance_suite(
+    rows = invariance_suite(
         TransformSpec(0.37), Window(-1.05, 1.05, -1.05, 1.05), 40.0, regions, 2000, 17
     )
-    assert report.passed(), report.to_dict()
+    assert not gate_failures(rows), rows
 
 
 def test_invariance_suite_geometry_validation():
@@ -619,17 +623,17 @@ def test_invariance_suite_geometry_validation():
 
 
 def test_rho_tau_check_constant_correlation():
-    report = rho_tau_check(
+    rows = rho_tau_check(
         TransformSpec(0.37), Window(-1.05, 1.05, -1.05, 1.05), 25.0, 1200, 19
     )
-    assert report.passed(), report.to_dict()
-    payload = report.to_dict()
-    assert len(payload["first_moments"]) == 9
-    assert len(payload["second_moments"]) == 36
+    assert not gate_failures(rows), rows
+    assert [(name, len(group)) for name, group in rows.items()] == [
+        ("rho-tau-first", 9), ("rho-tau-second", 36)
+    ]
 
 
 def test_rho_tau_offset_zero_baseline():
-    report = rho_tau_check(
+    rows = rho_tau_check(
         TransformSpec(0.0), Window(-1.05, 1.05, -1.05, 1.05), 20.0, 600, 23, grid_size=2
     )
-    assert report.passed()
+    assert not gate_failures(rows)
