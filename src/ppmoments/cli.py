@@ -56,7 +56,6 @@ from .identities import (
 )
 from .instances import MAX_INSTANCE_SITES, generate_random_instance
 from .montecarlo import (
-    MAX_ESTIMATOR_ORDER,
     P_GATE,
     Z_GATE,
     _PROCESSES,
@@ -65,8 +64,10 @@ from .montecarlo import (
     _block_streams,
     _chain_steps,
     _child_seed,
-    estimate_factorial_identity,
-    estimate_partition_moment,
+    _draw_sides,
+    _factorial_parts,
+    _gnz_parts,
+    _partition_parts,
     gnz_estimates,
     mean_and_se,
     poisson_mean,
@@ -443,8 +444,18 @@ def _run_mc_identity(config: SuiteConfig):
     # every experiment is validated before the first one runs
     runs = [_experiment(experiment, index, _child_seed(config.seed, index))
             for index, experiment in enumerate(experiments)]
-    for run in runs:
-        yield run()
+    # the experiments that share (model, n_samples, n_steps) draw their sides
+    # in one call, so their Strauss chains run in lockstep; every side comes
+    # out as it would if drawn alone
+    drawn = {}
+    for index, run in enumerate(runs):
+        if index not in drawn:
+            group = [i for i, other in enumerate(runs) if other.draw == run.draw]
+            model, n_samples, n_steps = run.draw
+            sides = [side for i in group for side in runs[i].sides]
+            sides = iter(_draw_sides(model, sides, n_samples, n_steps))
+            drawn.update((i, [next(sides) for _ in runs[i].sides]) for i in group)
+        yield run.record(drawn.pop(index))
 
 
 # the keys an experiment may carry: every experiment, then per process and
@@ -455,9 +466,18 @@ _PROCESS_KEYS["strauss"].add("n_steps")
 _IDENTITY_KEYS = {"gnz": set(), "factorial": {"n"}, "partition": {"n"}}
 
 
-def _experiment(experiment: dict, index: int, seed: int) -> Callable[[], dict]:
-    """The estimator run of an experiment description, validated, as a
-    callable that returns its estimate record.
+class _ExperimentRun(NamedTuple):
+    """A validated mc-identity experiment: draw is the (model, n_samples,
+    n_steps) that its (seed, extra) sides are drawn at, and record(drawn)
+    its estimate record, given the drawn sides."""
+
+    draw: tuple
+    sides: tuple
+    record: Callable
+
+
+def _experiment(experiment: dict, index: int, seed: int) -> _ExperimentRun:
+    """The estimator run of an experiment description, validated.
 
     The test integrands are fixed bounded functions of the window: the
     region is the left half, the functional 1 + 0.1 |omega| and the kernel
@@ -481,24 +501,22 @@ def _experiment(experiment: dict, index: int, seed: int) -> Callable[[], dict]:
     n_steps = None if n_steps is None else _number(experiment, "n_steps", None, int)
     seed = _number(experiment, "seed", seed, int)
     n = _number(experiment, "n", 2, int)
-    if identity != "gnz" and not 1 <= n <= MAX_ESTIMATOR_ORDER:
-        raise ValueError(f"order must satisfy 1 <= n <= {MAX_ESTIMATOR_ORDER}")
     if isinstance(model, StraussModel):
-        _chain_steps(model, n_steps)
+        n_steps = _chain_steps(model, n_steps)
     window = model.window
     half_x = (window.x_min + window.x_max) / 2.0
     region = lambda x, y, count: x <= half_x
     functional = lambda count: 1.0 + 0.1 * count
     kernel = lambda x, y, count: 1.0 + y - 0.05 * count
     if identity == "gnz":
-        estimate = lambda: gnz_estimates(model, [kernel], n_samples, seed, n_steps)[0]
+        sides, evaluate_all = _gnz_parts(model, [kernel], seed)
+        evaluate = lambda drawn: evaluate_all(drawn)[0]
     elif identity == "factorial":
-        estimate = lambda: estimate_factorial_identity(
-            model, functional, region, n, n_samples, seed, n_steps
-        )
+        sides, evaluate = _factorial_parts(model, functional, region, n, seed)
     else:
-        estimate = lambda: estimate_partition_moment(model, kernel, n, n_samples, seed, n_steps)
-    return lambda: _estimate_record(name, index, *estimate())
+        sides, evaluate = _partition_parts(model, kernel, n, seed)
+    record = lambda drawn: _estimate_record(name, index, *evaluate(drawn))
+    return _ExperimentRun((model, n_samples, n_steps), sides, record)
 
 
 _DEFAULT_REGIONS = (

@@ -37,8 +37,10 @@ fixed layout:
 
 Results depend on BLOCK_REPLICATES, but not on how blocks are grouped into
 calls: every block can be drawn alone, and the Strauss chains of all blocks
-of a call (all replicates of sample_many, or both sides of an estimator)
-advance together in lockstep without reading each other's streams.
+of a call (all replicates of sample_many, both sides of an estimator, or
+all sides of the mc-identity experiments that share (model, n_samples,
+n_steps)) advance together in lockstep without reading each other's
+streams.
 """
 
 from __future__ import annotations
@@ -319,6 +321,15 @@ def _strauss_chains(model: StraussModel, n_steps: int | None, blocks: Sequence) 
     last chunk shorter), chain k of the block reading row k. A block's chains
     and the position of its generator afterwards do not depend on the other
     blocks of the call.
+
+    Inside the loop xs and ys are slot-major, (capacity, chains): a step
+    counts neighbours over the contiguous rows xs[:used], and a capacity
+    doubling appends rows. Each chunk's uniforms are copied block by block
+    into one (4, steps, chains) array, allocated once per call, and
+    the chunk's birth flags and birth proposals are computed from it at
+    once, with the arithmetic of a single step; the draw layout above does
+    not change. The batch is transposed back to (chains, capacity) on
+    return.
     """
     n_steps = _chain_steps(model, n_steps)
     window = model.window
@@ -328,48 +339,67 @@ def _strauss_chains(model: StraussModel, n_steps: int | None, blocks: Sequence) 
     r2 = model.r * model.r
     xs, ys, n = _poisson_batch(window, model.beta, blocks)
     chains, cap = xs.shape
+    xs, ys = xs.T.copy(), ys.T.copy()
     c_of_t = _strauss_table(model, cap)
     # gamma == 1 gives c = beta whatever t is, so no distances are needed
     interacting = model.gamma != 1.0
-    rows = np.arange(chains)
+    columns = np.arange(chains)
+    # (uniform, step, chain): a step reads one contiguous row of each
+    chunk = np.empty((4, min(_CHUNK_STEPS, n_steps), chains))
     for first in range(0, n_steps, _CHUNK_STEPS):
         steps = min(_CHUNK_STEPS, n_steps - first)
-        block = np.concatenate([np.zeros((0, steps, 4)),
-                                *(rng.random((size, steps, 4)) for rng, size in blocks)])
-        # (step, uniform, chain): each step reads four contiguous rows
-        uniforms = block.transpose(1, 2, 0).copy()
-        for move, u, v, accept in uniforms:
-            birth = move < 0.5
-            death = ~birth & (n > 0)
+        uniforms = chunk[:, :steps]
+        row = 0
+        for rng, size in blocks:
+            uniforms[:, :, row:row + size] = rng.random((size, steps, 4)).T
+            row += size
+        move, us, vs, accepts = uniforms
+        births = move < 0.5
+        deaths = ~births
+        # the birth proposals x_min + width u and y_min + height v, written
+        # over the move and v rows, which no step reads
+        birth_xs = np.multiply(width, us, out=move)
+        birth_xs += window.x_min
+        birth_ys = np.multiply(height, vs, out=vs)
+        birth_ys += window.y_min
+        for step in range(steps):
+            u, accept = us[step], accepts[step]
+            death = deaths[step] & (n > 0)
             index = np.minimum((u * n).astype(np.int64), n - 1)
-            px = np.where(death, xs[rows, index], window.x_min + width * u)
-            py = np.where(death, ys[rows, index], window.y_min + height * v)
+            px = np.where(death, xs[index, columns], birth_xs[step])
+            py = np.where(death, ys[index, columns], birth_ys[step])
             if interacting:
                 used = int(n.max(initial=0))
+                dx = xs[:used] - px
+                dy = ys[:used] - py
+                dx *= dx
+                dy *= dy
+                dx += dy
                 # a dying point is at distance 0 from itself
-                c = c_of_t[_neighbours(xs[:, :used], ys[:, :used], px, py, r2) - death]
+                c = c_of_t[np.count_nonzero(dx <= r2, axis=0) - death]
             else:
                 c = model.beta
-            born = np.flatnonzero(birth & (accept * (n + 1) < c * area))
+            born = (births[step] & (accept * (n + 1) < c * area)).nonzero()[0]
             # accept a death iff accept < n / (c * area), written division-free
-            died = np.flatnonzero(death & (accept * c * area < n))
+            died = (death & (accept * c * area < n)).nonzero()[0]
             if born.size:
                 slot = n[born]
                 if slot.max() == cap:
-                    xs = np.concatenate((xs, np.full_like(xs, np.nan)), axis=1)
-                    ys = np.concatenate((ys, np.full_like(ys, np.nan)), axis=1)
+                    xs = np.concatenate((xs, np.full_like(xs, np.nan)))
+                    ys = np.concatenate((ys, np.full_like(ys, np.nan)))
                     cap *= 2
                     c_of_t = _strauss_table(model, cap)
-                xs[born, slot] = px[born]
-                ys[born, slot] = py[born]
-                n[born] += 1
+                xs[slot, born] = px[born]
+                ys[slot, born] = py[born]
+                n[born] = slot + 1
             if died.size:
                 last = n[died] - 1
+                freed = index[died]
                 for coordinate in (xs, ys):
-                    coordinate[died, index[died]] = coordinate[died, last]
-                    coordinate[died, last] = np.nan
+                    coordinate[freed, died] = coordinate[last, died]
+                    coordinate[last, died] = np.nan
                 n[died] = last
-    return xs, ys, n
+    return xs.T.copy(), ys.T.copy(), n
 
 
 def sample_gibbs(model: StraussModel, n_steps: int, seed) -> Configuration:
@@ -470,6 +500,12 @@ def compound_papangelou(model: ProcessModel, points: Sequence, config: Configura
 
 
 # -- estimators ---------------------------------------------------------------
+#
+# Each estimator is two parts: _<name>_parts gives the (seed, extra) sides it
+# draws and the array expression that it evaluates on them (the output of
+# _draw_sides for those sides). The public estimators compose the two;
+# mc-identity draws the sides of all its experiments that share (model,
+# n_samples, n_steps) in one call.
 
 
 def _point_sums(batch: Batch, integrand: Callable) -> np.ndarray:
@@ -508,19 +544,27 @@ def gnz_estimates(
     n_steps: int | None = None,
 ) -> list[tuple[Estimate, Estimate]]:
     """GNZ estimates for several kernels sharing the same sample streams."""
+    sides, evaluate = _gnz_parts(model, kernels, seed)
+    return evaluate(_draw_sides(model, sides, n_samples, n_steps))
+
+
+def _gnz_parts(model: ProcessModel, kernels: Sequence[Callable], seed: int):
     lhs_seed, rhs_seed = _side_seeds(seed)
-    sides = ((lhs_seed, 0), (rhs_seed, 1))
-    (lhs, _), (rhs, points) = _draw_sides(model, sides, n_samples, n_steps)
-    weight = model.window.area * _chat(model, rhs, points)
-    x, y = points[:, 0, 0], points[:, 0, 1]
-    count = rhs[2] + 1
-    return [
-        (
-            _estimate(_point_sums(lhs, u), lhs_seed),
-            _estimate(weight * u(x, y, count), rhs_seed),
-        )
-        for u in kernels
-    ]
+
+    def evaluate(drawn) -> list[tuple[Estimate, Estimate]]:
+        (lhs, _), (rhs, points) = drawn
+        weight = model.window.area * _chat(model, rhs, points)
+        x, y = points[:, 0, 0], points[:, 0, 1]
+        count = rhs[2] + 1
+        return [
+            (
+                _estimate(_point_sums(lhs, u), lhs_seed),
+                _estimate(weight * u(x, y, count), rhs_seed),
+            )
+            for u in kernels
+        ]
+
+    return ((lhs_seed, 0), (rhs_seed, 1)), evaluate
 
 
 def estimate_factorial_identity(
@@ -540,22 +584,29 @@ def estimate_factorial_identity(
 
         area^n * chat(x, omega) * F(omega u x) * prod_k 1_{A(omega u x)}(x_k).
     """
-    if not (1 <= n <= MAX_ESTIMATOR_ORDER):
-        raise ValueError(f"order must satisfy 1 <= n <= {MAX_ESTIMATOR_ORDER}")
-    lhs_seed, rhs_seed = _side_seeds(seed)
-    sides = ((lhs_seed, 0), (rhs_seed, n))
-    (lhs, _), (rhs, points) = _draw_sides(model, sides, n_samples, n_steps)
-    lhs_values = functional(lhs[2]) * falling_factorial(_point_sums(lhs, region), n)
+    sides, evaluate = _factorial_parts(model, functional, region, n, seed)
+    return evaluate(_draw_sides(model, sides, n_samples, n_steps))
 
-    count = rhs[2] + n
-    chat = _chat(model, rhs, points)
-    inside = chat != 0.0
-    for j in range(n):
-        inside &= region(points[:, j, 0], points[:, j, 1], count)
-    rhs_values = np.where(
-        inside, model.window.area**n * chat * functional(count), 0.0
-    )
-    return _estimate(lhs_values, lhs_seed), _estimate(rhs_values, rhs_seed)
+
+def _factorial_parts(model: ProcessModel, functional: Callable, region: Callable, n: int,
+                     seed: int):
+    _check_order(n)
+    lhs_seed, rhs_seed = _side_seeds(seed)
+
+    def evaluate(drawn) -> tuple[Estimate, Estimate]:
+        (lhs, _), (rhs, points) = drawn
+        lhs_values = functional(lhs[2]) * falling_factorial(_point_sums(lhs, region), n)
+        count = rhs[2] + n
+        chat = _chat(model, rhs, points)
+        inside = chat != 0.0
+        for j in range(n):
+            inside &= region(points[:, j, 0], points[:, j, 1], count)
+        rhs_values = np.where(
+            inside, model.window.area**n * chat * functional(count), 0.0
+        )
+        return _estimate(lhs_values, lhs_seed), _estimate(rhs_values, rhs_seed)
+
+    return ((lhs_seed, 0), (rhs_seed, n)), evaluate
 
 
 def estimate_partition_moment(
@@ -573,28 +624,39 @@ def estimate_partition_moment(
     with k blocks of sizes s_1..s_k it draws k uniform points and averages
     area^k * chat * prod_j u(x_j, omega u x)^{s_j}.
     """
-    if not (1 <= n <= MAX_ESTIMATOR_ORDER):
-        raise ValueError(f"order must satisfy 1 <= n <= {MAX_ESTIMATOR_ORDER}")
+    sides, evaluate = _partition_parts(model, kernel, n, seed)
+    return evaluate(_draw_sides(model, sides, n_samples, n_steps))
+
+
+def _partition_parts(model: ProcessModel, kernel: Callable, n: int, seed: int):
+    _check_order(n)
     block_sizes = [part.block_sizes() for part in partitions(n)]
     ends = np.cumsum([len(sizes) for sizes in block_sizes])
     lhs_seed, rhs_seed = _side_seeds(seed)
-    sides = ((lhs_seed, 0), (rhs_seed, int(ends[-1])))
-    (lhs, _), (rhs, points) = _draw_sides(model, sides, n_samples, n_steps)
     area = model.window.area
-    # float_power is the C pow of Python's float ** int; ** on arrays squares
-    # by multiplication, which differs in the last bit
-    lhs_values = np.float_power(_point_sums(lhs, kernel), n)
 
-    rhs_values = np.zeros(n_samples)
-    for sizes, draws in zip(block_sizes, np.split(points, ends[:-1], axis=1)):
-        k = len(sizes)
-        chat = _chat(model, rhs, draws)
-        count = rhs[2] + k
-        product = np.ones(n_samples)
-        for j, exponent in enumerate(sizes):
-            product *= np.float_power(kernel(draws[:, j, 0], draws[:, j, 1], count), exponent)
-        rhs_values += np.where(chat != 0.0, area**k * chat * product, 0.0)
-    return _estimate(lhs_values, lhs_seed), _estimate(rhs_values, rhs_seed)
+    def evaluate(drawn) -> tuple[Estimate, Estimate]:
+        (lhs, _), (rhs, points) = drawn
+        # float_power is the C pow of Python's float ** int; ** on arrays
+        # squares by multiplication, which differs in the last bit
+        lhs_values = np.float_power(_point_sums(lhs, kernel), n)
+        rhs_values = np.zeros(len(points))
+        for sizes, draws in zip(block_sizes, np.split(points, ends[:-1], axis=1)):
+            k = len(sizes)
+            chat = _chat(model, rhs, draws)
+            count = rhs[2] + k
+            product = np.ones(len(points))
+            for j, exponent in enumerate(sizes):
+                product *= np.float_power(kernel(draws[:, j, 0], draws[:, j, 1], count), exponent)
+            rhs_values += np.where(chat != 0.0, area**k * chat * product, 0.0)
+        return _estimate(lhs_values, lhs_seed), _estimate(rhs_values, rhs_seed)
+
+    return ((lhs_seed, 0), (rhs_seed, int(ends[-1]))), evaluate
+
+
+def _check_order(n: int):
+    if not (1 <= n <= MAX_ESTIMATOR_ORDER):
+        raise ValueError(f"order must satisfy 1 <= n <= {MAX_ESTIMATOR_ORDER}")
 
 
 def _side_seeds(seed: int) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 """CLI behavior: suite execution, exit codes, report format, determinism."""
 
+import dataclasses
 import io
 import json
 import os
@@ -131,6 +132,42 @@ def test_mc_identity_experiment_file_schema():
     assert [r["name"] for r in records] == ["poisson-gnz", "poisson-partition"]
     for record in records:
         assert abs(record["z"]) <= 4.0
+
+
+def test_mc_identity_experiments_on_one_model_share_one_draw(monkeypatch):
+    # the Strauss experiments share (model, n_samples, n_steps) and draw in
+    # one lockstep call, the gnz one with its own seed; the Poisson one draws
+    # alone. Each record is that of the experiment run on its own.
+    strauss = {
+        "process": "strauss", "window": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1},
+        "beta": 12.0, "gamma": 0.5, "r": 0.08, "n_steps": 120, "n_samples": 30,
+    }
+    experiments = [
+        {**strauss, "identity": "factorial", "n": 2},
+        {**strauss, "identity": "partition", "n": 2},
+        {**_POISSON_FACTORIAL, "n_samples": 50},
+        {**strauss, "identity": "gnz", "seed": 7},
+    ]
+    draws = []
+    draw_sides = cli._draw_sides
+
+    def counted(model, sides, n_samples, n_steps):
+        draws.append(len(sides))
+        return draw_sides(model, sides, n_samples, n_steps)
+
+    monkeypatch.setattr(cli, "_draw_sides", counted)
+    seed = 23
+    status, lines = run_to_lines("mc-identity", seed, None, {"experiments": experiments})
+    assert status == EXIT_PASS
+    assert draws == [6, 2]
+    records = [json.loads(line) for line in body_of(lines)[:-1]]
+    for index, (experiment, record) in enumerate(zip(experiments, records)):
+        alone = {"seed": cli._child_seed(seed, index), **experiment}
+        _, alone_lines = run_to_lines("mc-identity", seed, None, {"experiments": [alone]})
+        (expected,) = [json.loads(line) for line in body_of(alone_lines)[:-1]]
+        assert [record[key] for key in ("lhs", "rhs", "z")] == [
+            expected[key] for key in ("lhs", "rhs", "z")
+        ]
 
 
 def test_determinism_byte_identical_bodies():
@@ -572,18 +609,27 @@ _POISSON_FACTORIAL = {
 }
 
 
+def _chains_at_higher_beta(monkeypatch):
+    # the chains sample the Strauss law at 1.1 beta, while the estimators
+    # still evaluate c(x, omega) at beta
+    chains = montecarlo._strauss_chains
+    monkeypatch.setattr(montecarlo, "_strauss_chains", lambda model, n_steps, blocks: chains(
+        dataclasses.replace(model, beta=1.1 * model.beta), n_steps, blocks))
+
+
 # negative controls: each statistical suite passes at its size and seed, and
-# fails its gates there with a fault patched into the engine (mc-gibbs has
-# none: its natural fault lies inside montecarlo._strauss_chains)
+# fails its gates there with a fault patched into the engine
 @pytest.mark.parametrize(
     "suite,instances,parameters,fault",
     [
         ("mc-poisson", 5000, {}, _inflate_poisson_counts),
+        ("mc-gibbs", 300, {}, _chains_at_higher_beta),
         ("mc-identity", None, {"experiments": [_POISSON_FACTORIAL]}, _unit_papangelou),
         ("transform-invariance", 1000, {"condition_instances": 0}, _pull_toward_anchor),
         ("rho-tau", 600, {}, _pull_toward_anchor),
     ],
-    ids=["mc-poisson-counts-at-1.05-mean", "mc-identity-unit-papangelou",
+    ids=["mc-poisson-counts-at-1.05-mean", "mc-gibbs-chains-at-1.1-beta",
+         "mc-identity-unit-papangelou",
          "transform-invariance-pulled-to-anchor", "rho-tau-pulled-to-anchor"],
 )
 def test_negative_controls_fail_the_gates(suite, instances, parameters, fault, monkeypatch):

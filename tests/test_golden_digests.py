@@ -5,10 +5,12 @@ report body that `tools/report_digest.py --seeds 1` prints, at its reduced
 Monte Carlo sizes, together with the numpy and scipy versions it was
 recorded with. The eight exact suites are pinned at a second seed as well
 (`exact_seed`), so that a last-bit change in the exact engine shows beyond
-the instances of seed 1. A change that moves a body fails here; record the
-new digests with that tool and give the reason in CHANGES.md. Other library
-versions may round differently in the last bit, so there the test is
-skipped.
+the instances of seed 1, and so are the two Strauss chain suites, mc-gibbs
+and mc-identity (`chain_seed`), so that a change in the lockstep chains
+shows beyond the chains of seed 1. A change that moves a body fails here;
+record the new digests with that tool and give the reason in CHANGES.md.
+Other library versions may round differently in the last bit, so there the
+test is skipped.
 """
 
 import importlib.util
@@ -51,8 +53,17 @@ def test_exact_report_body_matches_its_second_seed_digest(suite):
     assert [status, body] == GOLDEN["exact_digests"][suite]
 
 
+@pytest.mark.parametrize("suite", sorted(GOLDEN["chain_digests"]))
+def test_chain_report_body_matches_its_second_seed_digest(suite):
+    _skip_on_other_versions()
+    status, body = report_digest.digest(suite, GOLDEN["chain_seed"])
+    assert [status, body] == GOLDEN["chain_digests"][suite]
+
+
 def test_every_suite_has_a_golden_digest():
     assert sorted(GOLDEN["digests"]) == sorted(report_digest.cli.SUITES)
     # the Monte Carlo suites are the ones the tool runs at reduced sizes
     exact = set(report_digest.cli.SUITES) - set(report_digest.INSTANCES)
     assert sorted(GOLDEN["exact_digests"]) == sorted(exact)
+    # the second-seed chain suites are Monte Carlo suites at reduced sizes
+    assert set(GOLDEN["chain_digests"]) <= set(report_digest.INSTANCES)

@@ -145,12 +145,18 @@ def reference_block(model, n_steps, rng, size):
     """The chains of one block stream, read in its documented layout by one
     call per chain and per chunk: the block's Poisson counts, each chain's
     start in turn, then one (size, steps, 4) draw per chunk of steps."""
+    return [config for config, _ in reference_block_runs(model, n_steps, rng, size)]
+
+
+def reference_block_runs(model, n_steps, rng, size):
+    """reference_block's chains, each as its final configuration and the
+    largest count it reached."""
     counts = rng.poisson(model.beta * model.window.area, size)
     starts = [reference_start(model, rng, count) for count in counts]
     chunks = [rng.random((size, min(_CHUNK_STEPS, n_steps - first), 4))
               for first in range(0, n_steps, _CHUNK_STEPS)]
     uniforms = np.concatenate(chunks, axis=1)
-    return [run_reference_chain(model, start, steps)[0] for start, steps in zip(starts, uniforms)]
+    return [run_reference_chain(model, start, steps) for start, steps in zip(starts, uniforms)]
 
 
 def run_reference_chain(model, points, uniforms):
@@ -266,6 +272,30 @@ def test_gibbs_capacity_growth():
         start = int(np.random.default_rng(seed).poisson(200.0))
         assert largest > start
         assert sample_gibbs(model, steps, np.random.default_rng(seed)) == expected
+
+
+@pytest.mark.parametrize(
+    "gamma,r,seed",
+    [(0.8, 0.03, 3), (0.0, 0.06, 0), (1.0, 0.05, 0)],
+    ids=["interacting-capacity-doubles", "hard-core", "no-interaction"],
+)
+def test_strauss_chains_of_several_blocks_match_the_reference(gamma, r, seed):
+    # blocks of 3, 1 and 2 chains advance together in one call, every chain
+    # bit for bit the reference chain on its block's stream
+    model = StraussModel(UNIT, 60.0, gamma, r)
+    steps = default_burn_in(model)
+
+    def blocks():
+        return [(np.random.default_rng([seed, b]), size) for b, size in enumerate((3, 1, 2))]
+
+    runs = [run for rng, size in blocks() for run in reference_block_runs(model, steps, rng, size)]
+    chains = _strauss_chains(model, steps, blocks())
+    assert _frozensets(chains) == [config for config, _ in runs]
+    if gamma == 0.8:
+        # a chain of the call outgrows the largest start, so the capacity
+        # of the batch doubles while the chains interact
+        starts = max(rng.poisson(model.beta, size).max() for rng, size in blocks())
+        assert max(largest for _, largest in runs) > starts
 
 
 def test_gibbs_count_law_with_all_pairs_interacting():
