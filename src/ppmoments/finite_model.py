@@ -26,6 +26,18 @@ support, built once for all of them and dropped after the block. The
 hereditary check is exhaustive at every size whenever some configuration is
 forbidden (a density positive everywhere is hereditary).
 
+Sums that call a callable per configuration (expectation, gnz_residuals)
+run over blocks of _BLOCK support configurations, and with two or more
+blocks (at least 15 sites) on two or more cores the engine forks: the
+blocks are dealt round-robin to this process and to one child per further
+core (at most one per further block), each child pipes back its partial
+sums, and they are added in block order, so every result is byte-identical
+for every process count. Callables must be pure, since whatever a callable
+changes in a child is lost with it. Without os.fork, and inside such a
+child, the blocks run serially. Python 3.12 and later warn on os.fork in a
+multi-threaded process: numpy's OpenBLAS starts threads, and a child makes
+no BLAS call.
+
 A callable may carry an array form, which fills a table in one call:
 
     functional.on_masks(masks)     -> values at an integer array of bitmasks
@@ -42,6 +54,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -228,10 +243,11 @@ class FiniteModel:
 
     def expectation(self, functional: Functional) -> float:
         """Exact expectation by enumeration over all configurations."""
-        return math.fsum(
-            _fsum(self._prob[masks] * self._values(functional, masks))
-            for masks in _blocks(self._support)
-        )
+
+        def partial(masks):
+            return _fsum(self._prob[masks] * self._values(functional, masks))
+
+        return math.fsum(_map_blocks(partial, self._support))
 
     def papangelou(self, x, config: Configuration) -> float:
         """Papangelou density c(x, omega) = q(omega u {x}) / q(omega).
@@ -248,14 +264,13 @@ class FiniteModel:
         Product form: c(x_1, omega) c(x_2, omega u {x_1}) ... which, under
         hereditarity, telescopes to q(omega u points) / q(omega). Returns 1
         for the empty tuple and 0 when the tuple has repeats or meets omega.
+        A site outside the ground space raises ValueError.
         """
         mask = self.mask(config)
-        tmask = 0
-        for x in points:
-            bit = 1 << x
-            if tmask & bit:
-                return 0.0
-            tmask |= bit
+        points = tuple(points)
+        tmask = self.mask(points)
+        if tmask.bit_count() < len(points):
+            return 0.0
         if not tmask:
             return 1.0
         q = self._q
@@ -281,9 +296,8 @@ class FiniteModel:
         block for all the kernels.
         """
         q, prob = self._q, self._prob
-        lhs = [[] for _ in kernels]
-        rhs = [[] for _ in kernels]
-        for masks in _blocks(self._support):
+
+        def block_sides(masks):
             pairs = sites, up = self._site_pairs(masks)
             base = up ^ (1 << sites)
             campbell = prob[base] * (q[up] / q[base])
@@ -291,11 +305,21 @@ class FiniteModel:
             # each table held through the loop raises the peak memory of a
             # large model by one pair-sized array
             del base
-            for u, left, right in zip(kernels, lhs, rhs):
+            sides = []
+            for u in kernels:
                 values = self._site_values(u, masks, pairs)
-                left.append(_fsum(prob[up] * values))
-                right.append(_fsum(self._weights[sites] * (campbell * values)))
-        return [(math.fsum(left), math.fsum(right)) for left, right in zip(lhs, rhs)]
+                sides.append((
+                    _fsum(prob[up] * values),
+                    _fsum(self._weights[sites] * (campbell * values)),
+                ))
+            return sides
+
+        # one (lhs, rhs) column of partial sums per kernel, in block order
+        columns = zip(*_map_blocks(block_sides, self._support))
+        return [
+            (math.fsum(left for left, _ in column), math.fsum(right for _, right in column))
+            for column in columns
+        ]
 
     def correlation(self, points: Sequence) -> float:
         """Correlation function rho_n(points) = E[chat(points, omega)]."""
@@ -312,12 +336,121 @@ class FiniteModel:
 
 
 def _fsum(values: np.ndarray) -> float:
-    return math.fsum(values.ravel().tolist())
+    # iterating a buffer's floats skips building a list of them
+    return math.fsum(memoryview(values.ravel()))
 
 
 def _blocks(masks: np.ndarray):
     for start in range(0, len(masks), _BLOCK):
         yield masks[start : start + _BLOCK]
+
+
+def _process_count() -> int:
+    """How many processes a map over blocks may run in: the cores this
+    process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# set in a forked child, where every map over blocks runs serially
+_in_child = False
+
+
+def _map_blocks(function: Callable, masks: np.ndarray) -> list:
+    """[function(block) for block in _blocks(masks)], with the blocks shared
+    between this process and forked children.
+
+    With k = min(_process_count(), number of blocks) > 1, block i goes to
+    worker i mod k. Worker 0 is this process; the others are children
+    forked here, which inherit function and masks and pipe back their
+    results, pickled. A block that no child returns (its function raised,
+    the child died or could not be forked) is computed here, in block
+    order, so the results and the exception raised are those of the serial
+    loop. Every child is killed and reaped before this returns or raises.
+    With one block, one core, no os.fork, or inside a child, it runs
+    serially.
+    """
+    blocks = list(_blocks(masks))
+    workers = min(_process_count(), len(blocks))
+    if workers < 2 or _in_child or not hasattr(os, "fork"):
+        return [function(block) for block in blocks]
+    children = []
+    try:
+        for worker in range(1, workers):
+            child = _fork_share(function, blocks[worker::workers])
+            if child is None:
+                break
+            children.append(child)
+        own, failure = _share(function, blocks[::workers])
+        replies = [pipe.read() for _, pipe in children]
+    finally:
+        codes = [_reap(pid, pipe) for pid, pipe in children]
+    shares = [own] + [pickle.loads(reply) if code == 0 else [] for reply, code in zip(replies, codes)]
+    shares += [[]] * (workers - len(shares))
+    results = []
+    for index, block in enumerate(blocks):
+        worker, turn = index % workers, index // workers
+        if turn < len(shares[worker]):
+            results.append(shares[worker][turn])
+        elif worker == 0:
+            raise failure
+        else:
+            results.append(function(block))
+    return results
+
+
+def _share(function: Callable, blocks: list):
+    """(results, None) of function on each block, or (results before the
+    first block that raised, its exception): _map_blocks raises it only if
+    no lower block raises."""
+    results = []
+    for block in blocks:
+        try:
+            results.append(function(block))
+        except Exception as exc:
+            return results, exc
+    return results, None
+
+
+def _fork_share(function: Callable, blocks: list):
+    """(pid, read end of its pipe) of a child forked to pipe back the
+    pickled results of _share(function, blocks), or None when fork fails.
+
+    The child ends with os._exit: it runs no cleanup of the parent's,
+    flushes none of its inherited output buffers and prints no traceback.
+    Its exit code is 0 only when all its results were written."""
+    global _in_child
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    code = 1
+    try:
+        _in_child = True
+        os.close(read)
+        data = memoryview(pickle.dumps(_share(function, blocks)[0]))
+        while data:
+            data = data[os.write(write, data):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, pipe) -> int:
+    """Close a child's pipe, kill and reap it; its exit code (minus the
+    signal number when a signal ended it)."""
+    # a child whose pipe was read to the end is already exiting, and the
+    # kill no longer changes its exit code
+    pipe.close()
+    os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 @lru_cache(maxsize=None)

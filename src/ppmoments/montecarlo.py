@@ -268,7 +268,9 @@ def _poisson_batch(window: Window, intensity: float, blocks: Sequence) -> Batch:
     for rng, size in blocks:
         counts.append(rng.poisson(mean, size))
         points.append(window.sample_points(rng, int(counts[-1].sum())))
-    return _batch_from(np.concatenate(counts), np.concatenate(points))
+    # rebinding drops the per-block arrays before the batch is filled
+    points = np.concatenate(points)
+    return _batch_from(np.concatenate(counts), points)
 
 
 def sample_poisson(window: Window, intensity: float, seed) -> Configuration:

@@ -86,6 +86,18 @@ def test_compound_campbell_base_cases():
     assert model.compound_campbell((1,), frozenset({1})) == 0.0
 
 
+@pytest.mark.parametrize("site", [7, -1])
+def test_compound_campbell_site_outside_the_ground_space(site):
+    model = q1_model([1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=f"site {site} outside the ground space"):
+        model.compound_campbell((0, site), frozenset({1}))
+    with pytest.raises(ValueError, match=f"site {site} outside the ground space"):
+        model.papangelou(site, frozenset())
+    # a repeat or an overlap still contributes zero
+    assert model.compound_campbell((2, 2), frozenset()) == 0.0
+    assert model.compound_campbell((0, 1), frozenset({1})) == 0.0
+
+
 def test_compound_campbell_matches_stepwise_product():
     model = FiniteModel(
         GroundSpace((0.7, 1.1, 0.4, 0.9)),
