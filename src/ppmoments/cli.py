@@ -44,7 +44,7 @@ from .combinatorics import (
     stirling_reindex_gap,
 )
 from .difference_ops import diff, diff_multi, product_expansion_gap
-from .finite_model import load_model
+from .finite_model import _map, load_model
 from .identities import (
     MAX_IDENTITY_ORDER,
     IdentityReport,
@@ -222,6 +222,10 @@ def _window(parameters: dict, default: dict):
 
 # the exact-gnz parameter "kernels" is the instance generator's n_kernels bound
 _BOUND_NAMES = {"kernels": "n_kernels"}
+# instances per map of an exact suite: above every default count, so a
+# default run forks once, and small enough that a large --instances holds
+# the records of one chunk at a time
+_INSTANCE_CHUNK = 256
 
 
 def _exact_suite(
@@ -244,6 +248,12 @@ def _exact_suite(
     other parameter is at least 1. When model_file is set, the "model_file"
     parameter replaces each generated model by the model that file
     describes, loaded once; the instances are then drawn at its site count.
+
+    The instances run in chunks of _INSTANCE_CHUNK, each shared between
+    this process and forked children by finite_model._map, so the records
+    come out in instance order, byte-identical for every process count, and
+    an error ends them where the serial loop would. A chunk's records are
+    yielded before the next chunk starts.
     """
     ranges = {"m_max": (m_min, MAX_INSTANCE_SITES), "n_max": n_range}
 
@@ -268,12 +278,18 @@ def _exact_suite(
                     f"support at most {MAX_INSTANCE_SITES}"
                 )
             bounds["m_min"] = bounds["m_max"] = model.m
-        for i in range(config.instance_count or count):
+
+        def records(i):
             bundle = generate_random_instance(kind, bounds, _child_seed(config.seed, i))
             if model is not None:
                 bundle["model"] = model
-            for report in evaluate(bundle, i):
-                yield _identity_record(report, i, EXACT_GATE)
+            return [_identity_record(report, i, EXACT_GATE) for report in evaluate(bundle, i)]
+
+        total = config.instance_count or count
+        for start in range(0, total, _INSTANCE_CHUNK):
+            chunk = range(start, min(start + _INSTANCE_CHUNK, total))
+            for instance_records in _map(records, chunk):
+                yield from instance_records
 
     parameters = tuple(defaults) + (("model_file",) if model_file else ())
     return Suite(run, summary, explanation, parameters)

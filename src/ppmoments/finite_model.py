@@ -34,7 +34,8 @@ core (at most one per further block), each child pipes back its partial
 sums, and they are added in block order, so every result is byte-identical
 for every process count. Callables must be pure, since whatever a callable
 changes in a child is lost with it. Without os.fork, and inside such a
-child, the blocks run serially. Python 3.12 and later warn on os.fork in a
+child, the blocks run serially. The same map (_map) deals the instances of
+the CLI's exact suites. Python 3.12 and later warn on os.fork in a
 multi-threaded process: numpy's OpenBLAS starts threads, and a child makes
 no BLAS call.
 
@@ -346,76 +347,81 @@ def _blocks(masks: np.ndarray):
 
 
 def _process_count() -> int:
-    """How many processes a map over blocks may run in: the cores this
-    process may run on."""
+    """How many processes a map may run in: the cores this process may run
+    on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-# set in a forked child, where every map over blocks runs serially
+# set in a forked child, where every map runs serially
 _in_child = False
 
 
 def _map_blocks(function: Callable, masks: np.ndarray) -> list:
-    """[function(block) for block in _blocks(masks)], with the blocks shared
-    between this process and forked children.
+    """[function(block) for block in _blocks(masks)], shared as _map shares
+    its items."""
+    return list(_map(function, list(_blocks(masks))))
 
-    With k = min(_process_count(), number of blocks) > 1, block i goes to
-    worker i mod k. Worker 0 is this process; the others are children
-    forked here, which inherit function and masks and pipe back their
-    results, pickled. A block that no child returns (its function raised,
-    the child died or could not be forked) is computed here, in block
-    order, so the results and the exception raised are those of the serial
-    loop. Every child is killed and reaped before this returns or raises.
-    With one block, one core, no os.fork, or inside a child, it runs
-    serially.
+
+def _map(function: Callable, items: Sequence):
+    """Yield function(item) for each item, in item order, with the items
+    shared between this process and forked children.
+
+    With k = min(_process_count(), len(items)) > 1, item i goes to worker
+    i mod k. Worker 0 is this process; the others are children forked at
+    the first next(), which inherit function and items and pipe back their
+    results, pickled. An item that no child returns (its function raised,
+    the child died or could not be forked) is computed here, in item order.
+    So the results and the exception are those of the serial loop: the
+    results up to the lowest-numbered item whose function raises, then its
+    exception. Every child is killed and reaped before the first result is
+    yielded. With one item, one core, no os.fork, or inside a child, it
+    runs serially.
     """
-    blocks = list(_blocks(masks))
-    workers = min(_process_count(), len(blocks))
+    workers = min(_process_count(), len(items))
     if workers < 2 or _in_child or not hasattr(os, "fork"):
-        return [function(block) for block in blocks]
+        yield from map(function, items)
+        return
     children = []
     try:
         for worker in range(1, workers):
-            child = _fork_share(function, blocks[worker::workers])
+            child = _fork_share(function, items[worker::workers])
             if child is None:
                 break
             children.append(child)
-        own, failure = _share(function, blocks[::workers])
+        own, failure = _share(function, items[::workers])
         replies = [pipe.read() for _, pipe in children]
     finally:
         codes = [_reap(pid, pipe) for pid, pipe in children]
     shares = [own] + [pickle.loads(reply) if code == 0 else [] for reply, code in zip(replies, codes)]
     shares += [[]] * (workers - len(shares))
-    results = []
-    for index, block in enumerate(blocks):
+    for index, item in enumerate(items):
         worker, turn = index % workers, index // workers
         if turn < len(shares[worker]):
-            results.append(shares[worker][turn])
+            yield shares[worker][turn]
         elif worker == 0:
             raise failure
         else:
-            results.append(function(block))
-    return results
+            yield function(item)
 
 
-def _share(function: Callable, blocks: list):
-    """(results, None) of function on each block, or (results before the
-    first block that raised, its exception): _map_blocks raises it only if
-    no lower block raises."""
+def _share(function: Callable, items: Sequence):
+    """(results, None) of function on each item, or (results before the
+    first item that raised, its exception): _map raises it only if no lower
+    item raises."""
     results = []
-    for block in blocks:
+    for item in items:
         try:
-            results.append(function(block))
+            results.append(function(item))
         except Exception as exc:
             return results, exc
     return results, None
 
 
-def _fork_share(function: Callable, blocks: list):
+def _fork_share(function: Callable, items: Sequence):
     """(pid, read end of its pipe) of a child forked to pipe back the
-    pickled results of _share(function, blocks), or None when fork fails.
+    pickled results of _share(function, items), or None when fork fails.
 
     The child ends with os._exit: it runs no cleanup of the parent's,
     flushes none of its inherited output buffers and prints no traceback.
@@ -435,7 +441,7 @@ def _fork_share(function: Callable, blocks: list):
     try:
         _in_child = True
         os.close(read)
-        data = memoryview(pickle.dumps(_share(function, blocks)[0]))
+        data = memoryview(pickle.dumps(_share(function, items)[0]))
         while data:
             data = data[os.write(write, data):]
         code = 0

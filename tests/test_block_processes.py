@@ -1,5 +1,6 @@
-"""The exact engine's blocks shared with forked children: the same sums for
-every process count, the serial loop's exception, no child left behind."""
+"""The exact engine's blocks, and the items of any map, shared with forked
+children: the same sums for every process count, the serial loop's results
+and exception, no child left behind."""
 
 import os
 
@@ -10,34 +11,7 @@ from ppmoments import finite_model
 from ppmoments.finite_model import FiniteModel, GroundSpace, pairwise_log_density
 from ppmoments.instances import _by_parity
 
-
-@pytest.fixture
-def processes(monkeypatch):
-    """Set the process count that the block map reads."""
-
-    def use(count):
-        monkeypatch.setattr(finite_model, "_process_count", lambda: count)
-
-    return use
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """A list that grows by one entry per os.fork call of this process."""
-    calls = []
-    fork = os.fork
-
-    def counting_fork():
-        calls.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return calls
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+from conftest import assert_no_children
 
 
 def _model(m, gamma, pairs, seed=29):
@@ -121,6 +95,24 @@ def test_the_lowest_failing_block_raises(processes, capfd, m, count, failing, fi
     assert_no_children()
     assert type(shared.value) is type(serial.value)
     assert str(shared.value) == str(serial.value) == f"kernel fails in block {first}"
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_a_map_yields_the_results_before_the_lowest_failing_item(processes, capfd, count):
+    processes(count)
+
+    def square(item):
+        if item in (4, 5):
+            raise ValueError(f"item {item} fails")
+        return item * item
+
+    results = []
+    with pytest.raises(ValueError, match="item 4 fails"):
+        for result in finite_model._map(square, range(9)):
+            results.append(result)
+    assert results == [0, 1, 4, 9]
+    assert_no_children()
     assert capfd.readouterr() == ("", "")
 
 

@@ -26,6 +26,8 @@ from ppmoments.cli import (
 from ppmoments import cli
 from ppmoments.instances import MAX_INSTANCE_SITES, generate_random_instance
 
+from conftest import assert_no_children
+
 
 def run_to_lines(suite, seed, instances=None, parameters=None):
     config = SuiteConfig(suite, seed, instances, parameters or {})
@@ -191,6 +193,83 @@ def test_different_seeds_differ():
     _, first = run_to_lines("exact-gnz", 1, 2)
     _, second = run_to_lines("exact-gnz", 2, 2)
     assert body_of(first) != body_of(second)
+
+
+_INSTANCE_SUITES = ("exact-gnz", "exact-factorial", "exact-joint", "exact-stirling",
+                    "exact-partition", "exact-independence")
+
+
+def _without_timestamp(lines):
+    header = json.loads(lines[0])
+    header.pop("timestamp")
+    return [header] + lines[1:]
+
+
+@pytest.mark.parametrize(
+    "suite,seed,instances",
+    [(suite, seed, None) for suite in _INSTANCE_SUITES for seed in (1, 17)]
+    + [("exact-partition", 1, cli._INSTANCE_CHUNK + 3), ("exact-gnz", 1, 1)],
+)
+def test_exact_suites_are_byte_identical_for_every_process_count(
+    processes, forks, suite, seed, instances
+):
+    reports = []
+    for count in (1, 2, 3):
+        processes(count)
+        before = len(forks)
+        status, lines = run_to_lines(suite, seed, instances)
+        assert status == EXIT_PASS
+        reports.append(_without_timestamp(lines))
+        # each chunk of instances forks one child per further process, at
+        # most one per further instance of the chunk
+        total = 1 + max(json.loads(line).get("instance", -1) for line in lines[1:])
+        chunks = range(0, total, cli._INSTANCE_CHUNK)
+        assert len(forks) - before == sum(
+            min(count, total - start, cli._INSTANCE_CHUNK) - 1 for start in chunks
+        )
+        assert_no_children()
+    assert reports[0] == reports[1] == reports[2]
+    if instances is not None:
+        assert total == instances
+
+
+def _failing_instances(monkeypatch, seed, failing):
+    """Make generate_random_instance raise at the instances listed in failing."""
+    generate = cli.generate_random_instance
+    seeds = {montecarlo._child_seed(seed, i): i for i in failing}
+
+    def instance(kind, bounds, child_seed):
+        if child_seed in seeds:
+            raise ValueError(f"instance {seeds[child_seed]} fails")
+        return generate(kind, bounds, child_seed)
+
+    monkeypatch.setattr(cli, "generate_random_instance", instance)
+
+
+@pytest.mark.parametrize(
+    "failing,first",
+    # with 2 or 3 processes, instance 6 is one of this process and 5 and 7
+    # are children's
+    [({5, 6}, 5), ({6, 7}, 6)],
+    ids=["child-instance-first", "own-instance-first"],
+)
+def test_an_instance_error_ends_the_report_where_the_serial_run_does(
+    processes, monkeypatch, capfd, failing, first
+):
+    _failing_instances(monkeypatch, 1, failing)
+    argv = ["run", "--suite", "exact-gnz", "--seed", "1", "--instances", "12"]
+    reports = []
+    for count in (1, 2, 3):
+        processes(count)
+        assert main(argv) == EXIT_VALIDATION_ERROR
+        assert_no_children()
+        out, err = capfd.readouterr()
+        assert err == ""
+        reports.append(_without_timestamp(out.splitlines()))
+    assert reports[0] == reports[1] == reports[2]
+    records = [json.loads(line) for line in reports[0][1:]]
+    assert records[-1] == {"record": "error", "message": f"instance {first} fails"}
+    assert sorted({r["instance"] for r in records[:-1]}) == list(range(first))
 
 
 def test_suite_config_validation():
