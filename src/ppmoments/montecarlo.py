@@ -108,8 +108,6 @@ class PoissonModel:
     intensity: float
 
     def __post_init__(self):
-        if not self.intensity > 0.0:
-            raise ValueError("intensity must be positive")
         poisson_mean(self.window, self.intensity)
 
 
@@ -225,7 +223,10 @@ def _estimate(values: np.ndarray, seed: int) -> Estimate:
 
 
 def poisson_mean(window: Window, intensity: float) -> float:
-    """Mean count intensity * area of a Poisson process, below MAX_POISSON_MEAN."""
+    """Mean count intensity * area of a Poisson process, for a positive
+    intensity; below MAX_POISSON_MEAN."""
+    if not intensity > 0.0:
+        raise ValueError(f"intensity must be positive, got {intensity:g}")
     mean = intensity * window.area
     if not mean < MAX_POISSON_MEAN:
         raise ValueError(f"intensity * area must stay below {MAX_POISSON_MEAN:g}")
@@ -271,6 +272,16 @@ def _poisson_batch(window: Window, intensity: float, blocks: Sequence) -> Batch:
     # rebinding drops the per-block arrays before the batch is filled
     points = np.concatenate(points)
     return _batch_from(np.concatenate(counts), points)
+
+
+def _skip_poisson(window: Window, intensity: float, rng: np.random.Generator, size: int):
+    """Advance rng past the draws of _poisson_batch(window, intensity,
+    [(rng, 1)] * size) without making the points: per replicate, its count,
+    then the two uniforms per point that sample_points reads. A PCG64 double
+    is one 64-bit output, so advancing by 2 n skips n points."""
+    mean = poisson_mean(window, intensity)
+    for _ in range(size):
+        rng.bit_generator.advance(2 * int(rng.poisson(mean, 1)[0]))
 
 
 def sample_poisson(window: Window, intensity: float, seed) -> Configuration:

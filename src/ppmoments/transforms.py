@@ -33,11 +33,13 @@ import numpy as np
 
 from .combinatorics import falling_factorial
 from .difference_ops import _covers_vanish
+from .finite_model import _map
 from .montecarlo import (
     Window,
     _batch_of,
     _frozensets,
     _poisson_batch,
+    _skip_poisson,
     config_floats,
     mean_and_se,
     target_check,
@@ -608,14 +610,38 @@ def _transformed_counts(spec, window, intensity, regions, n_replicates, seed):
 
     Replicates are drawn one after another from one stream, each as a block
     of one (`montecarlo._poisson_batch`), and mapped and counted _BLOCK at a
-    time; the counts do not depend on the grouping.
+    time; the counts do not depend on the grouping. The blocks are shared
+    between this process and forked children by `finite_model._map`, which
+    returns their counts in block order: this process walks the stream once,
+    recording its state at the start of each block (`_block_states`), and
+    the worker of a block redraws the block's replicates from that state. So
+    the counts are byte-identical for every process count, and an error is
+    the one the serial loop would raise.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = np.zeros((n_replicates, len(regions)), dtype=np.int64)
-    for start in range(0, n_replicates, _BLOCK):
-        size = min(_BLOCK, n_replicates - start)
+
+    def block_counts(block):
+        state, size = block
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = state
         xs, ys, _ = _poisson_batch(window, intensity, [(rng, 1)] * size)
         x, y = _tau(spec.rotation_offset, xs, ys, xs, ys)
-        for index, region in enumerate(regions):
-            counts[start : start + size, index] = np.count_nonzero(region.contains(x, y), axis=1)
-    return counts
+        return np.stack(
+            [np.count_nonzero(region.contains(x, y), axis=1) for region in regions], axis=1
+        )
+
+    blocks = _block_states(window, intensity, n_replicates, seed)
+    # the empty first entry keeps a call without replicates valid
+    return np.concatenate([np.zeros((0, len(regions)), np.int64), *_map(block_counts, blocks)])
+
+
+def _block_states(window, intensity, n_replicates, seed) -> list:
+    """(state, size) of each block of _BLOCK replicates: the state of the
+    suite's stream, SeedSequence(seed), where the block's first replicate
+    starts. The walk keeps no points (`montecarlo._skip_poisson`)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    blocks = []
+    for start in range(0, n_replicates, _BLOCK):
+        size = min(_BLOCK, n_replicates - start)
+        blocks.append((rng.bit_generator.state, size))
+        _skip_poisson(window, intensity, rng, size)
+    return blocks

@@ -272,6 +272,82 @@ def test_an_instance_error_ends_the_report_where_the_serial_run_does(
     assert sorted({r["instance"] for r in records[:-1]}) == list(range(first))
 
 
+@pytest.mark.parametrize(
+    "suite,seed,instances",
+    [(suite, seed, instances) for suite in ("transform-invariance", "rho-tau")
+     for seed in (1, 17) for instances in (100, 33)]
+    + [("transform-invariance", 1, transforms._BLOCK), ("rho-tau", 1, transforms._BLOCK)],
+)
+def test_transform_suites_are_byte_identical_for_every_process_count(
+    processes, forks, suite, seed, instances
+):
+    reports = []
+    for count in (1, 2, 3):
+        processes(count)
+        before = len(forks)
+        status, lines = run_to_lines(suite, seed, instances)
+        reports.append((status, _without_timestamp(lines)))
+        # the suite's one _transformed_counts call forks one child per
+        # further process, at most one per further block of replicates
+        blocks = -(-instances // transforms._BLOCK)
+        assert len(forks) - before == min(count, blocks) - 1
+        assert_no_children()
+    assert reports[0][0] in (EXIT_PASS, EXIT_GATE_FAILURE)
+    assert reports[0] == reports[1] == reports[2]
+
+
+def _failing_blocks(monkeypatch, processes, suite, failing):
+    """Make transforms._tau raise at the blocks of replicates listed in
+    failing, which a serial run tells apart by their points."""
+    tau = transforms._tau
+    keys = []
+
+    def recording(offset, xs, ys, x, y):
+        keys.append(xs.tobytes())
+        return tau(offset, xs, ys, x, y)
+
+    processes(1)
+    monkeypatch.setattr(transforms, "_tau", recording)
+    run_to_lines(suite, 1, 130)
+    blocks = {keys[block]: block for block in failing}
+
+    def failing_tau(offset, xs, ys, x, y):
+        block = blocks.get(xs.tobytes())
+        if block is not None:
+            raise ValueError(f"block {block} fails")
+        return tau(offset, xs, ys, x, y)
+
+    monkeypatch.setattr(transforms, "_tau", failing_tau)
+
+
+@pytest.mark.parametrize("suite", ["transform-invariance", "rho-tau"])
+@pytest.mark.parametrize(
+    "failing,first",
+    # with 2 processes, blocks 0 and 2 are this process's and 1 and 3 a
+    # child's; with 3, blocks 1 and 2 are children's and 3 this process's
+    [({1, 2}, 1), ({2, 3}, 2)],
+    ids=["child-block-first", "own-block-first"],
+)
+def test_a_block_error_ends_the_transform_report_as_the_serial_run_does(
+    processes, monkeypatch, capfd, suite, failing, first
+):
+    _failing_blocks(monkeypatch, processes, suite, failing)
+    argv = ["run", "--suite", suite, "--seed", "1", "--instances", "130"]
+    reports = []
+    for count in (1, 2, 3):
+        processes(count)
+        assert main(argv) == EXIT_VALIDATION_ERROR
+        assert_no_children()
+        out, err = capfd.readouterr()
+        assert err == ""
+        reports.append(_without_timestamp(out.splitlines()))
+    assert reports[0] == reports[1] == reports[2]
+    # the header, then the error: no record comes before the counts
+    assert [json.loads(line) for line in reports[0][1:]] == [
+        {"record": "error", "message": f"block {first} fails"}
+    ]
+
+
 def test_suite_config_validation():
     with pytest.raises(ValueError):
         SuiteConfig.from_dict({"suite": "unknown", "seed": 1})
@@ -352,6 +428,11 @@ _OUT_OF_RANGE = [
     ("ddd0", "l_max", 9),
     ("ddd0", "lemma_count", -3),
     ("transform-invariance", "condition_instances", -1),
+    # a Poisson intensity that is not positive
+    ("mc-poisson", "intensity", 0),
+    ("mc-poisson", "intensity", -1),
+    ("transform-invariance", "intensity", 0),
+    ("rho-tau", "intensity", 0),
     # orders above identities.MAX_IDENTITY_ORDER; a joint instance draws
     # two orders of at least 1
     ("exact-factorial", "n_max", 5),

@@ -3,7 +3,7 @@
 import math
 import warnings
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -39,6 +39,8 @@ from ppmoments.transforms import (
     rho_tau_check,
     verify_transform_condition,
 )
+
+from conftest import assert_no_children
 
 BIG_WINDOW = Window(-1.2, 1.2, -1.2, 1.2)
 SQUARE = frozenset([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
@@ -292,7 +294,7 @@ def _reference_counts(offset, window, intensity, regions, n_replicates, seed):
     return counts
 
 
-def test_block_counts_equal_the_per_replicate_reference(monkeypatch):
+def test_block_counts_equal_the_per_replicate_reference(monkeypatch, processes, forks):
     window = Window(-1.05, 1.05, -1.05, 1.05)
     invariance_regions = [
         Box(-0.6, -0.2, -0.2, 0.2), Box(0.2, 0.6, -0.2, 0.2), Disk(0.0, 0.45, 0.15)
@@ -308,12 +310,17 @@ def test_block_counts_equal_the_per_replicate_reference(monkeypatch):
         for offset, intensity, regions in ((0.37, 40.0, invariance_regions),
                                            (0.37, 30.0, grid), (0.0, 30.0, grid)):
             expected = _reference_counts(offset, window, intensity, regions, 130, seed)
-            for block in (1, 7, _BLOCK):
+            for block, count in product((1, 7, _BLOCK), (1, 2, 3)):
                 monkeypatch.setattr(transforms, "_BLOCK", block)
+                processes(count)
+                before = len(forks)
                 counts = _transformed_counts(
                     TransformSpec(offset), window, intensity, regions, 130, seed
                 )
-                assert np.array_equal(counts, expected), (seed, offset, block)
+                assert np.array_equal(counts, expected), (seed, offset, block, count)
+                # one child per further process, at most one per further block
+                assert len(forks) - before == min(count, -(-130 // block)) - 1
+                assert_no_children()
 
 
 def test_padding_is_inert_on_rows_of_any_length():
