@@ -35,9 +35,9 @@ sums, and they are added in block order, so every result is byte-identical
 for every process count. Callables must be pure, since whatever a callable
 changes in a child is lost with it. Without os.fork, and inside such a
 child, the blocks run serially. The map (_map) has three users: these
-sums, the instances of the CLI's exact suites, and the replicate blocks of
-the transform suites (transforms._transformed_counts), whose workers
-redraw their blocks from the recorded states of the suite's one stream.
+sums, the instances of the CLI's exact suites, and the row blocks of the
+transform suites (transforms._transformed_counts), whose children inherit
+the drawn batch of one block stream and draw nothing.
 Python 3.12 and later warn on os.fork in a multi-threaded process: numpy's
 OpenBLAS starts threads, and a child makes no BLAS call.
 

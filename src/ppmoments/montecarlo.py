@@ -40,7 +40,9 @@ calls: every block can be drawn alone, and the Strauss chains of all blocks
 of a call (all replicates of sample_many, both sides of an estimator, or
 all sides of the mc-identity experiments that share (model, n_samples,
 n_steps)) advance together in lockstep without reading each other's
-streams.
+streams. This is the one stream layout of the Monte Carlo suites: the
+transform suites push forward the replicates of sample_batch, one block
+stream at a time (`transforms._transformed_counts`).
 """
 
 from __future__ import annotations
@@ -272,16 +274,6 @@ def _poisson_batch(window: Window, intensity: float, blocks: Sequence) -> Batch:
     # rebinding drops the per-block arrays before the batch is filled
     points = np.concatenate(points)
     return _batch_from(np.concatenate(counts), points)
-
-
-def _skip_poisson(window: Window, intensity: float, rng: np.random.Generator, size: int):
-    """Advance rng past the draws of _poisson_batch(window, intensity,
-    [(rng, 1)] * size) without making the points: per replicate, its count,
-    then the two uniforms per point that sample_points reads. A PCG64 double
-    is one 64-bit output, so advancing by 2 n skips n points."""
-    mean = poisson_mean(window, intensity)
-    for _ in range(size):
-        rng.bit_generator.advance(2 * int(rng.poisson(mean, 1)[0]))
 
 
 def sample_poisson(window: Window, intensity: float, seed) -> Configuration:

@@ -37,9 +37,9 @@ from .finite_model import _map
 from .montecarlo import (
     Window,
     _batch_of,
+    _block_streams,
     _frozensets,
     _poisson_batch,
-    _skip_poisson,
     config_floats,
     mean_and_se,
     target_check,
@@ -608,40 +608,29 @@ def _validate_geometry(window: Window, regions: Sequence[Region]):
 def _transformed_counts(spec, window, intensity, regions, n_replicates, seed):
     """Counts of the pushed-forward Poisson sample in each region.
 
-    Replicates are drawn one after another from one stream, each as a block
-    of one (`montecarlo._poisson_batch`), and mapped and counted _BLOCK at a
-    time; the counts do not depend on the grouping. The blocks are shared
-    between this process and forked children by `finite_model._map`, which
-    returns their counts in block order: this process walks the stream once,
-    recording its state at the start of each block (`_block_states`), and
-    the worker of a block redraws the block's replicates from that state. So
-    the counts are byte-identical for every process count, and an error is
-    the one the serial loop would raise.
+    The replicates are those of `montecarlo.sample_batch`: each block stream
+    of seed (`montecarlo._block_streams`) is drawn as one batch, and its rows
+    are mapped and counted _BLOCK at a time; the counts do not depend on that
+    grouping. `finite_model._map` shares the row blocks of a batch between
+    this process and forked children, which inherit the batch, and returns
+    their counts in block order. So the counts are byte-identical for every
+    process count, and an error is the one the serial loop would raise.
     """
 
-    def block_counts(block):
-        state, size = block
-        rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = state
-        xs, ys, _ = _poisson_batch(window, intensity, [(rng, 1)] * size)
-        x, y = _tau(spec.rotation_offset, xs, ys, xs, ys)
+    def block_counts(rows):
+        # without the batch's padding beyond the block's longest row
+        bx, by = xs[rows, :n[rows].max()], ys[rows, :n[rows].max()]
+        x, y = _tau(spec.rotation_offset, bx, by, bx, by)
         return np.stack(
             [np.count_nonzero(region.contains(x, y), axis=1) for region in regions], axis=1
         )
 
-    blocks = _block_states(window, intensity, n_replicates, seed)
     # the empty first entry keeps a call without replicates valid
-    return np.concatenate([np.zeros((0, len(regions)), np.int64), *_map(block_counts, blocks)])
-
-
-def _block_states(window, intensity, n_replicates, seed) -> list:
-    """(state, size) of each block of _BLOCK replicates: the state of the
-    suite's stream, SeedSequence(seed), where the block's first replicate
-    starts. The walk keeps no points (`montecarlo._skip_poisson`)."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    blocks = []
-    for start in range(0, n_replicates, _BLOCK):
-        size = min(_BLOCK, n_replicates - start)
-        blocks.append((rng.bit_generator.state, size))
-        _skip_poisson(window, intensity, rng, size)
-    return blocks
+    counts = [np.zeros((0, len(regions)), np.int64)]
+    for stream in _block_streams(seed, n_replicates):
+        xs, ys, n = _poisson_batch(window, intensity, [stream])
+        counts += _map(block_counts, [slice(first, first + _BLOCK)
+                                      for first in range(0, len(xs), _BLOCK)])
+        # one stream block's batch at a time: drop it before the next is drawn
+        del xs, ys, n
+    return np.concatenate(counts)

@@ -2,14 +2,19 @@
 
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from ppmoments import cli, transforms
+from ppmoments import cli, montecarlo, transforms
 from ppmoments.montecarlo import (
+    P_GATE,
+    Z_GATE,
+    PoissonModel,
     StraussModel,
     Window,
     _batch,
@@ -17,6 +22,7 @@ from ppmoments.montecarlo import (
     _neighbours,
     _strauss_chains,
     compound_papangelou,
+    sample_many,
     sample_poisson,
 )
 from ppmoments.transforms import (
@@ -282,12 +288,12 @@ def test_prefilter_never_changes_a_hull():
 
 
 def _reference_counts(offset, window, intensity, regions, n_replicates, seed):
-    """The replicate counts, one replicate at a time through hull_frame."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    """The replicate counts, each replicate of sample_many through hull_frame."""
     counts = np.zeros((n_replicates, len(regions)), dtype=np.int64)
-    for rep in range(n_replicates):
-        points = _poisson_points(window, intensity, rng)
-        frame = hull_frame(map(tuple, points.tolist()))
+    samples = sample_many(PoissonModel(window, intensity), n_replicates, seed)
+    for rep, sample in enumerate(samples):
+        points = np.array(sorted(sample)).reshape(-1, 2)
+        frame = hull_frame(sample)
         if frame is not None and offset != 0.0:
             points = frame.rotate(offset, points)
         counts[rep] = [np.count_nonzero(region.contains(*points.T)) for region in regions]
@@ -305,7 +311,20 @@ def test_block_counts_equal_the_per_replicate_reference(monkeypatch, processes, 
         for i in range(3)
         for j in range(3)
     ]
-    # 130 replicates: full blocks and a partial one at every block size
+    # 130 replicates in stream blocks of 50, 50 and 30: full row blocks and
+    # a partial one at every row block size
+    monkeypatch.setattr(montecarlo, "BLOCK_REPLICATES", 50)
+    stream_blocks = (50, 50, 30)
+    # the forks of each _map call, one call per stream block
+    map_forks = []
+    share = transforms._map
+
+    def counting_map(function, items):
+        before = len(forks)
+        yield from share(function, items)
+        map_forks.append(len(forks) - before)
+
+    monkeypatch.setattr(transforms, "_map", counting_map)
     for seed in (1, 17, 9001):
         for offset, intensity, regions in ((0.37, 40.0, invariance_regions),
                                            (0.37, 30.0, grid), (0.0, 30.0, grid)):
@@ -313,13 +332,15 @@ def test_block_counts_equal_the_per_replicate_reference(monkeypatch, processes, 
             for block, count in product((1, 7, _BLOCK), (1, 2, 3)):
                 monkeypatch.setattr(transforms, "_BLOCK", block)
                 processes(count)
-                before = len(forks)
+                map_forks.clear()
                 counts = _transformed_counts(
                     TransformSpec(offset), window, intensity, regions, 130, seed
                 )
                 assert np.array_equal(counts, expected), (seed, offset, block, count)
-                # one child per further process, at most one per further block
-                assert len(forks) - before == min(count, -(-130 // block)) - 1
+                # per stream block, one child per further process, at most
+                # one per further row block
+                assert map_forks == [min(count, -(-size // block)) - 1
+                                     for size in stream_blocks]
                 assert_no_children()
 
 
@@ -586,32 +607,86 @@ def test_poisson_count_gof_calibration():
     assert p_bad < 1e-6
 
 
-def gate_failures(rows: dict) -> list:
-    """The rows of a transform suite's result that fail their cli gate."""
-    return [row for group in rows.values() for row in group if not cli._gated(row)["passed"]]
+# seeds of a seeded statistical test: its first seed and the ones after it
+SEED_COUNT = 10
+# the chance that a seeded statistical test fails when every gate fails
+# independently at its nominal rate
+SEEDED_ALPHA = 1e-3
+NOMINAL_RATE = {P_GATE: P_GATE, Z_GATE: math.erfc(Z_GATE / math.sqrt(2.0))}
+DISK_WINDOW = Window(-1.05, 1.05, -1.05, 1.05)
+INVARIANCE_REGIONS = [
+    Box(-0.6, -0.2, -0.2, 0.2),
+    Box(0.2, 0.6, -0.2, 0.2),
+    Box(-0.2, 0.2, 0.3, 0.62),
+]
+
+
+def failure_bound(gates: Counter) -> int:
+    """The smallest k with P(X > k) <= SEEDED_ALPHA, for X the failures of
+    gates[gate] gates of each gate, each failing independently at its
+    nominal rate."""
+    pmf = np.ones(1)
+    for gate, trials in gates.items():
+        pmf = np.convolve(pmf, stats.binom.pmf(np.arange(trials + 1), trials, NOMINAL_RATE[gate]))
+    bound = 0
+    while 1.0 - pmf[:bound + 1].sum() > SEEDED_ALPHA:
+        bound += 1
+    return bound
+
+
+def seeded_gate_failures(suite, first_seed: int) -> tuple[list, int, dict]:
+    """The (seed, row) of every row of suite(seed) that fails its cli gate,
+    over SEED_COUNT seeds from first_seed on; the failure_bound of all the
+    rows' gates; and the rows of first_seed."""
+    gates, failures, results = Counter(), [], []
+    for seed in range(first_seed, first_seed + SEED_COUNT):
+        results.append(suite(seed))
+        for row in (row for group in results[-1].values() for row in group):
+            gated = cli._gated(row)
+            gates[gated["gate"]] += 1
+            if not gated["passed"]:
+                failures.append((seed, row))
+    return failures, failure_bound(gates), results[0]
+
+
+def rotated_invariance(seed: int) -> dict:
+    return invariance_suite(
+        TransformSpec(0.37), DISK_WINDOW, 40.0, INVARIANCE_REGIONS, 2000, seed
+    )
+
+
+def rotated_rho_tau(seed: int) -> dict:
+    return rho_tau_check(TransformSpec(0.37), DISK_WINDOW, 25.0, 1200, seed)
+
+
+def test_failure_bound_follows_the_nominal_rates():
+    assert failure_bound(Counter()) == 0
+    # one gate: the binomial tail
+    for gate, trials in ((P_GATE, 3000), (Z_GATE, 450)):
+        bound = failure_bound(Counter({gate: trials}))
+        rate = NOMINAL_RATE[gate]
+        assert stats.binom.sf(bound, trials, rate) <= SEEDED_ALPHA
+        assert stats.binom.sf(bound - 1, trials, rate) > SEEDED_ALPHA
+    # both gates, as in rotated_invariance over its seeds: 30 p gates and
+    # 120 z gates give P(X > 0) = 0.037 and P(X > 1) = 7e-4
+    assert failure_bound(Counter({P_GATE: 30, Z_GATE: 120})) == 1
 
 
 def test_invariance_suite_offset_zero_matches_poisson_exactly():
-    regions = [Box(-0.6, -0.2, -0.2, 0.2), Box(0.2, 0.6, -0.2, 0.2)]
-    rows = invariance_suite(
-        TransformSpec(0.0), Window(-1.05, 1.05, -1.05, 1.05), 30.0, regions, 800, 5
+    regions = INVARIANCE_REGIONS[:2]
+    failures, bound, rows = seeded_gate_failures(
+        lambda seed: invariance_suite(TransformSpec(0.0), DISK_WINDOW, 30.0, regions, 800, seed),
+        5,
     )
-    assert not gate_failures(rows)
+    assert len(failures) <= bound, failures
     assert [(kind, len(group)) for kind, group in rows.items()] == [
         ("gof", 2), ("covariance", 1), ("moment", 6)
     ]
 
 
 def test_invariance_suite_rotated_counts_stay_poisson():
-    regions = [
-        Box(-0.6, -0.2, -0.2, 0.2),
-        Box(0.2, 0.6, -0.2, 0.2),
-        Box(-0.2, 0.2, 0.3, 0.62),
-    ]
-    rows = invariance_suite(
-        TransformSpec(0.37), Window(-1.05, 1.05, -1.05, 1.05), 40.0, regions, 2000, 17
-    )
-    assert not gate_failures(rows), rows
+    failures, bound, _ = seeded_gate_failures(rotated_invariance, 17)
+    assert len(failures) <= bound, failures
 
 
 def test_invariance_suite_geometry_validation():
@@ -630,17 +705,42 @@ def test_invariance_suite_geometry_validation():
 
 
 def test_rho_tau_check_constant_correlation():
-    rows = rho_tau_check(
-        TransformSpec(0.37), Window(-1.05, 1.05, -1.05, 1.05), 25.0, 1200, 19
-    )
-    assert not gate_failures(rows), rows
+    failures, bound, rows = seeded_gate_failures(rotated_rho_tau, 19)
+    assert len(failures) <= bound, failures
     assert [(name, len(group)) for name, group in rows.items()] == [
         ("rho-tau-first", 9), ("rho-tau-second", 36)
     ]
 
 
 def test_rho_tau_offset_zero_baseline():
-    rows = rho_tau_check(
-        TransformSpec(0.0), Window(-1.05, 1.05, -1.05, 1.05), 20.0, 600, 23, grid_size=2
+    failures, bound, _ = seeded_gate_failures(
+        lambda seed: rho_tau_check(TransformSpec(0.0), DISK_WINDOW, 20.0, 600, seed, grid_size=2),
+        23,
     )
-    assert not gate_failures(rows)
+    assert len(failures) <= bound, failures
+
+
+_rotate = transforms._Frames.rotate
+
+
+def _keep_distance(frames, offset, x, y):
+    """The star rotation, but each moved point keeps its distance from the
+    anchor: the rescale rho' = rho R(phi')/R(phi) that preserves area is
+    skipped."""
+    new_x, new_y = _rotate(frames, offset, x, y)
+    moved = (new_x != x) | (new_y != y)
+    ax, ay = frames.anchor[:, :1], frames.anchor[:, 1:]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.hypot(x - ax, y - ay) / np.hypot(new_x - ax, new_y - ay)
+    return (np.where(moved, ax + scale * (new_x - ax), new_x),
+            np.where(moved, ay + scale * (new_y - ay), new_y))
+
+
+@pytest.mark.parametrize(
+    "suite,first_seed", [(rotated_invariance, 17), (rotated_rho_tau, 19)],
+    ids=["invariance", "rho-tau"],
+)
+def test_seeded_gates_fail_on_a_map_that_skips_the_area_rescale(monkeypatch, suite, first_seed):
+    monkeypatch.setattr(transforms._Frames, "rotate", _keep_distance)
+    failures, bound, _ = seeded_gate_failures(suite, first_seed)
+    assert len(failures) > bound
