@@ -180,8 +180,12 @@ def _count(params: dict, name: str, default: int, low: int, high: int | None = N
     return value
 
 
+# json.dumps(record, sort_keys=True) with the encoder built once, not per record
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(stream, record: dict):
-    stream.write(json.dumps(record, sort_keys=True) + "\n")
+    stream.write(_ENCODER.encode(record) + "\n")
 
 
 def _identity_record(report: IdentityReport, instance: int, gate: float) -> dict:

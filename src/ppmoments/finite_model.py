@@ -19,12 +19,16 @@ callable. The log-density is evaluated once per configuration at
 construction; functionals and kernels are evaluated once per support
 configuration (positive density), kernels only at the sites of the
 configuration. Expectations and identity sides are array expressions over
-those tables, added with math.fsum. Frozensets are built only while a table
-is filled and none is kept: there is no configuration cache. The kernels of
-one GNZ call share one table of (configuration, site) pairs per block of the
-support, built once for all of them and dropped after the block. The
-hereditary check is exhaustive at every size whenever some configuration is
-forbidden (a density positive everywhere is hereditary).
+those tables, added exactly (_fsum): each sum is the exact sum of its terms
+rounded once, equal to math.fsum's bit for bit. Arrays of fewer than
+_EXACT_MIN = 1024 values go through math.fsum itself, longer ones through
+exponent buckets (np.frexp, np.bincount) joined in Python ints; the short
+lists of block partials keep math.fsum. Frozensets are built only while a
+table is filled and none is kept: there is no configuration cache. The
+kernels of one GNZ call share one table of (configuration, site) pairs per
+block of the support, built once for all of them and dropped after the
+block. The hereditary check is exhaustive at every size whenever some
+configuration is forbidden (a density positive everywhere is hereditary).
 
 Sums that call a callable per configuration (expectation, gnz_residuals)
 run over blocks of _BLOCK support configurations, and with two or more
@@ -74,6 +78,11 @@ Kernel = Callable[[object, Configuration], float]
 MAX_SITES = 22
 # configurations per block of a chunked sum: bounds the temporaries at large m
 _BLOCK = 1 << 14
+# _fsum leaves arrays shorter than this to math.fsum, which is faster there
+_EXACT_MIN = 1 << 10
+# values per chunk of _fsum's exact sum: a bucket then adds at most 2**15
+# mantissa halves below 2**27, so its float64 partials stay exact
+_EXACT_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -339,8 +348,54 @@ class FiniteModel:
 
 
 def _fsum(values: np.ndarray) -> float:
-    # iterating a buffer's floats skips building a list of them
-    return math.fsum(memoryview(values.ravel()))
+    """math.fsum of an array's values: their exact sum, rounded once.
+
+    From _EXACT_MIN values on, the exact sum is formed without math.fsum's
+    loop over the values. Per chunk of at most _EXACT_CHUNK values, np.frexp
+    writes each value as a 53-bit integer mantissa times 2**(exponent - 53);
+    one np.bincount per half of the mantissas adds them per exponent,
+    exactly in float64 (a bucket stays below 2**42); Python ints join the
+    buckets, and one int division rounds the total half-even, as math.fsum
+    rounds it. math.fsum itself adds shorter arrays (where it is faster),
+    non-finite values, values large enough that its partial sums could
+    overflow (so that its OverflowError stays), and values whose sum is
+    exactly zero (so that its sign of zero stays).
+    """
+    flat = values.ravel()
+    size = len(flat)
+    if size < _EXACT_MIN:
+        # iterating a buffer's floats skips building a list of them
+        return math.fsum(memoryview(flat))
+    total = 0
+    for start in range(0, size, _EXACT_CHUNK):
+        mantissas, exponents = np.frexp(flat[start : start + _EXACT_CHUNK])
+        low = int(exponents.min())
+        # each below 2**(1023 - bit_length), no sum of values reaches 2**1023
+        if exponents.max() + size.bit_length() > 1023:
+            return math.fsum(memoryview(flat))
+        # np.bincount would convert a narrower index for each call
+        index = np.subtract(exponents, low, dtype=np.intp)
+        # the high 27 of the 53 mantissa bits as integers, then the low 26
+        # as fractions; in place, which saves two temporaries
+        mantissas *= 2.0**27
+        high_bits = np.trunc(mantissas)
+        tops = np.bincount(index, high_bits)
+        # an inf or nan value leaves an inf or nan among the buckets
+        if not math.isfinite(tops.sum()):
+            return math.fsum(memoryview(flat))
+        mantissas -= high_bits
+        rests = np.bincount(index, mantissas)
+        rests *= 2.0**26
+        chunk = 0
+        for shift, (high, rest) in enumerate(zip(tops.tolist(), rests.tolist())):
+            if high or rest:
+                chunk += ((int(high) << 26) + int(rest)) << shift
+        # a value is an integer times 2**(exponent - 53), and exponents
+        # start at -1073 (the least subnormal is 0.5 * 2**-1073)
+        total += chunk << (low + 1073)
+    if not total:
+        return math.fsum(memoryview(flat))
+    return total / (1 << 1126)
 
 
 def _blocks(masks: np.ndarray):

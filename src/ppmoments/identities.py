@@ -15,7 +15,10 @@ Both sides are array expressions over the model's bitmask tables (see
 finite_model), so every functional, kernel and region is called once per
 configuration. Each right-side term w(t) P(omega) chat(t, omega)
 integrand(omega u t) is formed separately, in (tuple x configuration)
-blocks of bounded size, and all terms are added with math.fsum.
+blocks of bounded size, and all terms are added exactly: each block's sum
+and the sum of the block partials are the exact sums rounded once, equal to
+math.fsum's bit for bit (finite_model._fsum, which leaves arrays of fewer
+than 1024 values to math.fsum itself).
 """
 
 from __future__ import annotations

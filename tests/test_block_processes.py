@@ -2,13 +2,15 @@
 children: the same sums for every process count, the serial loop's results
 and exception, no child left behind."""
 
+import math
 import os
 
 import numpy as np
 import pytest
 
-from ppmoments import finite_model
+from ppmoments import finite_model, identities
 from ppmoments.finite_model import FiniteModel, GroundSpace, pairwise_log_density
+from ppmoments.identities import factorial_moment_identity
 from ppmoments.instances import _by_parity
 
 from conftest import assert_no_children
@@ -34,7 +36,9 @@ def _block_count(model):
     ],
     ids=["pairwise-full-support", "hard-core-two-blocks", "hard-core-one-block", "m17-eight-blocks"],
 )
-def test_sums_are_equal_for_every_process_count(processes, forks, capfd, m, gamma, pairs, blocks):
+def test_sums_are_equal_for_every_process_count(
+    processes, forks, capfd, monkeypatch, m, gamma, pairs, blocks
+):
     model, rng = _model(m, gamma, pairs)
     assert _block_count(model) == blocks
     site_term = [float(v) for v in rng.uniform(-1, 1, m)]
@@ -45,16 +49,34 @@ def test_sums_are_equal_for_every_process_count(processes, forks, capfd, m, gamm
         frozenset(int(x) for x in rng.choice(m, 5, replace=False)),
     )
     functional = lambda cfg: sum(site_term[x] for x in cfg) - 0.3 * len(cfg) ** 2
+    small, _ = _model(11, gamma, [(0, 1), (2, 7), (3, 10)])
+    region = lambda x, cfg: (x + len(cfg)) % 3 != 0
+
+    def sums():
+        factorial = factorial_moment_identity(small, functional, region, 4)
+        return (
+            FiniteModel(model.space, model.log_density).partition_constant,
+            model.gnz_residuals([scalar, array]),
+            model.expectation(functional),
+            (factorial.lhs, factorial.rhs),
+        )
+
     results = []
     for count in (1, 2, 3):
         processes(count)
         before = len(forks)
-        results.append((model.gnz_residuals([scalar, array]), model.expectation(functional)))
+        results.append(sums())
         # one child per further process, at most one per further block,
         # for each of the two calls
         assert len(forks) - before == 2 * (min(count, blocks) - 1)
         assert_no_children()
     assert results[0] == results[1] == results[2]
+    # the exact sums equal math.fsum's loop over the values, bit for bit
+    fsum_loop = lambda values: math.fsum(memoryview(values.ravel()))
+    monkeypatch.setattr(finite_model, "_fsum", fsum_loop)
+    monkeypatch.setattr(identities, "_fsum", fsum_loop)
+    processes(1)
+    assert sums() == results[0]
     assert capfd.readouterr() == ("", "")
 
 

@@ -6,7 +6,10 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ppmoments import finite_model
 from ppmoments.finite_model import (
     FiniteModel,
     GroundSpace,
@@ -332,3 +335,58 @@ def test_gnz_kernel_called_once_per_site_and_configuration():
     assert len(calls) == m * 2 ** (m - 1)
     assert len(set(calls)) == len(calls)
     assert all(x in cfg for x, cfg in calls)
+
+
+# finite floats of every binary exponent from -1074 (the subnormals) to 1000
+_finite = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1000))
+
+
+@st.composite
+def _cancelling(draw):
+    """Finite floats, some of them negated copies of others, shuffled."""
+    values = draw(st.lists(_finite, max_size=70))
+    copies = draw(st.lists(st.sampled_from(values), max_size=len(values))) if values else []
+    return draw(st.permutations(values + [-v for v in copies]))
+
+
+def _fsum_outcome(values):
+    """(math.fsum(values).hex(), finite_model._fsum(array).hex()), with an
+    exception as its type, under a cutoff of 8 and chunks of 16 values: the
+    lengths drawn then reach both sides of the cutoff and several chunks."""
+    outcomes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(finite_model, "_EXACT_MIN", 8)
+        patch.setattr(finite_model, "_EXACT_CHUNK", 16)
+        for add, data in ((math.fsum, values), (finite_model._fsum, np.array(values, float))):
+            try:
+                outcomes.append(add(data).hex())
+            except (ValueError, OverflowError) as exc:
+                outcomes.append(type(exc))
+    return outcomes
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=_cancelling())
+@example(values=[-0.0] * 20)
+@example(values=[1.0, -1.0] * 10 + [-0.0])
+@example(values=[5e-324] * 40 + [-5e-324] * 3)
+@example(values=[1.0] + [2.0**-53] * 17)
+def test_exact_sum_equals_math_fsum_bit_for_bit(values):
+    # hex() tells -0.0 from 0.0
+    fsum, exact = _fsum_outcome(values)
+    assert exact == fsum
+
+
+_extreme = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 2.0**1020, -(2.0**1023), 1.7976931348623157e308]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(), _extreme), max_size=70))
+@example(values=[math.inf, -math.inf] + [1.0] * 10)
+@example(values=[1e308, 1e308, -1e308] + [0.0] * 10)
+@example(values=[1.7976931348623157e308] * 2 + [-1.0] * 10)
+def test_exact_sum_follows_math_fsum_on_nan_inf_and_overflow(values):
+    fsum, exact = _fsum_outcome(values)
+    assert exact == fsum
