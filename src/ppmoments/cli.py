@@ -10,13 +10,13 @@ A report stream starts with one header record carrying the version, a hash
 of the effective configuration and a timestamp (the only nondeterministic
 field, quarantined there so report bodies diff cleanly), followed by one
 record per instance and a closing summary record. The exit status is 0 when
-every gate passes, 1 on gate failure, 2 on config parse errors and 3 on
-validation errors. Validation errors include a config key or suite parameter
-the suite does not read, an mc-identity experiment list next to the
-parameters it replaces, an instance count below 1 and a negative seed; these
-exit before the header is written. A malformed or out-of-range suite
-parameter exits after the header, with an error record and before any
-other record.
+every gate passes, 1 on gate failure, 2 on config parse errors or an --out
+path that cannot be opened, and 3 on validation errors. Validation errors
+include a config key or suite parameter the suite does not read, an
+mc-identity experiment list next to the parameters it replaces, an instance
+count below 1 and a negative seed; these exit before the header is written.
+A malformed or out-of-range suite parameter exits after the header, with an
+error record and before any other record.
 
 SUITES is the registry: per suite the runner, the one-line summary that
 list-suites prints, the statement that explain prints and the parameter
@@ -44,7 +44,7 @@ from .combinatorics import (
     stirling_reindex_gap,
 )
 from .difference_ops import diff, diff_multi, product_expansion_gap
-from .finite_model import _map, load_model
+from .finite_model import load_model
 from .identities import (
     MAX_IDENTITY_ORDER,
     IdentityReport,
@@ -79,6 +79,7 @@ from .montecarlo import (
     z_score,
     z_value,
 )
+from .parallel import _map
 from .transforms import (
     TransformSpec,
     invariance_suite,
@@ -253,11 +254,8 @@ def _exact_suite(
     parameter replaces each generated model by the model that file
     describes, loaded once; the instances are then drawn at its site count.
 
-    The instances run in chunks of _INSTANCE_CHUNK, each shared between
-    this process and forked children by finite_model._map, so the records
-    come out in instance order, byte-identical for every process count, and
-    an error ends them where the serial loop would. A chunk's records are
-    yielded before the next chunk starts.
+    The instances run through parallel._map in chunks of _INSTANCE_CHUNK,
+    and a chunk's records are yielded before the next chunk starts.
     """
     ranges = {"m_max": (m_min, MAX_INSTANCE_SITES), "n_max": n_range}
 
@@ -855,7 +853,12 @@ def main(argv=None) -> int:
 
     if args.out is None:
         return run_suite(config, sys.stdout)
-    with open(args.out, "w", encoding="utf-8") as handle:
+    try:
+        handle = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    with handle:
         return run_suite(config, handle)
 
 

@@ -31,19 +31,8 @@ block. The hereditary check is exhaustive at every size whenever some
 configuration is forbidden (a density positive everywhere is hereditary).
 
 Sums that call a callable per configuration (expectation, gnz_residuals)
-run over blocks of _BLOCK support configurations, and with two or more
-blocks (at least 15 sites) on two or more cores the engine forks: the
-blocks are dealt round-robin to this process and to one child per further
-core (at most one per further block), each child pipes back its partial
-sums, and they are added in block order, so every result is byte-identical
-for every process count. Callables must be pure, since whatever a callable
-changes in a child is lost with it. Without os.fork, and inside such a
-child, the blocks run serially. The map (_map) has three users: these
-sums, the instances of the CLI's exact suites, and the row blocks of the
-transform suites (transforms._transformed_counts), whose children inherit
-the drawn batch of one block stream and draw nothing.
-Python 3.12 and later warn on os.fork in a multi-threaded process: numpy's
-OpenBLAS starts threads, and a child makes no BLAS call.
+run over blocks of _BLOCK support configurations, which parallel._map
+shares between processes; the partial sums are added in block order.
 
 A callable may carry an array form, which fills a table in one call:
 
@@ -61,14 +50,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .parallel import _map
 
 Configuration = frozenset
 Functional = Callable[[Configuration], float]
@@ -259,7 +247,7 @@ class FiniteModel:
         def partial(masks):
             return _fsum(self._prob[masks] * self._values(functional, masks))
 
-        return math.fsum(_map_blocks(partial, self._support))
+        return math.fsum(_map(partial, list(_blocks(self._support))))
 
     def papangelou(self, x, config: Configuration) -> float:
         """Papangelou density c(x, omega) = q(omega u {x}) / q(omega).
@@ -327,7 +315,7 @@ class FiniteModel:
             return sides
 
         # one (lhs, rhs) column of partial sums per kernel, in block order
-        columns = zip(*_map_blocks(block_sides, self._support))
+        columns = zip(*_map(block_sides, list(_blocks(self._support))))
         return [
             (math.fsum(left for left, _ in column), math.fsum(right for _, right in column))
             for column in columns
@@ -401,119 +389,6 @@ def _fsum(values: np.ndarray) -> float:
 def _blocks(masks: np.ndarray):
     for start in range(0, len(masks), _BLOCK):
         yield masks[start : start + _BLOCK]
-
-
-def _process_count() -> int:
-    """How many processes a map may run in: the cores this process may run
-    on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# set in a forked child, where every map runs serially
-_in_child = False
-
-
-def _map_blocks(function: Callable, masks: np.ndarray) -> list:
-    """[function(block) for block in _blocks(masks)], shared as _map shares
-    its items."""
-    return list(_map(function, list(_blocks(masks))))
-
-
-def _map(function: Callable, items: Sequence):
-    """Yield function(item) for each item, in item order, with the items
-    shared between this process and forked children.
-
-    With k = min(_process_count(), len(items)) > 1, item i goes to worker
-    i mod k. Worker 0 is this process; the others are children forked at
-    the first next(), which inherit function and items and pipe back their
-    results, pickled. An item that no child returns (its function raised,
-    the child died or could not be forked) is computed here, in item order.
-    So the results and the exception are those of the serial loop: the
-    results up to the lowest-numbered item whose function raises, then its
-    exception. Every child is killed and reaped before the first result is
-    yielded. With one item, one core, no os.fork, or inside a child, it
-    runs serially.
-    """
-    workers = min(_process_count(), len(items))
-    if workers < 2 or _in_child or not hasattr(os, "fork"):
-        yield from map(function, items)
-        return
-    children = []
-    try:
-        for worker in range(1, workers):
-            child = _fork_share(function, items[worker::workers])
-            if child is None:
-                break
-            children.append(child)
-        own, failure = _share(function, items[::workers])
-        replies = [pipe.read() for _, pipe in children]
-    finally:
-        codes = [_reap(pid, pipe) for pid, pipe in children]
-    shares = [own] + [pickle.loads(reply) if code == 0 else [] for reply, code in zip(replies, codes)]
-    shares += [[]] * (workers - len(shares))
-    for index, item in enumerate(items):
-        worker, turn = index % workers, index // workers
-        if turn < len(shares[worker]):
-            yield shares[worker][turn]
-        elif worker == 0:
-            raise failure
-        else:
-            yield function(item)
-
-
-def _share(function: Callable, items: Sequence):
-    """(results, None) of function on each item, or (results before the
-    first item that raised, its exception): _map raises it only if no lower
-    item raises."""
-    results = []
-    for item in items:
-        try:
-            results.append(function(item))
-        except Exception as exc:
-            return results, exc
-    return results, None
-
-
-def _fork_share(function: Callable, items: Sequence):
-    """(pid, read end of its pipe) of a child forked to pipe back the
-    pickled results of _share(function, items), or None when fork fails.
-
-    The child ends with os._exit: it runs no cleanup of the parent's,
-    flushes none of its inherited output buffers and prints no traceback.
-    Its exit code is 0 only when all its results were written."""
-    global _in_child
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid:
-        os.close(write)
-        return pid, open(read, "rb")
-    code = 1
-    try:
-        _in_child = True
-        os.close(read)
-        data = memoryview(pickle.dumps(_share(function, items)[0]))
-        while data:
-            data = data[os.write(write, data):]
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _reap(pid: int, pipe) -> int:
-    """Close a child's pipe, kill and reap it; its exit code (minus the
-    signal number when a signal ended it)."""
-    # a child whose pipe was read to the end is already exiting, and the
-    # kill no longer changes its exit code
-    pipe.close()
-    os.kill(pid, signal.SIGKILL)
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 @lru_cache(maxsize=None)

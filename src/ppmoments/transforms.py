@@ -33,7 +33,6 @@ import numpy as np
 
 from .combinatorics import falling_factorial
 from .difference_ops import _covers_vanish
-from .finite_model import _map
 from .montecarlo import (
     Window,
     _batch_of,
@@ -45,6 +44,7 @@ from .montecarlo import (
     target_check,
     z_value,
 )
+from .parallel import _map
 
 Configuration = frozenset
 
@@ -611,10 +611,8 @@ def _transformed_counts(spec, window, intensity, regions, n_replicates, seed):
     The replicates are those of `montecarlo.sample_batch`: each block stream
     of seed (`montecarlo._block_streams`) is drawn as one batch, and its rows
     are mapped and counted _BLOCK at a time; the counts do not depend on that
-    grouping. `finite_model._map` shares the row blocks of a batch between
-    this process and forked children, which inherit the batch, and returns
-    their counts in block order. So the counts are byte-identical for every
-    process count, and an error is the one the serial loop would raise.
+    grouping. `parallel._map` shares the row blocks of a batch, and its
+    children inherit the batch.
     """
 
     def block_counts(rows):

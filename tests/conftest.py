@@ -1,18 +1,18 @@
-"""Fixtures shared by the tests of the process map (finite_model._map)."""
+"""Fixtures shared by the tests of the process map (parallel._map)."""
 
 import os
 
 import pytest
 
-from ppmoments import finite_model
+from ppmoments import parallel
 
 
 @pytest.fixture
 def processes(monkeypatch):
-    """Set the process count that the map reads."""
+    """Set the process count that parallel._map reads."""
 
     def use(count):
-        monkeypatch.setattr(finite_model, "_process_count", lambda: count)
+        monkeypatch.setattr(parallel, "_process_count", lambda: count)
 
     return use
 

@@ -1,14 +1,16 @@
 """The exact engine's blocks, and the items of any map, shared with forked
 children: the same sums for every process count, the serial loop's results
-and exception, no child left behind."""
+and exception, no child left behind, and no fork outside parallel."""
 
+import ast
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ppmoments import finite_model, identities
+from ppmoments import finite_model, identities, parallel
 from ppmoments.finite_model import FiniteModel, GroundSpace, pairwise_log_density
 from ppmoments.identities import factorial_moment_identity
 from ppmoments.instances import _by_parity
@@ -131,7 +133,7 @@ def test_a_map_yields_the_results_before_the_lowest_failing_item(processes, capf
 
     results = []
     with pytest.raises(ValueError, match="item 4 fails"):
-        for result in finite_model._map(square, range(9)):
+        for result in parallel._map(square, range(9)):
             results.append(result)
     assert results == [0, 1, 4, 9]
     assert_no_children()
@@ -147,8 +149,8 @@ def test_a_block_of_a_child_that_dies_is_computed_here(processes, capfd):
             os._exit(3)
         return int(block[0])
 
-    masks = np.arange(1 << 16)
-    assert finite_model._map_blocks(first_mask, masks) == [0, 1 << 14, 2 << 14, 3 << 14]
+    blocks = list(finite_model._blocks(np.arange(1 << 16)))
+    assert list(parallel._map(first_mask, blocks)) == [0, 1 << 14, 2 << 14, 3 << 14]
     assert_no_children()
     assert capfd.readouterr() == ("", "")
 
@@ -159,8 +161,8 @@ def test_blocks_of_a_child_that_cannot_be_forked_are_computed_here(processes, mo
 
     processes(3)
     monkeypatch.setattr(os, "fork", failing_fork)
-    masks = np.arange(1 << 16)
-    assert finite_model._map_blocks(lambda block: int(block[0]), masks) == [
+    blocks = list(finite_model._blocks(np.arange(1 << 16)))
+    assert list(parallel._map(lambda block: int(block[0]), blocks)) == [
         0, 1 << 14, 2 << 14, 3 << 14,
     ]
     assert_no_children()
@@ -168,13 +170,13 @@ def test_blocks_of_a_child_that_cannot_be_forked_are_computed_here(processes, mo
 
 def test_a_nested_map_inside_a_child_runs_serially(processes, capfd):
     processes(2)
-    masks = np.arange(1 << 15)
+    blocks = list(finite_model._blocks(np.arange(1 << 15)))
 
     def pids(block):
-        inner = finite_model._map_blocks(lambda _: os.getpid(), masks)
+        inner = list(parallel._map(lambda _: os.getpid(), blocks))
         return os.getpid(), inner
 
-    (parent, _), (child, inner) = finite_model._map_blocks(pids, masks)
+    (parent, _), (child, inner) = parallel._map(pids, blocks)
     assert parent == os.getpid() != child
     assert inner == [child, child]
     assert_no_children()
@@ -189,8 +191,45 @@ def test_runs_serially_without_fork_or_with_one_core(processes, forks, monkeypat
     assert len(forks) == 1
     processes(1)
     assert model.gnz_residual(kernel) == shared
+    # one item, as in a one-instance exact suite
+    processes(3)
+    assert list(parallel._map(lambda item: item + 1, [4])) == [5]
+    assert len(forks) == 1
     monkeypatch.delattr(os, "fork")
     processes(2)
     assert model.gnz_residual(kernel) == shared
     assert len(forks) == 1
     assert_no_children()
+
+
+def _names(tree):
+    """Every dotted name, name and imported module or name in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            yield f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_only_parallel_forks():
+    """Only parallel.py names os.fork, os._exit, pickle or signal, and
+    finite_model defines no map of its own."""
+    forbidden = {"os.fork", "os._exit", "pickle", "signal"}
+    naming = {}
+    for path in sorted(Path(parallel.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in forbidden.intersection(_names(tree)):
+            naming.setdefault(name, set()).add(path.name)
+        if path.name == "finite_model.py":
+            defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+            defined |= {
+                target.id
+                for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)
+            }
+            assert not defined & {"_map", "_map_blocks", "_process_count", "_in_child"}
+    assert naming == dict.fromkeys(forbidden, {"parallel.py"})

@@ -387,12 +387,21 @@ def test_main_seed_override(tmp_path):
     assert out_a.read_text().splitlines()[1:] != out_b.read_text().splitlines()[1:]
 
 
-def test_main_malformed_config_is_exit_2(tmp_path):
+def test_main_malformed_config_is_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["run", "--config", str(path)]) == EXIT_CONFIG_ERROR
     path.write_text(json.dumps([1, 2, 3]))
     assert main(["run", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    capsys.readouterr()
+    # an --out path that cannot be opened: a missing directory, a directory
+    for out in (tmp_path / "missing" / "r.jsonl", tmp_path):
+        run = ["run", "--suite", "exact-gnz", "--seed", "1", "--out", str(out)]
+        assert main(run) == EXIT_CONFIG_ERROR
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.startswith("cannot write report: ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_main_unknown_suite_is_exit_3():
