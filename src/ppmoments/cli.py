@@ -171,6 +171,12 @@ def _number(params: dict, name: str, default, kind):
         raise ValueError(f"{name} must be a number: {exc}") from exc
 
 
+def _optional_steps(params: dict) -> int | None:
+    """The n_steps parameter as an int, or None when it is unset: the suite
+    then runs its default steps or, when longer, the default burn-in."""
+    return _number(params, "n_steps", None, int) if "n_steps" in params else None
+
+
 def _count(params: dict, name: str, default: int, low: int, high: int | None = None) -> int:
     """_number(params, name, default, int), a ValueError unless it is at
     least low and, when high is given, at most high."""
@@ -403,8 +409,9 @@ def _run_mc_gibbs(config: SuiteConfig):
     gamma = _number(config.parameters, "gamma", 0.5, float)
     radius = _number(config.parameters, "r", 0.05, float)
     n_samples = config.instance_count or 1500
-    n_steps = _number(config.parameters, "n_steps", 900, int)
+    n_steps = _optional_steps(config.parameters)
     model = StraussModel(window, beta, gamma, radius)
+    n_steps = _chain_steps(model, n_steps, 900)
     kernels = [
         lambda x, y, count: 1.0,
         lambda x, y, count: x,
@@ -435,6 +442,9 @@ def _run_mc_gibbs(config: SuiteConfig):
 def _run_mc_identity(config: SuiteConfig):
     params = config.parameters
     experiments = params.get("experiments")
+    # a Strauss experiment without n_steps runs the default burn-in, or in
+    # the default experiments 600 steps when that is longer
+    default_steps = 0 if experiments is not None else 600
     if experiments is None:
         raw_window = params.get("window") or UNIT_WINDOW
         area = window_from_config(raw_window).area
@@ -449,7 +459,7 @@ def _run_mc_identity(config: SuiteConfig):
             "gamma": _number(params, "gamma", 0.5, float),
             "r": _number(params, "r", 0.08, float),
             "n_samples": max(2000, n_samples // 10),
-            "n_steps": _number(params, "n_steps", 600, int),
+            "n_steps": _optional_steps(params),
         }
         experiments = [
             {**poisson, "identity": "factorial", "n": 2},
@@ -460,7 +470,7 @@ def _run_mc_identity(config: SuiteConfig):
     if not isinstance(experiments, list) or not experiments:
         raise ValueError("experiments must be a nonempty list")
     # every experiment is validated before the first one runs
-    runs = [_experiment(experiment, index, _child_seed(config.seed, index))
+    runs = [_experiment(experiment, index, _child_seed(config.seed, index), default_steps)
             for index, experiment in enumerate(experiments)]
     # the experiments that share (model, n_samples, n_steps) draw their sides
     # in one call, so their Strauss chains run in lockstep; every side comes
@@ -494,8 +504,10 @@ class _ExperimentRun(NamedTuple):
     record: Callable
 
 
-def _experiment(experiment: dict, index: int, seed: int) -> _ExperimentRun:
-    """The estimator run of an experiment description, validated.
+def _experiment(experiment: dict, index: int, seed: int, default_steps: int) -> _ExperimentRun:
+    """The estimator run of an experiment description, validated; a Strauss
+    experiment without n_steps runs the larger of default_steps and the
+    default burn-in.
 
     The test integrands are fixed bounded functions of the window: the
     region is the left half, the functional 1 + 0.1 |omega| and the kernel
@@ -520,7 +532,7 @@ def _experiment(experiment: dict, index: int, seed: int) -> _ExperimentRun:
     seed = _number(experiment, "seed", seed, int)
     n = _number(experiment, "n", 2, int)
     if isinstance(model, StraussModel):
-        n_steps = _chain_steps(model, n_steps)
+        n_steps = _chain_steps(model, n_steps, default_steps)
     window = model.window
     half_x = (window.x_min + window.x_max) / 2.0
     region = lambda x, y, count: x <= half_x

@@ -40,7 +40,9 @@ calls: every block can be drawn alone, and the Strauss chains of all blocks
 of a call (all replicates of sample_many, both sides of an estimator, or
 all sides of the mc-identity experiments that share (model, n_samples,
 n_steps)) advance together in lockstep without reading each other's
-streams. This is the one stream layout of the Monte Carlo suites: the
+streams. So groups of blocks drawn in separate processes give the same
+chains and points as one call; _draw_sides splits a large Strauss draw so.
+This is the one stream layout of the Monte Carlo suites: the
 transform suites push forward the replicates of sample_batch, one block
 stream at a time (`transforms._transformed_counts`).
 """
@@ -49,10 +51,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import parallel
 from .combinatorics import falling_factorial, partitions
 
 Configuration = frozenset
@@ -287,13 +291,13 @@ def default_burn_in(model: StraussModel) -> int:
     return 10 * math.ceil(model.beta * model.window.area)
 
 
-def _chain_steps(model: StraussModel, n_steps: int | None) -> int:
-    """n_steps, or the default burn-in when it is None; a ValueError when
-    n_steps is below the default burn-in."""
+def _chain_steps(model: StraussModel, n_steps: int | None, default: int = 0) -> int:
+    """n_steps, or when it is None the larger of default and the default
+    burn-in; a ValueError when n_steps is below the default burn-in."""
     burn_in = default_burn_in(model)
     if n_steps is not None and n_steps < burn_in:
         raise ValueError(f"n_steps must be at least the default burn-in {burn_in}")
-    return burn_in if n_steps is None else n_steps
+    return max(default, burn_in) if n_steps is None else n_steps
 
 
 def _neighbours(xs: np.ndarray, ys: np.ndarray, px: np.ndarray, py: np.ndarray,
@@ -327,18 +331,22 @@ def _strauss_chains(model: StraussModel, n_steps: int | None, blocks: Sequence) 
     and the position of its generator afterwards do not depend on the other
     blocks of the call.
 
-    Inside the loop xs and ys are slot-major, (capacity, chains): a step
-    counts neighbours over the contiguous rows xs[:used], and a capacity
-    doubling appends rows. Each chunk's uniforms are copied block by block
-    into one (4, steps, chains) array, allocated once per call, and
-    the chunk's birth flags and birth proposals are computed from it at
-    once, with the arithmetic of a single step; the draw layout above does
-    not change. The batch is transposed back to (chains, capacity) on
-    return.
+    Inside the loop xs and ys are slot-major, (capacity, chains), and read
+    and written through flat indices slot * chains + k: a step counts
+    neighbours over the contiguous rows xs[:used], and a capacity doubling
+    appends rows, which keeps every flat index. Each chunk's uniforms are
+    copied block by block into one (4, steps, chains) array, allocated once
+    per call, and the chunk's birth proposals and the acceptance uniforms of
+    its births and of its deaths (NaN at the other steps, where no test
+    passes) are computed from it at once, with the arithmetic of a single
+    step; the draw layout above does not change. A death proposed at n = 0
+    reads slot -1 and fails its test, accept * c * area < n = 0. The batch
+    is transposed back to (chains, capacity) on return.
     """
     n_steps = _chain_steps(model, n_steps)
     window = model.window
     area = window.area
+    beta_area = model.beta * area
     width = window.x_max - window.x_min
     height = window.y_max - window.y_min
     r2 = model.r * model.r
@@ -351,6 +359,7 @@ def _strauss_chains(model: StraussModel, n_steps: int | None, blocks: Sequence) 
     columns = np.arange(chains)
     # (uniform, step, chain): a step reads one contiguous row of each
     chunk = np.empty((4, min(_CHUNK_STEPS, n_steps), chains))
+    flat = np.empty(chains, np.int64)
     for first in range(0, n_steps, _CHUNK_STEPS):
         steps = min(_CHUNK_STEPS, n_steps - first)
         uniforms = chunk[:, :steps]
@@ -358,53 +367,79 @@ def _strauss_chains(model: StraussModel, n_steps: int | None, blocks: Sequence) 
         for rng, size in blocks:
             uniforms[:, :, row:row + size] = rng.random((size, steps, 4)).T
             row += size
-        move, us, vs, accepts = uniforms
-        births = move < 0.5
-        deaths = ~births
+        move, us, vs, birth_accepts = uniforms
+        deaths = move >= 0.5
+        # the acceptance uniforms of the deaths and, in the accept row, of the
+        # births, NaN at the steps of the other move, where no test passes
+        death_accepts = np.where(deaths, birth_accepts, np.nan)
+        np.copyto(birth_accepts, np.nan, where=deaths)
+        if not interacting:
+            # the death test accept * c * area < n at c = beta
+            death_accepts *= model.beta
+            death_accepts *= area
         # the birth proposals x_min + width u and y_min + height v, written
         # over the move and v rows, which no step reads
         birth_xs = np.multiply(width, us, out=move)
         birth_xs += window.x_min
         birth_ys = np.multiply(height, vs, out=vs)
         birth_ys += window.y_min
+        # rows at or above used hold no point of any chain
+        used = int(n.max(initial=0))
         for step in range(steps):
-            u, accept = us[step], accepts[step]
-            death = deaths[step] & (n > 0)
-            index = np.minimum((u * n).astype(np.int64), n - 1)
-            px = np.where(death, xs[index, columns], birth_xs[step])
-            py = np.where(death, ys[index, columns], birth_ys[step])
+            # the slot min(floor(u n), n - 1) that a death proposes
+            np.multiply(us[step], n, out=flat, casting="unsafe")
+            np.minimum(flat, n - 1, out=flat)
+            flat *= chains
+            flat += columns
             if interacting:
-                used = int(n.max(initial=0))
+                death = deaths[step]
+                px = np.where(death, xs.take(flat), birth_xs[step])
+                py = np.where(death, ys.take(flat), birth_ys[step])
                 dx = xs[:used] - px
                 dy = ys[:used] - py
                 dx *= dx
                 dy *= dy
                 dx += dy
                 # a dying point is at distance 0 from itself
-                c = c_of_t[np.count_nonzero(dx <= r2, axis=0) - death]
+                c = c_of_t.take(_count_rows(dx <= r2, used) - death)
+                born = (birth_accepts[step] * (n + 1) < c * area).nonzero()[0]
+                # accept a death iff accept < n / (c * area), written division-free
+                died = (death_accepts[step] * c * area < n).nonzero()[0]
             else:
-                c = model.beta
-            born = (births[step] & (accept * (n + 1) < c * area)).nonzero()[0]
-            # accept a death iff accept < n / (c * area), written division-free
-            died = (death & (accept * c * area < n)).nonzero()[0]
+                born = (birth_accepts[step] * (n + 1) < beta_area).nonzero()[0]
+                died = (death_accepts[step] < n).nonzero()[0]
             if born.size:
-                slot = n[born]
-                if slot.max() == cap:
+                slot = n.take(born)
+                top = int(slot.max()) + 1
+                if top > cap:
                     xs = np.concatenate((xs, np.full_like(xs, np.nan)))
                     ys = np.concatenate((ys, np.full_like(ys, np.nan)))
                     cap *= 2
                     c_of_t = _strauss_table(model, cap)
-                xs[slot, born] = px[born]
-                ys[slot, born] = py[born]
-                n[born] = slot + 1
+                used = max(used, top)
+                n.put(born, slot + 1)
+                slot *= chains
+                slot += born
+                xs.put(slot, birth_xs[step].take(born))
+                ys.put(slot, birth_ys[step].take(born))
             if died.size:
-                last = n[died] - 1
-                freed = index[died]
+                last = n.take(died) - 1
+                n.put(died, last)
+                last *= chains
+                last += died
+                freed = flat.take(died)
                 for coordinate in (xs, ys):
-                    coordinate[freed, died] = coordinate[last, died]
-                    coordinate[last, died] = np.nan
-                n[died] = last
+                    coordinate.put(freed, coordinate.take(last))
+                    coordinate.put(last, np.nan)
     return xs.T.copy(), ys.T.copy(), n
+
+
+def _count_rows(mask: np.ndarray, rows: int) -> np.ndarray:
+    """The count of True entries in each column of a (rows, columns) mask,
+    summed in int8, exact below 128 rows, which is much cheaper than in
+    int64."""
+    dtype = np.int8 if rows < 128 else np.int64
+    return np.add.reduce(mask.view(np.int8), axis=0, dtype=dtype)
 
 
 def sample_gibbs(model: StraussModel, n_steps: int, seed) -> Configuration:
@@ -436,6 +471,12 @@ def sample_process(model: ProcessModel, seed, n_steps: int | None = None) -> Con
     return sample_gibbs(model, _chain_steps(model, n_steps), seed)
 
 
+# chains x steps from which a Strauss draw cuts its blocks into one group per
+# core, each drawn in its own process (parallel._map). Measured on 2 cores,
+# each draw in a fresh process: split lost at 360k and won from about 720k
+_SPLIT_MIN = 1_000_000
+
+
 def _draw_sides(model: ProcessModel, sides: Sequence[tuple[int, int]], n_samples: int,
                 n_steps: int | None) -> list[tuple[Batch, np.ndarray]]:
     """Per (seed, extra) side, the batch of its n_samples replicates and the
@@ -444,21 +485,61 @@ def _draw_sides(model: ProcessModel, sides: Sequence[tuple[int, int]], n_samples
     Each block stream of a side yields its configurations (Poisson draws or
     Strauss chains), then extra points per replicate in one sample_points
     call. The configurations of every side come from one call, so the
-    Strauss chains of all sides run in lockstep.
+    Strauss chains of all sides run in lockstep, unless the draw holds at
+    least _SPLIT_MIN chain steps: then the blocks are cut into one
+    contiguous group per core, balanced by chain count, each group's chains
+    run in lockstep in its own process, and the groups' batches are
+    concatenated in block order, padded with NaN to the widest. Every block
+    reads only its own stream, so the groups give the same replicates and
+    points as one call.
     """
     streams = [_block_streams(seed, n_samples) for seed, _ in sides]
-    blocks = [block for side in streams for block in side]
-    if isinstance(model, PoissonModel):
-        xs, ys, n = _poisson_batch(model.window, model.intensity, blocks)
-    else:
-        xs, ys, n = _strauss_chains(model, n_steps, blocks)
-    drawn = []
+    blocks = [(rng, size, extra) for (_, extra), side in zip(sides, streams) for rng, size in side]
+    groups = [blocks]
+    if (isinstance(model, StraussModel)
+            and len(sides) * n_samples * _chain_steps(model, n_steps) >= _SPLIT_MIN):
+        groups = _balanced_groups(blocks, parallel._process_count())
+    drawn = list(parallel._map(partial(_draw_blocks, model, n_steps), groups))
+    xs, ys, n = _concatenate([batch for batch, _ in drawn])
+    points = iter([block_points for _, group in drawn for block_points in group])
+    result = []
     for i, ((_, extra), side) in enumerate(zip(sides, streams)):
         rows = slice(i * n_samples, (i + 1) * n_samples)
-        points = [model.window.sample_points(rng, size * extra) for rng, size in side]
-        points = np.concatenate([np.zeros((0, 2)), *points]).reshape(n_samples, extra, 2)
-        drawn.append(((xs[rows], ys[rows], n[rows]), points))
-    return drawn
+        side_points = np.concatenate([np.zeros((0, 2)), *(next(points) for _ in side)])
+        result.append(((xs[rows], ys[rows], n[rows]), side_points.reshape(n_samples, extra, 2)))
+    return result
+
+
+def _balanced_groups(blocks: Sequence, count: int) -> list[Sequence]:
+    """The blocks cut into at most count nonempty contiguous groups: group g
+    ends at the block boundary nearest to (g + 1) / count of the chains."""
+    ends = np.cumsum([size for _, size, _ in blocks])
+    cuts = {int(np.abs(ends - ends[-1] * g / count).argmin()) + 1 for g in range(1, count)}
+    cuts = sorted(cuts | {0, len(blocks)})
+    return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _draw_blocks(model: ProcessModel, n_steps: int | None, blocks: Sequence):
+    """The batch of the replicates of the (generator, size, extra) blocks,
+    and then per block its (size * extra, 2) right-side points."""
+    streams = [(rng, size) for rng, size, _ in blocks]
+    if isinstance(model, PoissonModel):
+        batch = _poisson_batch(model.window, model.intensity, streams)
+    else:
+        batch = _strauss_chains(model, n_steps, streams)
+    return batch, [model.window.sample_points(rng, size * extra) for rng, size, extra in blocks]
+
+
+def _concatenate(batches: Sequence[Batch]) -> Batch:
+    """The configurations of the batches in order, as one batch padded with
+    NaN to the widest."""
+    if len(batches) == 1:
+        return batches[0]
+    width = max(xs.shape[1] for xs, _, _ in batches)
+    xs, ys = (np.concatenate([np.pad(batch[i], ((0, 0), (0, width - batch[i].shape[1])),
+                                     constant_values=np.nan) for batch in batches])
+              for i in (0, 1))
+    return xs, ys, np.concatenate([n for _, _, n in batches])
 
 
 def sample_batch(model: ProcessModel, n_samples: int, seed: int,

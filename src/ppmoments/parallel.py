@@ -14,8 +14,8 @@ k = min(_process_count(), len(items)) > 1 workers:
 - callables must be pure: whatever one changes in a child is lost with it.
 
 The map runs serially inside a child, without os.fork, and with one item or
-one core. It is the only code of the package that forks; finite_model, cli
-and transforms use it. Python 3.12 and later warn on os.fork in a
+one core. It is the only code of the package that forks; finite_model, cli,
+transforms and montecarlo use it. Python 3.12 and later warn on os.fork in a
 multi-threaded process: numpy's OpenBLAS starts threads, and a child makes
 no BLAS call.
 """

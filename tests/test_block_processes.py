@@ -1,8 +1,10 @@
-"""The exact engine's blocks, and the items of any map, shared with forked
-children: the same sums for every process count, the serial loop's results
-and exception, no child left behind, and no fork outside parallel."""
+"""The exact engine's blocks, the block groups of a large Strauss draw, and
+the items of any map, shared with forked children: the same sums, chains and
+estimates for every process count, the serial loop's results and exception,
+no child left behind, and no fork outside parallel."""
 
 import ast
+import io
 import math
 import os
 from pathlib import Path
@@ -10,10 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ppmoments import finite_model, identities, parallel
+from ppmoments import cli, finite_model, identities, montecarlo, parallel
 from ppmoments.finite_model import FiniteModel, GroundSpace, pairwise_log_density
 from ppmoments.identities import factorial_moment_identity
 from ppmoments.instances import _by_parity
+from ppmoments.montecarlo import (
+    PoissonModel,
+    StraussModel,
+    Window,
+    default_burn_in,
+    estimate_factorial_identity,
+    estimate_gnz,
+)
 
 from conftest import assert_no_children
 
@@ -200,6 +210,86 @@ def test_runs_serially_without_fork_or_with_one_core(processes, forks, monkeypat
     assert model.gnz_residual(kernel) == shared
     assert len(forks) == 1
     assert_no_children()
+
+
+UNIT = Window(0.0, 1.0, 0.0, 1.0)
+# side seeds whose first group of blocks doubles its capacity at 2 processes
+_SPLIT_SEEDS = (0, 5)
+
+
+def _used_slots(batch):
+    """The coordinates of the points of a batch, row after row, after
+    checking that every other slot holds NaN."""
+    xs, ys, n = batch
+    used = np.arange(xs.shape[1]) < n[:, None]
+    assert np.isnan(xs[~used]).all() and np.isnan(ys[~used]).all()
+    return xs[used], ys[used]
+
+
+def test_strauss_block_groups_draw_what_one_process_draws(processes, forks, monkeypatch):
+    # blocks of 3 replicates: two sides of 6 are the blocks 3, 3, 3, 3, cut
+    # into (0, 1), (2, 3) at 2 processes and (0), (1, 2), (3) at 3
+    monkeypatch.setattr(montecarlo, "BLOCK_REPLICATES", 3)
+    monkeypatch.setattr(montecarlo, "_SPLIT_MIN", 0)
+    model = StraussModel(UNIT, 60.0, 0.5, 0.05)
+    steps = default_burn_in(model)
+    sides = [(_SPLIT_SEEDS[0], 0), (_SPLIT_SEEDS[1], 2)]
+    # at 2 processes, one group's chains outgrow its capacity and the other
+    # group's do not, so the groups' batches differ in width
+    def groups():
+        blocks = [(rng, size, extra) for seed, extra in sides
+                  for rng, size in montecarlo._block_streams(seed, 6)]
+        return montecarlo._balanced_groups(blocks, 2)
+
+    doubled = []
+    for group, fresh in zip(groups(), groups()):
+        start = max(rng.poisson(model.beta, size).max() for rng, size, _ in group)
+        xs, _, _ = montecarlo._strauss_chains(model, steps, [(rng, size) for rng, size, _ in fresh])
+        doubled.append(xs.shape[1] > start)
+    assert doubled == [True, False]
+    draws = []
+    for count in (1, 2, 3):
+        processes(count)
+        before = len(forks)
+        draws.append(montecarlo._draw_sides(model, sides, 6, steps))
+        assert len(forks) - before == count - 1
+        assert_no_children()
+    for drawn in draws[1:]:
+        for (batch, points), (expected, expected_points) in zip(drawn, draws[0]):
+            assert np.array_equal(batch[2], expected[2])
+            for got, want in zip(_used_slots(batch), _used_slots(expected)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(points, expected_points)
+    # the estimators give equal records
+    kernel = lambda x, y, count: 1.0 + x * count
+    functional = lambda count: 1.0 + 0.1 * count
+    region = lambda x, y, count: x <= 0.5
+    records = []
+    for count in (1, 2, 3):
+        processes(count)
+        records.append((estimate_gnz(model, kernel, 6, 11, steps),
+                        estimate_factorial_identity(model, functional, region, 2, 6, 11, steps)))
+    assert records[0] == records[1] == records[2]
+    # a Poisson draw never splits
+    before = len(forks)
+    montecarlo._draw_sides(PoissonModel(UNIT, 5.0), sides, 6, None)
+    assert len(forks) == before
+    assert_no_children()
+
+
+def test_strauss_draws_of_the_mc_strauss_benchmark_make_no_fork(processes, forks):
+    processes(2)
+    strauss = {"process": "strauss", "window": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1},
+               "beta": 12.0, "gamma": 0.5, "r": 0.08, "n_steps": 600, "n_samples": 150}
+    experiments = [{**strauss, "identity": "factorial", "n": 2},
+                   {**strauss, "identity": "partition", "n": 2}]
+    for config in (cli.SuiteConfig("mc-gibbs", 1, 60),
+                   cli.SuiteConfig("mc-identity", 1, parameters={"experiments": experiments})):
+        assert cli.run_suite(config, io.StringIO()) == cli.EXIT_PASS
+    assert forks == []
+    # the default mc-gibbs (2 x 1500 chains, 900 steps) and mc-identity
+    # (4 x 2000 chains, 600 steps) draws split
+    assert min(2 * 1500 * 900, 4 * 2000 * 600) >= montecarlo._SPLIT_MIN
 
 
 def _names(tree):

@@ -652,6 +652,39 @@ def test_out_of_range_errors_name_the_parameter(suite, name, value):
     assert message.startswith(f"{name} must be ") and message.endswith(f", got {value}")
 
 
+@pytest.mark.parametrize(
+    "suite,instances,parameters,steps,burn_in",
+    [
+        ("mc-gibbs", 4, {"beta": 200}, 2000, 2000),
+        ("mc-gibbs", 4, {"beta": 80}, 900, 800),
+        ("mc-identity", 20, {"beta": 61, "gamma": 1.0}, 610, 610),
+        ("mc-identity", 20, {"beta": 59, "gamma": 1.0}, 600, 590),
+    ],
+    ids=["mc-gibbs-burn-in", "mc-gibbs-default", "mc-identity-burn-in", "mc-identity-default"],
+)
+def test_an_unset_n_steps_is_the_default_or_the_longer_burn_in(
+    monkeypatch, suite, instances, parameters, steps, burn_in
+):
+    drawn = []
+    draw_sides = montecarlo._draw_sides
+
+    def recorded(model, sides, n_samples, n_steps):
+        if isinstance(model, montecarlo.StraussModel):
+            drawn.append(n_steps)
+        return draw_sides(model, sides, n_samples, n_steps)
+
+    monkeypatch.setattr(montecarlo, "_draw_sides", recorded)
+    monkeypatch.setattr(cli, "_draw_sides", recorded)
+    status, _ = run_to_lines(suite, 1, instances, parameters)
+    assert status == EXIT_PASS
+    assert drawn and set(drawn) == {steps}
+    # an n_steps below the burn-in is still an error
+    status, lines = run_to_lines(suite, 1, instances, {**parameters, "n_steps": burn_in - 1})
+    assert status == EXIT_VALIDATION_ERROR
+    assert json.loads(lines[-1])["message"] == (
+        f"n_steps must be at least the default burn-in {burn_in}")
+
+
 def test_readme_table_lists_the_registry():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## What gets verified", 1)[1].split("\n## ", 1)[0]

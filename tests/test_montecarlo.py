@@ -145,12 +145,11 @@ def reference_block(model, n_steps, rng, size):
     """The chains of one block stream, read in its documented layout by one
     call per chain and per chunk: the block's Poisson counts, each chain's
     start in turn, then one (size, steps, 4) draw per chunk of steps."""
-    return [config for config, _ in reference_block_runs(model, n_steps, rng, size)]
+    return [config for config, *_ in reference_block_runs(model, n_steps, rng, size)]
 
 
 def reference_block_runs(model, n_steps, rng, size):
-    """reference_block's chains, each as its final configuration and the
-    largest count it reached."""
+    """reference_block's chains, each as run_reference_chain returns it."""
     counts = rng.poisson(model.beta * model.window.area, size)
     starts = [reference_start(model, rng, count) for count in counts]
     chunks = [rng.random((size, min(_CHUNK_STEPS, n_steps - first), 4))
@@ -162,11 +161,13 @@ def reference_block_runs(model, n_steps, rng, size):
 def run_reference_chain(model, points, uniforms):
     """The chain from the start points, one step per (move, u, v, accept) of
     uniforms, with deaths swapping the last point into the freed slot; the
-    final configuration and the largest count reached."""
+    final configuration, the largest count reached and the number of deaths
+    proposed while the chain was empty."""
     window = model.window
     area = window.area
     r2 = model.r * model.r
     largest = len(points)
+    empty_deaths = 0
     for step in uniforms:
         move, u, v, accept = (float(w) for w in step)
         n = len(points)
@@ -188,7 +189,9 @@ def run_reference_chain(model, points, uniforms):
             if accept * (model.beta * model.gamma**t) * area < n:
                 points[index] = points[-1]
                 points.pop()
-    return frozenset(points), largest
+        else:
+            empty_deaths += 1
+    return frozenset(points), largest, empty_deaths
 
 
 @pytest.mark.parametrize(
@@ -199,7 +202,7 @@ def test_gibbs_matches_the_reference_chain(beta, gamma, r, n_steps):
     model = StraussModel(Window(-1.0, 1.0, 0.0, 0.5), beta, gamma, r)
     for seed in range(4):
         reference = np.random.default_rng(seed)
-        expected, _ = reference_chain(model, n_steps, reference)
+        expected, *_ = reference_chain(model, n_steps, reference)
         rng = np.random.default_rng(seed)
         assert sample_gibbs(model, n_steps, rng) == expected
         assert rng.random() == reference.random()
@@ -268,34 +271,54 @@ def test_gibbs_capacity_growth():
     steps = default_burn_in(model)
     for seed in range(3):
         reference = np.random.default_rng(seed)
-        expected, largest = reference_chain(model, steps, reference)
+        expected, largest, _ = reference_chain(model, steps, reference)
         start = int(np.random.default_rng(seed).poisson(200.0))
         assert largest > start
         assert sample_gibbs(model, steps, np.random.default_rng(seed)) == expected
 
 
 @pytest.mark.parametrize(
-    "gamma,r,seed",
-    [(0.8, 0.03, 3), (0.0, 0.06, 0), (1.0, 0.05, 0)],
-    ids=["interacting-capacity-doubles", "hard-core", "no-interaction"],
+    "beta,gamma,r,seed,sizes,steps",
+    [
+        (60.0, 0.8, 0.03, 3, (3, 1, 2), None),
+        (60.0, 0.0, 0.06, 0, (3, 1, 2), None),
+        (60.0, 1.0, 0.05, 0, (3, 1, 2), None),
+        (2.0, 0.5, 0.1, 0, (3, 1, 2), 3000),
+        (60.0, 0.5, 0.05, 2, (1,), None),
+        (150.0, 0.999, 1.5, 0, (2,), None),
+    ],
+    ids=["interacting-capacity-doubles", "hard-core", "no-interaction",
+         "empty-chains-propose-deaths", "one-chain", "more-than-127-neighbours"],
 )
-def test_strauss_chains_of_several_blocks_match_the_reference(gamma, r, seed):
-    # blocks of 3, 1 and 2 chains advance together in one call, every chain
-    # bit for bit the reference chain on its block's stream
-    model = StraussModel(UNIT, 60.0, gamma, r)
-    steps = default_burn_in(model)
+def test_strauss_chains_of_several_blocks_match_the_reference(beta, gamma, r, seed, sizes, steps):
+    # the blocks' chains advance together in one call, every chain bit for
+    # bit the reference chain on its block's stream
+    model = StraussModel(UNIT, beta, gamma, r)
+    steps = steps or default_burn_in(model)
 
     def blocks():
-        return [(np.random.default_rng([seed, b]), size) for b, size in enumerate((3, 1, 2))]
+        return [(np.random.default_rng([seed, b]), size) for b, size in enumerate(sizes)]
 
-    runs = [run for rng, size in blocks() for run in reference_block_runs(model, steps, rng, size)]
-    chains = _strauss_chains(model, steps, blocks())
-    assert _frozensets(chains) == [config for config, _ in runs]
+    references = blocks()
+    runs = [run for rng, size in references for run in reference_block_runs(model, steps, rng, size)]
+    drawn = blocks()
+    chains = _strauss_chains(model, steps, drawn)
+    assert _frozensets(chains) == [config for config, *_ in runs]
+    assert [rng.random() for rng, _ in drawn] == [rng.random() for rng, _ in references]
+    largest = max(run[1] for run in runs)
     if gamma == 0.8:
         # a chain of the call outgrows the largest start, so the capacity
         # of the batch doubles while the chains interact
         starts = max(rng.poisson(model.beta, size).max() for rng, size in blocks())
-        assert max(largest for _, largest in runs) > starts
+        assert largest > starts
+    if beta == 2.0:
+        # chains empty and then propose deaths, which read slot -1 and fail
+        assert sum(run[2] for run in runs) > 100
+        assert all(run[2] for run in runs)
+    if gamma == 0.999:
+        # every pair interacts, so a birth counts every point: more than
+        # the 127 that a neighbour count in int8 holds
+        assert largest > 128
 
 
 def test_gibbs_count_law_with_all_pairs_interacting():

@@ -13,7 +13,10 @@ report bodies at these seeds exactly when their outputs are equal, so
     python tools/report_digest.py --seeds 1 17 9001 > a.txt
 
 run from the root of each checkout (it imports that checkout's `src/`) and
-one `diff` compare them.
+one `diff` compare them. `--suites` limits the run to the named suites, so
+a change to one engine can be checked at many seeds in seconds:
+
+    python tools/report_digest.py --suites mc-gibbs mc-identity --seeds 1 2 3
 """
 
 from __future__ import annotations
@@ -49,8 +52,10 @@ def digest(suite: str, seed: int) -> tuple[int, str]:
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n", 1)[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
+    parser.add_argument("--suites", nargs="+", choices=sorted(cli.SUITES), default=sorted(cli.SUITES),
+                        metavar="SUITE", help="the suites to run (default: all)")
     args = parser.parse_args(argv)
-    for suite in sorted(cli.SUITES):
+    for suite in sorted(set(args.suites)):
         for seed in args.seeds:
             status, body = digest(suite, seed)
             print(suite, seed, status, body, flush=True)
