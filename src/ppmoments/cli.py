@@ -44,7 +44,7 @@ from .combinatorics import (
     stirling_reindex_gap,
 )
 from .difference_ops import diff, diff_multi, product_expansion_gap
-from .finite_model import load_model
+from .finite_model import _real, load_model
 from .identities import (
     MAX_IDENTITY_ORDER,
     IdentityReport,
@@ -141,40 +141,23 @@ class SuiteConfig:
             raise ValueError(f"unknown config key {', '.join(unknown)}")
         if raw.get("seed") is None:
             raise ValueError("config must provide a seed")
-        count = raw.get("instance_count")
         return cls(
             str(raw["suite"]),
             _number(raw, "seed", None, int),
-            None if count is None else _number(raw, "instance_count", None, int),
+            _number(raw, "instance_count", None, int),
             raw.get("parameters", {}),
         )
 
     def canonical(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "instance_count": self.instance_count,
-            "parameters": self.parameters,
-        }
+        return dict(vars(self))
 
 
 def _number(params: dict, name: str, default, kind):
-    """kind(params.get(name, default)); a ValueError, so exit 3, when the
-    value is not a number (int([5]) raises TypeError) or, for kind int, a
-    float that is not integral (int(2.5) would truncate it)."""
-    value = params.get(name, default)
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be a number: {exc}") from exc
-
-
-def _optional_steps(params: dict) -> int | None:
-    """The n_steps parameter as an int, or None when it is unset: the suite
-    then runs its default steps or, when longer, the default burn-in."""
-    return _number(params, "n_steps", None, int) if "n_steps" in params else None
+    """params[name] as kind (float or int), or default when it is absent or
+    null; a ValueError, so exit 3, when it is not a real number (a bool or a
+    string is not one) or, for kind int, a float that is not integral."""
+    value = params.get(name)
+    return default if value is None else _real(value, name, kind)
 
 
 def _count(params: dict, name: str, default: int, low: int, high: int | None = None) -> int:
@@ -391,15 +374,19 @@ def _run_mc_poisson(config: SuiteConfig):
     ):
         raise ValueError("orders must be a nonempty list of integers >= 1")
     target_mean = poisson_mean(window, intensity)
+    try:
+        targets = [target_mean**order for order in orders]
+    except OverflowError as exc:
+        raise ValueError(f"orders must keep (intensity * area)^n a finite float: {exc}") from exc
     # the counts are the first draw of each block stream, as in sample_batch
     blocks = _block_streams(config.seed, replicates)
     counts = np.concatenate([rng.poisson(target_mean, size) for rng, size in blocks]).astype(float)
-    for order in orders:
+    for order, target in zip(orders, targets):
         yield _gated({
             "record": "moment",
             "name": "poisson-factorial-moment",
             "order": order,
-            **target_check(falling_factorial(counts, order), target_mean**order),
+            **target_check(falling_factorial(counts, order), target),
         })
 
 
@@ -409,7 +396,7 @@ def _run_mc_gibbs(config: SuiteConfig):
     gamma = _number(config.parameters, "gamma", 0.5, float)
     radius = _number(config.parameters, "r", 0.05, float)
     n_samples = config.instance_count or 1500
-    n_steps = _optional_steps(config.parameters)
+    n_steps = _number(config.parameters, "n_steps", None, int)
     model = StraussModel(window, beta, gamma, radius)
     n_steps = _chain_steps(model, n_steps, 900)
     kernels = [
@@ -459,7 +446,7 @@ def _run_mc_identity(config: SuiteConfig):
             "gamma": _number(params, "gamma", 0.5, float),
             "r": _number(params, "r", 0.08, float),
             "n_samples": max(2000, n_samples // 10),
-            "n_steps": _optional_steps(params),
+            "n_steps": _number(params, "n_steps", None, int),
         }
         experiments = [
             {**poisson, "identity": "factorial", "n": 2},
@@ -527,8 +514,7 @@ def _experiment(experiment: dict, index: int, seed: int, default_steps: int) -> 
     n_samples = _number(experiment, "n_samples", 10_000, int)
     if n_samples < 2:
         raise ValueError("experiment n_samples must be at least 2")
-    n_steps = experiment.get("n_steps")
-    n_steps = None if n_steps is None else _number(experiment, "n_steps", None, int)
+    n_steps = _number(experiment, "n_steps", None, int)
     seed = _number(experiment, "seed", seed, int)
     n = _number(experiment, "n", 2, int)
     if isinstance(model, StraussModel):

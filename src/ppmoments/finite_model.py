@@ -18,17 +18,19 @@ present) indexing numpy tables: q, the probabilities, and one table per
 callable. The log-density is evaluated once per configuration at
 construction; functionals and kernels are evaluated once per support
 configuration (positive density), kernels only at the sites of the
-configuration. Expectations and identity sides are array expressions over
-those tables, added exactly (_fsum): each sum is the exact sum of its terms
-rounded once, equal to math.fsum's bit for bit. Arrays of fewer than
-_EXACT_MIN = 1024 values go through math.fsum itself, longer ones through
-exponent buckets (np.frexp, np.bincount) joined in Python ints; the short
-lists of block partials keep math.fsum. Frozensets are built only while a
-table is filled and none is kept: there is no configuration cache. The
-kernels of one GNZ call share one table of (configuration, site) pairs per
-block of the support, built once for all of them and dropped after the
-block. The hereditary check is exhaustive at every size whenever some
-configuration is forbidden (a density positive everywhere is hereditary).
+configuration, and random sets at every site of every configuration,
+allowed or not (_full_site_table). Expectations and identity sides are
+array expressions over those tables, added exactly (_fsum): each sum is the
+exact sum of its terms rounded once, equal to math.fsum's bit for bit.
+Arrays of fewer than _EXACT_MIN = 1024 values go through math.fsum itself,
+longer ones through exponent buckets (np.frexp, np.bincount) joined in
+Python ints; the short lists of block partials keep math.fsum. Frozensets
+are built only while a table is filled and none is kept: there is no
+configuration cache. The kernels of one GNZ call share one table of
+(configuration, site) pairs per block of the support, built once for all of
+them and dropped after the block. The hereditary check is exhaustive at
+every size whenever some configuration is forbidden (a density positive
+everywhere is hereditary).
 
 Sums that call a callable per configuration (expectation, gnz_residuals)
 run over blocks of _BLOCK support configurations, which parallel._map
@@ -200,17 +202,17 @@ class FiniteModel:
         rows, sites = np.nonzero((masks[:, None] >> np.arange(self.m)) & 1)
         return sites, masks[rows]
 
-    def _site_values(self, kernel: Kernel, masks: np.ndarray, pairs, dtype=float):
+    def _site_values(self, kernel: Kernel, masks: np.ndarray, pairs):
         """kernel(x, omega) at each pair of _site_pairs(masks): one call of
         its array form when it has one, else one call per pair."""
         sites, up = pairs
         on_sites = getattr(kernel, "on_sites", None)
         if on_sites is not None:
-            return np.asarray(on_sites(sites, up), dtype)
+            return np.asarray(on_sites(sites, up), float)
         values = (
             kernel(x, config) for points, config in self._configs(masks) for x in points
         )
-        return np.fromiter(values, dtype, len(sites))
+        return np.fromiter(values, float, len(sites))
 
     def _table(self, functional: Functional) -> np.ndarray:
         """F[mask] on the support, 0 elsewhere."""
@@ -218,11 +220,11 @@ class FiniteModel:
         table[self._support] = self._values(functional, self._support)
         return table
 
-    def _site_table(self, kernel: Kernel, dtype=float) -> np.ndarray:
+    def _site_table(self, kernel: Kernel) -> np.ndarray:
         """U[x, mask] for x in omega and omega in the support, 0 elsewhere."""
-        table = np.zeros((self.m, 1 << self.m), dtype)
+        table = np.zeros((self.m, 1 << self.m))
         pairs = sites, up = self._site_pairs(self._support)
-        table[sites, up] = self._site_values(kernel, self._support, pairs, dtype)
+        table[sites, up] = self._site_values(kernel, self._support, pairs)
         return table
 
     def _full_site_table(self, region: RandomSet) -> np.ndarray:
@@ -452,6 +454,20 @@ def pairwise_log_density(gamma: float, pairs: Sequence[tuple[int, int]]) -> Func
     return log_q
 
 
+def _real(value, name: str, kind=float):
+    """value as kind (float or int) when it is a real number, which a bool
+    or a string is not, and for kind int an integral one (int(2.5) would
+    truncate it); else a ValueError that names it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    try:
+        return kind(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} must be a finite number: {exc}") from exc
+
+
 def model_from_description(description: dict) -> FiniteModel:
     """Build a model from the JSON description schema.
 
@@ -460,8 +476,8 @@ def model_from_description(description: dict) -> FiniteModel:
                 {"type": "pairwise", "gamma": g, "pairs": [[i, j], ...]}}
     """
     try:
-        m = int(description["sites"])
-        weights = tuple(float(w) for w in description["weights"])
+        m = _real(description["sites"], "sites", int)
+        weights = tuple(_real(w, "weights") for w in description["weights"])
         density = description["density"]
         kind = density["type"]
     except (KeyError, TypeError) as exc:
@@ -473,8 +489,11 @@ def model_from_description(description: dict) -> FiniteModel:
         return FiniteModel(space, poisson_log_density())
     if kind == "pairwise":
         try:
-            gamma = float(density["gamma"])
-            pairs = [(int(a), int(b)) for a, b in density.get("pairs", [])]
+            gamma = _real(density["gamma"], "gamma")
+            pairs = [
+                (_real(a, "pair indices", int), _real(b, "pair indices", int))
+                for a, b in density.get("pairs", [])
+            ]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed pairwise density: {exc}") from exc
         if any(not (0 <= a < m and 0 <= b < m) for a, b in pairs):

@@ -12,13 +12,17 @@ compound Campbell density, which is what makes the atomic convention
 consistent with counting ordered distinct tuples of points.
 
 Both sides are array expressions over the model's bitmask tables (see
-finite_model), so every functional, kernel and region is called once per
-configuration. Each right-side term w(t) P(omega) chat(t, omega)
-integrand(omega u t) is formed separately, in (tuple x configuration)
-blocks of bounded size, and all terms are added exactly: each block's sum
-and the sum of the block partials are the exact sums rounded once, equal to
-math.fsum's bit for bit (finite_model._fsum, which leaves arrays of fewer
-than 1024 values to math.fsum itself).
+finite_model), so every functional and kernel is called once per
+configuration. A random set has one table, R[x, mask] at every site of
+every configuration, built and checked by validate_disjoint; the counts
+N(A) of every left side come from it (_counts), and the single-region
+identities are the one-region case of the joint one (_setup). Each
+right-side term w(t) P(omega) chat(t, omega) integrand(omega u t) is formed
+separately, in (tuple x configuration) blocks of bounded size, and all
+terms are added exactly: each block's sum and the sum of the block partials
+are the exact sums rounded once, equal to math.fsum's bit for bit
+(finite_model._fsum, which leaves arrays of fewer than 1024 values to
+math.fsum itself).
 """
 
 from __future__ import annotations
@@ -82,14 +86,7 @@ class IdentityReport:
         return cls(name, lhs, rhs, abs_gap, rel_gap, parameters)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_gap": self.abs_gap,
-            "rel_gap": self.rel_gap,
-            "parameters": self.parameters,
-        }
+        return dict(vars(self))
 
 
 # -- shared helpers -----------------------------------------------------------
@@ -199,11 +196,26 @@ def _tuple_sum(model: FiniteModel, k: int, integrand, width: int = 1) -> float:
     return math.fsum(partials)
 
 
-def _position_regions(regions, orders):
-    slots = []
-    for region, order in zip(regions, orders):
-        slots.extend([region] * order)
-    return slots
+def _setup(model: FiniteModel, functional: Functional, regions, orders):
+    """(f, tables, slots) for F and the regions at the checked orders: the
+    tables of F and of the regions (validate_disjoint), and the region table
+    of each tuple coordinate, the first orders[0] region 0's, the next
+    orders[1] region 1's, and so on."""
+    if len(regions) != len(orders) or not regions:
+        raise ValueError("need matching nonempty regions and orders")
+    _guard(model, sum(orders))
+    tables = validate_disjoint(model, regions)
+    slots = [slot for table, order in zip(tables, orders) for slot in [table] * order]
+    return model._table(functional), tables, slots
+
+
+def _factorial_moment(model: FiniteModel, f, tables, orders) -> float:
+    """E[F prod_i N(A_i)_(n_i)] for the table (or constant) f of F and the
+    region tables of the A_i."""
+    value = f
+    for table, order in zip(tables, orders):
+        value = value * falling_factorial(_counts(model, table), order)
+    return _expect(model, value)
 
 
 def _joint_rhs(model: FiniteModel, f: np.ndarray, slots: list) -> float:
@@ -230,11 +242,9 @@ def factorial_moment_identity(
     sites, the sigma-weights times E[chat(tuple, omega) * F(omega u tuple)
     * prod_k 1_{A(omega u tuple)}(x_k)].
     """
-    _guard(model, n)
-    f = model._table(functional)
-    r = model._site_table(region, bool)
-    lhs = _expect(model, f * falling_factorial(r.sum(axis=0), n))
-    rhs = _joint_rhs(model, f, [r] * n)
+    f, tables, slots = _setup(model, functional, [region], [n])
+    lhs = _factorial_moment(model, f, tables, [n])
+    rhs = _joint_rhs(model, f, slots)
     return IdentityReport.build(
         "factorial-moment", lhs, rhs, {"n": n, "sites": model.m}
     )
@@ -252,18 +262,11 @@ def joint_factorial_identity(
     n-tuples whose first n_1 coordinates carry region 1's indicator, the
     next n_2 region 2's, and so on.
     """
-    if len(regions) != len(orders) or not regions:
-        raise ValueError("need matching nonempty regions and orders")
     if any(k < 1 for k in orders):
         raise ValueError("orders must be positive")
-    _guard(model, sum(orders))
-    tables = validate_disjoint(model, regions)
-    f = model._table(functional)
-    value = f
-    for table, order in zip(tables, orders):
-        value = value * falling_factorial(_counts(model, table), order)
-    lhs = _expect(model, value)
-    rhs = _joint_rhs(model, f, _position_regions(tables, orders))
+    f, tables, slots = _setup(model, functional, regions, orders)
+    lhs = _factorial_moment(model, f, tables, orders)
+    rhs = _joint_rhs(model, f, slots)
     return IdentityReport.build(
         "joint-factorial", lhs, rhs, {"orders": list(orders), "sites": model.m}
     )
@@ -273,12 +276,10 @@ def stirling_moment_identity(
     model: FiniteModel, functional: Functional, region: RandomSet, n: int
 ) -> IdentityReport:
     """Raw moment identity E[F N(A)^n] = sum_k S(n,k) (factorial rhs at k)."""
-    _guard(model, n)
-    f = model._table(functional)
-    r = model._site_table(region, bool)
-    lhs = _expect(model, f * r.sum(axis=0).astype(float) ** n)
+    f, tables, slots = _setup(model, functional, [region], [n])
+    lhs = _expect(model, f * _counts(model, tables[0]).astype(float) ** n)
     rhs = math.fsum(
-        stirling2(n, k) * _joint_rhs(model, f, [r] * k) for k in range(1, n + 1)
+        stirling2(n, k) * _joint_rhs(model, f, slots[:k]) for k in range(1, n + 1)
     )
     return IdentityReport.build(
         "stirling-moment", lhs, rhs, {"n": n, "sites": model.m}
@@ -331,13 +332,8 @@ def dtheta_joint_expansion(
     the report's lhs is joint_factorial_identity's rhs and the rhs here is
     the difference-expansion total.
     """
-    if len(regions) != len(orders) or not regions:
-        raise ValueError("need matching nonempty regions and orders")
+    f, _, slots = _setup(model, functional, regions, orders)
     n = sum(orders)
-    _guard(model, n)
-    tables = validate_disjoint(model, regions)
-    f = model._table(functional)
-    slots = _position_regions(tables, orders)
     direct = _joint_rhs(model, f, slots)
 
     def differences(sites, up):
@@ -393,15 +389,11 @@ def poisson_independence_check(
         probs = [w / (1.0 + w) for w in weights]
         predictions.append(_factorial_moment_table(probs, max_order))
 
-    counts = [_counts(model, table) for table in tables]
     reports = []
     for orders in product(range(1, max_order + 1), repeat=len(regions)):
         if sum(orders) > max_order:
             continue
-        value = 1.0
-        for count, order in zip(counts, orders):
-            value = value * falling_factorial(count, order)
-        lhs = _expect(model, value)
+        lhs = _factorial_moment(model, 1.0, tables, orders)
         rhs = 1.0
         for i, order in enumerate(orders):
             rhs *= predictions[i][order]

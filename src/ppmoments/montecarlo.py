@@ -58,6 +58,7 @@ import numpy as np
 
 from . import parallel
 from .combinatorics import falling_factorial, partitions
+from .finite_model import _real
 
 Configuration = frozenset
 # (xs, ys, n): configuration k is (xs[k, j], ys[k, j]) for j < n[k], NaN after
@@ -155,12 +156,7 @@ class Estimate:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
+        return dict(vars(self))
 
 
 def mean_and_se(values) -> tuple[float, float]:
@@ -754,15 +750,14 @@ def _side_seeds(seed: int) -> tuple[int, int]:
 
 def config_floats(config, keys: Sequence[str], what: str) -> list[float]:
     """The values of keys in a config object as floats; ValueError when
-    config is not an object or a key is missing or not a number."""
+    config is not an object or a key is missing or not a real number (a
+    bool or a string is not one)."""
     if not isinstance(config, dict):
         raise ValueError(f"{what} must be an object")
     try:
-        return [float(config[key]) for key in keys]
+        return [_real(config[key], f"{what} {key}") for key in keys]
     except KeyError as exc:
         raise ValueError(f"{what} is missing {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what} values must be numbers: {exc}") from exc
 
 
 def window_from_config(config: dict) -> Window:

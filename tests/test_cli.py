@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ppmoments import montecarlo, transforms
+from ppmoments.combinatorics import falling_factorial
 from ppmoments.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_GATE_FAILURE,
@@ -94,6 +95,29 @@ def test_mc_poisson_suite_small():
     assert [r["order"] for r in records] == [1, 2, 3]
     for r in records:
         assert abs(r["estimate"] - r["target"]) <= 4 * r["se"]
+
+
+@pytest.mark.parametrize("seed", [1, 17])
+def test_mc_poisson_counts_are_the_engines_counts(seed):
+    # 2500 replicates read three block streams
+    status, lines = run_to_lines("mc-poisson", seed, 2500)
+    assert status == EXIT_PASS
+    records = [json.loads(line) for line in body_of(lines)[:-1]]
+    window = montecarlo.window_from_config(cli.UNIT_WINDOW)
+    _, _, counts = montecarlo.sample_batch(montecarlo.PoissonModel(window, 3.0), 2500, seed)
+    counts = counts.astype(float)
+    for record, order in zip(records, [1, 2, 3], strict=True):
+        expected = montecarlo.target_check(falling_factorial(counts, order), 3.0**order)
+        assert record["order"] == order
+        assert {key: record[key] for key in expected} == expected
+
+
+def test_an_order_whose_target_overflows_names_orders():
+    status, lines = run_to_lines("mc-poisson", 1, 100, {"orders": [1, 700]})
+    assert status == EXIT_VALIDATION_ERROR
+    records = [json.loads(line) for line in lines]
+    assert [r["record"] for r in records] == ["header", "error"]
+    assert records[1]["message"].startswith("orders must ")
 
 
 def test_transform_invariance_suite_small():
@@ -550,6 +574,32 @@ _DECLARED = [(suite, name) for suite in SUITES for name in SUITES[suite].paramet
         ([], {"suite": "mc-identity", "seed": 1,
               "parameters": {"experiments": [{**_TWO_SAMPLE_EXPERIMENT, "n_samples": 50.5}]}},
          ["header", "error"]),
+        # booleans and strings are not numbers, though int() and float() read them
+        ([], {"suite": "stir1", "seed": True}, []),
+        ([], {"suite": "stir1", "seed": "1"}, []),
+        ([], {"suite": "stir1", "seed": 1, "instance_count": True}, []),
+        ([], {"suite": "mc-poisson", "seed": 1, "parameters": {"intensity": "3"}},
+         ["header", "error"]),
+        ([], {"suite": "exact-gnz", "seed": 1, "parameters": {"kernels": True}},
+         ["header", "error"]),
+        ([], {"suite": "mc-poisson", "seed": 1,
+              "parameters": {"window": {"x_min": False, "x_max": True,
+                                        "y_min": "0", "y_max": "1e0"}}},
+         ["header", "error"]),
+        ([], {"suite": "mc-identity", "seed": 1,
+              "parameters": {"experiments": [{**_TWO_SAMPLE_EXPERIMENT, "intensity": "2"}]}},
+         ["header", "error"]),
+        ([], {"suite": "transform-invariance", "seed": 1,
+              "parameters": {"regions": [{"type": "disk", "cx": 0, "cy": 0,
+                                          "radius": "0.5"}]}},
+         ["header", "error"]),
+        # an integer beyond the float range, which float() cannot convert
+        ([], {"suite": "mc-poisson", "seed": 1, "parameters": {"intensity": 10**400}},
+         ["header", "error"]),
+        # an order whose target (intensity * area)^n is not a finite float
+        ([], {"suite": "mc-poisson", "seed": 1, "instance_count": 100,
+              "parameters": {"orders": [1, 700]}},
+         ["header", "error"]),
         # every parameter is read before the first record
         ([], {"suite": "transform-invariance", "seed": 1, "instance_count": 50,
               "parameters": {"condition_instances": "x"}},
@@ -622,6 +672,16 @@ _DECLARED = [(suite, name) for suite in SUITES for name in SUITES[suite].paramet
         "instance-count-not-integral",
         "m-max-not-integral",
         "experiment-n-samples-not-integral",
+        "seed-a-bool",
+        "seed-a-string",
+        "instance-count-a-bool",
+        "intensity-a-string",
+        "kernels-a-bool",
+        "window-bools-and-strings",
+        "experiment-intensity-a-string",
+        "region-value-a-string",
+        "intensity-beyond-float",
+        "orders-target-overflows",
         "condition-instances-read-first",
         "lemma-count-read-first",
         "every-experiment-validated-first",
@@ -683,6 +743,39 @@ def test_an_unset_n_steps_is_the_default_or_the_longer_burn_in(
     assert status == EXIT_VALIDATION_ERROR
     assert json.loads(lines[-1])["message"] == (
         f"n_steps must be at least the default burn-in {burn_in}")
+
+
+_STRAUSS_EXPERIMENT = {
+    "process": "strauss",
+    "window": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1},
+    "beta": 5.0,
+    "gamma": 0.5,
+    "r": 0.1,
+    "n_samples": 20,
+}
+
+
+@pytest.mark.parametrize(
+    "suite,instances,parameters,nulled",
+    [
+        ("mc-gibbs", 4, {}, {"n_steps": None}),
+        ("mc-identity", 20, {"beta": 5}, {"beta": 5, "n_steps": None}),
+        ("mc-identity", None, {"experiments": [_STRAUSS_EXPERIMENT]},
+         {"experiments": [{**_STRAUSS_EXPERIMENT, "n_steps": None}]}),
+    ],
+    ids=["mc-gibbs", "mc-identity", "mc-identity-experiment"],
+)
+def test_a_null_n_steps_runs_the_default_chain(suite, instances, parameters, nulled):
+    status, lines = run_to_lines(suite, 1, instances, parameters)
+    assert status == EXIT_PASS
+    nulled_status, nulled_lines = run_to_lines(suite, 1, instances, nulled)
+    assert nulled_status == status and body_of(nulled_lines) == body_of(lines)
+
+
+def test_a_null_instance_count_is_unset():
+    config = SuiteConfig.from_dict({"suite": "mc-poisson", "seed": 1, "instance_count": None})
+    assert config == SuiteConfig.from_dict({"suite": "mc-poisson", "seed": 1})
+    assert config.instance_count is None
 
 
 def test_readme_table_lists_the_registry():

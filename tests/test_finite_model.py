@@ -310,6 +310,40 @@ def test_model_description_poisson_and_errors():
         )
 
 
+_PAIRWISE = {"type": "pairwise", "gamma": 0.5, "pairs": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "description",
+    [
+        # a site count or pair index that int() would truncate
+        {"sites": 2.9, "weights": [1.0, 1.0], "density": {"type": "poisson"}},
+        {"sites": 2, "weights": [1.0, 1.0],
+         "density": {**_PAIRWISE, "pairs": [[0.7, 1.2]]}},
+        # strings and booleans are not numbers
+        {"sites": "2", "weights": [1.0, 1.0], "density": {"type": "poisson"}},
+        {"sites": True, "weights": [1.0], "density": {"type": "poisson"}},
+        {"sites": 2, "weights": ["1.0", True], "density": {"type": "poisson"}},
+        {"sites": 2, "weights": [1.0, True], "density": {"type": "poisson"}},
+        {"sites": 2, "weights": [1.0, 1.0], "density": {**_PAIRWISE, "gamma": "0.5"}},
+        {"sites": 2, "weights": [1.0, 1.0], "density": {**_PAIRWISE, "pairs": [[True, 0]]}},
+    ],
+    ids=["sites-not-integral", "pair-not-integral", "sites-string", "sites-bool",
+         "weights-string-and-bool", "weight-bool", "gamma-string", "pair-bool"],
+)
+def test_model_description_rejects_values_that_are_not_real_numbers(description):
+    with pytest.raises(ValueError):
+        model_from_description(description)
+
+
+def test_model_description_reads_integral_floats_as_integers():
+    model = model_from_description(
+        {"sites": 2.0, "weights": [1, 2], "density": {**_PAIRWISE, "pairs": [[0.0, 1.0]]}}
+    )
+    assert model.m == 2 and model.weights == (1.0, 2.0)
+    assert model.papangelou(0, frozenset({1})) == 0.5
+
+
 def test_hereditarity_check_is_exhaustive_above_sixteen_sites():
     # forbids only {0..15} while allowing its superset {0..16}
     forbidden = frozenset(range(16))

@@ -323,10 +323,26 @@ def test_poisson_independence_error_discrimination():
 
 def test_order_guard():
     model = FiniteModel(GroundSpace((1.0, 1.0)), poisson_log_density())
-    with pytest.raises(ValueError):
-        factorial_moment_identity(model, lambda c: 1.0, lambda x, c: True, 5)
+    region = lambda x, c: True
+    regions = [lambda x, c: x == 0, lambda x, c: x == 1]
+    for n in (0, 5):
+        with pytest.raises(ValueError):
+            factorial_moment_identity(model, lambda c: 1.0, region, n)
+        with pytest.raises(ValueError):
+            stirling_moment_identity(model, lambda c: 1.0, region, n)
     with pytest.raises(ValueError):
         partition_moment_identity(model, lambda x, c: 1.0, 0)
+    for evaluate in (joint_factorial_identity, dtheta_joint_expansion):
+        with pytest.raises(ValueError):
+            evaluate(model, lambda c: 1.0, regions, [1])
+        with pytest.raises(ValueError):
+            evaluate(model, lambda c: 1.0, regions, [3, 2])
+    with pytest.raises(ValueError):
+        joint_factorial_identity(model, lambda c: 1.0, regions, [0, 1])
+    # the difference expansion accepts a zero order: region 0 carries no
+    # tuple coordinate
+    report = dtheta_joint_expansion(model, lambda c: 1.0, regions, [0, 1])
+    assert report.rel_gap <= GATE
 
 
 def test_validate_disjoint_is_exhaustive_at_eleven_sites():
