@@ -40,9 +40,9 @@ calls: every block can be drawn alone, and the Strauss chains of all blocks
 of a call (all replicates of sample_many, both sides of an estimator, or
 all sides of the mc-identity experiments that share (model, n_samples,
 n_steps)) advance together in lockstep without reading each other's
-streams. So groups of blocks drawn in separate processes give the same
-chains and points as one call; _draw_sides splits a large Strauss draw so.
-This is the one stream layout of the Monte Carlo suites: the
+streams. So sides drawn in separate processes give the same chains and
+points as one call, and _draw_sides cuts a large Strauss draw between its
+sides. This is the one stream layout of the Monte Carlo suites: the
 transform suites push forward the replicates of sample_batch, one block
 stream at a time (`transforms._transformed_counts`).
 """
@@ -168,8 +168,13 @@ def mean_and_se(values) -> tuple[float, float]:
 
 
 def z_value(estimate: float, target: float, se: float) -> float:
-    """(estimate - target) / se, and 0 when the standard error is 0."""
+    """(estimate - target) / se; with a standard error of 0, 0 when the
+    estimate equals the target and a ValueError otherwise, since no z
+    measures that gap."""
     if se == 0.0:
+        if estimate != target:
+            raise ValueError(f"a standard error of 0 cannot gate estimate {estimate!r} "
+                             f"against target {target!r}")
         return 0.0
     return (estimate - target) / se
 
@@ -467,9 +472,10 @@ def sample_process(model: ProcessModel, seed, n_steps: int | None = None) -> Con
     return sample_gibbs(model, _chain_steps(model, n_steps), seed)
 
 
-# chains x steps from which a Strauss draw cuts its blocks into one group per
-# core, each drawn in its own process (parallel._map). Measured on 2 cores,
-# each draw in a fresh process: split lost at 360k and won from about 720k
+# chains x steps from which a Strauss draw cuts its sides into min(cores,
+# sides) contiguous groups, each drawn in its own process (parallel._map).
+# Measured on 2 cores, each draw in a fresh process: split lost at 360k and
+# won from about 720k
 _SPLIT_MIN = 1_000_000
 
 
@@ -478,64 +484,41 @@ def _draw_sides(model: ProcessModel, sides: Sequence[tuple[int, int]], n_samples
     """Per (seed, extra) side, the batch of its n_samples replicates and the
     (n_samples, extra, 2) right-side points of each.
 
-    Each block stream of a side yields its configurations (Poisson draws or
-    Strauss chains), then extra points per replicate in one sample_points
-    call. The configurations of every side come from one call, so the
-    Strauss chains of all sides run in lockstep, unless the draw holds at
-    least _SPLIT_MIN chain steps: then the blocks are cut into one
-    contiguous group per core, balanced by chain count, each group's chains
-    run in lockstep in its own process, and the groups' batches are
-    concatenated in block order, padded with NaN to the widest. Every block
-    reads only its own stream, so the groups give the same replicates and
-    points as one call.
+    All sides are drawn in one _draw_group call, so the Strauss chains of all
+    sides run in lockstep, unless the draw holds at least _SPLIT_MIN chain
+    steps: then the sides are cut into min(cores, sides) contiguous groups,
+    each drawn in its own process. A side reads only its own block streams,
+    so the groups give the same replicates and points as one call.
     """
-    streams = [_block_streams(seed, n_samples) for seed, _ in sides]
-    blocks = [(rng, size, extra) for (_, extra), side in zip(sides, streams) for rng, size in side]
-    groups = [blocks]
+    groups = [sides]
     if (isinstance(model, StraussModel)
             and len(sides) * n_samples * _chain_steps(model, n_steps) >= _SPLIT_MIN):
-        groups = _balanced_groups(blocks, parallel._process_count())
-    drawn = list(parallel._map(partial(_draw_blocks, model, n_steps), groups))
-    xs, ys, n = _concatenate([batch for batch, _ in drawn])
-    points = iter([block_points for _, group in drawn for block_points in group])
+        count = min(parallel._process_count(), len(sides))
+        groups = [sides[g * len(sides) // count:(g + 1) * len(sides) // count]
+                  for g in range(count)]
+    drawn = parallel._map(partial(_draw_group, model, n_samples, n_steps), groups)
+    return [side for group in drawn for side in group]
+
+
+def _draw_group(model: ProcessModel, n_samples: int, n_steps: int | None,
+                sides: Sequence[tuple[int, int]]) -> list[tuple[Batch, np.ndarray]]:
+    """_draw_sides for sides drawn in one call: the configurations of the
+    block streams of all sides (Poisson draws, or Strauss chains in
+    lockstep), then each block's extra points per replicate in one
+    sample_points call."""
+    streams = [_block_streams(seed, n_samples) for seed, _ in sides]
+    blocks = [block for side in streams for block in side]
+    if isinstance(model, PoissonModel):
+        xs, ys, n = _poisson_batch(model.window, model.intensity, blocks)
+    else:
+        xs, ys, n = _strauss_chains(model, n_steps, blocks)
     result = []
     for i, ((_, extra), side) in enumerate(zip(sides, streams)):
         rows = slice(i * n_samples, (i + 1) * n_samples)
-        side_points = np.concatenate([np.zeros((0, 2)), *(next(points) for _ in side)])
-        result.append(((xs[rows], ys[rows], n[rows]), side_points.reshape(n_samples, extra, 2)))
+        points = [model.window.sample_points(rng, size * extra) for rng, size in side]
+        points = np.concatenate([np.zeros((0, 2)), *points]).reshape(n_samples, extra, 2)
+        result.append(((xs[rows], ys[rows], n[rows]), points))
     return result
-
-
-def _balanced_groups(blocks: Sequence, count: int) -> list[Sequence]:
-    """The blocks cut into at most count nonempty contiguous groups: group g
-    ends at the block boundary nearest to (g + 1) / count of the chains."""
-    ends = np.cumsum([size for _, size, _ in blocks])
-    cuts = {int(np.abs(ends - ends[-1] * g / count).argmin()) + 1 for g in range(1, count)}
-    cuts = sorted(cuts | {0, len(blocks)})
-    return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
-
-
-def _draw_blocks(model: ProcessModel, n_steps: int | None, blocks: Sequence):
-    """The batch of the replicates of the (generator, size, extra) blocks,
-    and then per block its (size * extra, 2) right-side points."""
-    streams = [(rng, size) for rng, size, _ in blocks]
-    if isinstance(model, PoissonModel):
-        batch = _poisson_batch(model.window, model.intensity, streams)
-    else:
-        batch = _strauss_chains(model, n_steps, streams)
-    return batch, [model.window.sample_points(rng, size * extra) for rng, size, extra in blocks]
-
-
-def _concatenate(batches: Sequence[Batch]) -> Batch:
-    """The configurations of the batches in order, as one batch padded with
-    NaN to the widest."""
-    if len(batches) == 1:
-        return batches[0]
-    width = max(xs.shape[1] for xs, _, _ in batches)
-    xs, ys = (np.concatenate([np.pad(batch[i], ((0, 0), (0, width - batch[i].shape[1])),
-                                     constant_values=np.nan) for batch in batches])
-              for i in (0, 1))
-    return xs, ys, np.concatenate([n for _, _, n in batches])
 
 
 def sample_batch(model: ProcessModel, n_samples: int, seed: int,

@@ -1,4 +1,4 @@
-"""The exact engine's blocks, the block groups of a large Strauss draw, and
+"""The exact engine's blocks, the side groups of a large Strauss draw, and
 the items of any map, shared with forked children: the same sums, chains and
 estimates for every process count, the serial loop's results and exception,
 no child left behind, and no fork outside parallel."""
@@ -213,8 +213,6 @@ def test_runs_serially_without_fork_or_with_one_core(processes, forks, monkeypat
 
 
 UNIT = Window(0.0, 1.0, 0.0, 1.0)
-# side seeds whose first group of blocks doubles its capacity at 2 processes
-_SPLIT_SEEDS = (0, 5)
 
 
 def _used_slots(batch):
@@ -226,41 +224,58 @@ def _used_slots(batch):
     return xs[used], ys[used]
 
 
-def test_strauss_block_groups_draw_what_one_process_draws(processes, forks, monkeypatch):
-    # blocks of 3 replicates: two sides of 6 are the blocks 3, 3, 3, 3, cut
-    # into (0, 1), (2, 3) at 2 processes and (0), (1, 2), (3) at 3
+def _start_width(model, seeds, n_samples):
+    """The batch width of the Poisson(beta) starts of the chains of seeds."""
+    return max(int(rng.poisson(model.beta, size).max())
+               for seed in seeds for rng, size in montecarlo._block_streams(seed, n_samples))
+
+
+@pytest.mark.parametrize(
+    "sides",
+    [[(5, 2)], [(0, 0), (5, 2)], [(0, 0), (5, 2), (16, 1)]],
+    ids=["one-side", "two-sides", "three-sides"],
+)
+def test_strauss_side_groups_draw_what_one_process_draws(processes, forks, monkeypatch, sides):
+    # blocks of 3 replicates, so each side of 6 is two block streams; at 2
+    # processes two sides are cut into (0), (1) and three into (0), (1, 2)
     monkeypatch.setattr(montecarlo, "BLOCK_REPLICATES", 3)
     monkeypatch.setattr(montecarlo, "_SPLIT_MIN", 0)
     model = StraussModel(UNIT, 60.0, 0.5, 0.05)
     steps = default_burn_in(model)
-    sides = [(_SPLIT_SEEDS[0], 0), (_SPLIT_SEEDS[1], 2)]
-    # at 2 processes, one group's chains outgrow its capacity and the other
-    # group's do not, so the groups' batches differ in width
-    def groups():
-        blocks = [(rng, size, extra) for seed, extra in sides
-                  for rng, size in montecarlo._block_streams(seed, 6)]
-        return montecarlo._balanced_groups(blocks, 2)
-
-    doubled = []
-    for group, fresh in zip(groups(), groups()):
-        start = max(rng.poisson(model.beta, size).max() for rng, size, _ in group)
-        xs, _, _ = montecarlo._strauss_chains(model, steps, [(rng, size) for rng, size, _ in fresh])
-        doubled.append(xs.shape[1] > start)
-    assert doubled == [True, False]
     draws = []
     for count in (1, 2, 3):
         processes(count)
         before = len(forks)
         draws.append(montecarlo._draw_sides(model, sides, 6, steps))
-        assert len(forks) - before == count - 1
+        assert len(forks) - before == min(count, len(sides)) - 1
         assert_no_children()
+    if len(sides) > 1:
+        # at 2 processes the first group's chains outgrow the capacity of
+        # their start and the last group's do not, so the groups' batches
+        # differ in width
+        groups = (sides[:len(sides) // 2], sides[len(sides) // 2:])
+        widths = [draws[1][0][0][0].shape[1], draws[1][-1][0][0].shape[1]]
+        starts = [_start_width(model, [seed for seed, _ in group], 6) for group in groups]
+        assert [width > start for width, start in zip(widths, starts)] == [True, False]
     for drawn in draws[1:]:
+        assert len(drawn) == len(sides)
         for (batch, points), (expected, expected_points) in zip(drawn, draws[0]):
             assert np.array_equal(batch[2], expected[2])
             for got, want in zip(_used_slots(batch), _used_slots(expected)):
                 assert np.array_equal(got, want)
             assert np.array_equal(points, expected_points)
-    # the estimators give equal records
+    # a Poisson draw never splits
+    before = len(forks)
+    montecarlo._draw_sides(PoissonModel(UNIT, 5.0), sides, 6, None)
+    assert len(forks) == before
+    assert_no_children()
+
+
+def test_strauss_estimates_are_equal_for_every_process_count(processes, monkeypatch):
+    monkeypatch.setattr(montecarlo, "BLOCK_REPLICATES", 3)
+    monkeypatch.setattr(montecarlo, "_SPLIT_MIN", 0)
+    model = StraussModel(UNIT, 60.0, 0.5, 0.05)
+    steps = default_burn_in(model)
     kernel = lambda x, y, count: 1.0 + x * count
     functional = lambda count: 1.0 + 0.1 * count
     region = lambda x, y, count: x <= 0.5
@@ -270,10 +285,6 @@ def test_strauss_block_groups_draw_what_one_process_draws(processes, forks, monk
         records.append((estimate_gnz(model, kernel, 6, 11, steps),
                         estimate_factorial_identity(model, functional, region, 2, 6, 11, steps)))
     assert records[0] == records[1] == records[2]
-    # a Poisson draw never splits
-    before = len(forks)
-    montecarlo._draw_sides(PoissonModel(UNIT, 5.0), sides, 6, None)
-    assert len(forks) == before
     assert_no_children()
 
 

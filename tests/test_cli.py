@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -518,6 +519,7 @@ _DECLARED = [(suite, name) for suite in SUITES for name in SUITES[suite].paramet
               "parameters": {"experiments": [_ONE_SAMPLE_EXPERIMENT], "beta": 1000}}, []),
         ([], {"suite": "mc-identity", "seed": 1, "instance_count": 5,
               "parameters": {"experiments": [_ONE_SAMPLE_EXPERIMENT]}}, []),
+        ([], {"suite": "mc-poisson", "seed": 1, "parameters": []}, []),
         # malformed parameter values
         ([], {"suite": "mc-poisson", "seed": 1, "parameters": {"window": {"x_min": 0}}},
          ["header", "error"]),
@@ -544,6 +546,9 @@ _DECLARED = [(suite, name) for suite in SUITES for name in SUITES[suite].paramet
         ([], {"suite": "mc-identity", "seed": 1, "parameters": {"experiments": 5}},
          ["header", "error"]),
         ([], {"suite": "mc-identity", "seed": 1, "parameters": {"experiments": []}},
+         ["header", "error"]),
+        ([], {"suite": "mc-identity", "seed": 1,
+              "parameters": {"experiments": [{**_TWO_SAMPLE_EXPERIMENT, "identity": "bogus"}]}},
          ["header", "error"]),
         # an experiment key that no code reads, and one of another process
         ([], {"suite": "mc-identity", "seed": 1,
@@ -649,6 +654,7 @@ _DECLARED = [(suite, name) for suite in SUITES for name in SUITES[suite].paramet
         "one-sample-experiment",
         "experiments-and-beta",
         "experiments-and-instance-count",
+        "parameters-not-an-object",
         "window-missing-key",
         "window-not-an-object",
         "region-missing-key",
@@ -660,6 +666,7 @@ _DECLARED = [(suite, name) for suite in SUITES for name in SUITES[suite].paramet
         "regions-empty",
         "experiments-not-a-list",
         "experiments-empty",
+        "experiment-identity-unknown",
         "experiment-unknown-key",
         "experiment-key-of-other-process",
         "experiment-n-samples-negative",
@@ -702,6 +709,77 @@ def test_bad_input_is_exit_3_without_traceback(argv, config, records, tmp_path, 
     captured = capsys.readouterr()
     assert [json.loads(line)["record"] for line in captured.out.splitlines()] == records
     assert "Traceback" not in captured.err
+
+
+_ORDER_40 = "a standard error of 0 cannot gate estimate 0.0 against target 1.2157665459056929e+19"
+
+
+@pytest.mark.parametrize(
+    "config,records,message",
+    [
+        # no count reaches 40, so every falling factorial is 0
+        ({"suite": "mc-poisson", "seed": 1, "instance_count": 1000,
+          "parameters": {"orders": [40]}}, ["header", "error"], _ORDER_40),
+        # the error record stands where the order-40 record would
+        ({"suite": "mc-poisson", "seed": 1, "instance_count": 1000,
+          "parameters": {"orders": [1, 40, 2]}}, ["header", "moment", "error"], _ORDER_40),
+        # the first box of a 12 x 12 grid that no replicate's points reach
+        ({"suite": "rho-tau", "seed": 1, "instance_count": 200,
+          "parameters": {"grid_size": 12, "intensity": 5}}, ["header", "error"],
+         "a standard error of 0 cannot gate estimate 0.0 against target 0.004631558641975313"),
+    ],
+    ids=["mc-poisson-order-40", "mc-poisson-order-40-second", "rho-tau-grid-12"],
+)
+def test_a_zero_standard_error_off_target_is_exit_3(config, records, message, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path)]) == EXIT_VALIDATION_ERROR
+    captured = capsys.readouterr()
+    written = [json.loads(line) for line in captured.out.splitlines()]
+    assert [record["record"] for record in written] == records
+    assert written[-1]["message"] == message
+    assert "Traceback" not in captured.err
+
+
+def _disk(cx, cy, radius):
+    return {"type": "disk", "cx": cx, "cy": cy, "radius": radius}
+
+
+_BOX = {"type": "box", "x_min": 0.2, "x_max": 0.6, "y_min": -0.2, "y_max": 0.2}
+
+
+def test_transform_invariance_reads_disk_regions():
+    regions = [_disk(-0.45, 0.0, 0.25), _disk(0.45, -0.45, 0.25), _BOX]
+    status, lines = run_to_lines("transform-invariance", 1, 500,
+                                 {"regions": regions, "condition_instances": 0})
+    assert status == EXIT_PASS
+    records = [json.loads(line) for line in body_of(lines)]
+    assert [r["area"] for r in records if r["record"] == "gof"] == [
+        math.pi * 0.25 * 0.25, math.pi * 0.25 * 0.25, transforms.Box(0.2, 0.6, -0.2, 0.2).area,
+    ]
+    assert records[-1] == {"record": "summary", "suite": "transform-invariance",
+                           "n_records": len(records) - 1, "n_failures": 0, "passed": True}
+
+
+@pytest.mark.parametrize(
+    "regions,message",
+    [
+        ([_disk(0.7, 0.0, 0.25), _disk(-0.3, 0.0, 0.25), _disk(0.1, 0.0, 0.25)],
+         "regions 1 and 2 overlap"),
+        ([_disk(0.0, 0.0, 0.25), _BOX], "regions 0 and 1 overlap"),
+        ([_BOX, _disk(0.0, 0.0, 0.25)], "regions 0 and 1 overlap"),
+        ([_disk(0.0, 0.8, 0.25)], "regions must lie inside the unit disk"),
+        ([_disk(0.0, 0.0, 0.0)], "disk radius must be positive"),
+    ],
+    ids=["disk-disk-overlap", "disk-box-overlap", "box-disk-overlap", "disk-outside",
+         "disk-radius-0"],
+)
+def test_bad_disk_regions_are_exit_3(regions, message):
+    status, lines = run_to_lines("transform-invariance", 1, 50, {"regions": regions})
+    assert status == EXIT_VALIDATION_ERROR
+    assert [json.loads(line) for line in body_of(lines)] == [
+        {"record": "error", "message": message}
+    ]
 
 
 @pytest.mark.parametrize("suite,name,value", _OUT_OF_RANGE, ids=_OUT_OF_RANGE_IDS)

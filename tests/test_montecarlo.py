@@ -34,7 +34,9 @@ from ppmoments.montecarlo import (
     sample_gibbs,
     sample_many,
     sample_poisson,
+    sample_process,
     z_score,
+    z_value,
 )
 
 UNIT = Window(0.0, 1.0, 0.0, 1.0)
@@ -60,6 +62,16 @@ def test_sample_poisson_deterministic():
     b = sample_poisson(UNIT, 5.0, 42)
     assert a == b
     assert all(UNIT.contains(*p) for p in a)
+
+
+def test_sample_process_is_the_sampler_of_its_model():
+    poisson = PoissonModel(UNIT, 5.0)
+    assert sample_process(poisson, 42) == sample_poisson(UNIT, 5.0, 42)
+    strauss = StraussModel(UNIT, 20.0, 0.5, 0.1)
+    burn_in = default_burn_in(strauss)
+    drawn = sample_process(strauss, 7)
+    assert drawn == sample_gibbs(strauss, burn_in, 7) != sample_gibbs(strauss, burn_in + 40, 7)
+    assert sample_process(strauss, 7, burn_in + 40) == sample_gibbs(strauss, burn_in + 40, 7)
 
 
 def test_sample_poisson_near_zero_intensity():
@@ -402,6 +414,16 @@ def test_estimate_and_z_score_helpers():
     b = Estimate(1.2, 0.1, 100, 2)
     assert z_score(a, b) == pytest.approx(-0.2 / math.hypot(0.1, 0.1))
     assert z_score(Estimate(0.0, 0.0, 10, 1), Estimate(0.0, 0.0, 10, 2)) == 0.0
+
+
+def test_a_zero_standard_error_gates_only_an_estimate_on_target():
+    assert z_value(1.5, 1.0, 0.25) == 2.0
+    assert z_value(2.0, 2.0, 0.0) == 0.0
+    # with se 0 any gap would read z = 0 and pass every gate
+    with pytest.raises(ValueError, match=r"estimate 0\.0 against target 1e-300$"):
+        z_value(0.0, 1e-300, 0.0)
+    with pytest.raises(ValueError, match="estimate 3.0 against target 2.5"):
+        z_score(Estimate(3.0, 0.0, 10, 1), Estimate(2.5, 0.0, 10, 2))
 
 
 def test_gnz_estimates_poisson_unit_kernel():
