@@ -18,6 +18,12 @@ the Lebesgue area element is exactly ds dt, and the map is a translation in
 s, so it preserves area on the hull interior. Because the hull boundary is
 polygonal every sector area is a triangle area, so both Acum and its
 inverse are closed-form per edge.
+
+The transform suites map their replicates a block of rows at a time. The
+hulls of a block come from one array kernel (`_hull_vertices`), which
+deletes the non-convex turns of every row's monotone chains at once and
+ends with the vertices of `convex_hull`, the per-row monotone chain, in its
+order; the sector tables and the rotation are arrays over the block too.
 """
 
 from __future__ import annotations
@@ -51,6 +57,9 @@ Configuration = frozenset
 _TWO_PI = 2.0 * math.pi
 _ORIENT_FILTER = 1e-12
 MAX_CONDITION_TUPLE = 3
+# rho-tau writes a record per pair of its grid_size^2 boxes, and checks every
+# pair for overlap: g^4 / 2 of each, 80,000 at 20
+MAX_GRID_SIZE = 20
 # half-width of the rho-tau box grid; 0.7 sqrt(2) < 1 keeps it in the disk
 _GRID_EXTENT = 0.7
 
@@ -123,8 +132,12 @@ def convex_hull(points) -> list:
 # A block is the (xs, ys) of a `montecarlo` batch: each row holds its points,
 # then NaN, which no disk, hull or region test accepts.
 
-# replicates per block of _transformed_counts
-_BLOCK = 32
+# replicates per block of _transformed_counts. Swept on a 2-core VM over the
+# transform suites of the mc-poisson-hull benchmark: a serial pass took 0.158,
+# 0.149, 0.157 and 0.163 s of CPU at 64, 128, 256 and 512 rows (medians of 7),
+# 128 beat 64 in 4 of 4 benchmark runs, and 512 raised peak memory from 112
+# to 121 MB
+_BLOCK = 128
 # the extreme-point prefilter's directions, counterclockwise
 _PREFILTER_DIRECTIONS = (
     (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
@@ -165,65 +178,136 @@ def _hull_candidates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return keep & ~inside
 
 
+def _hull_vertices(x: np.ndarray, y: np.ndarray):
+    """Per row of a (B, N) block, the extreme points of the hull of its
+    points in the closed unit disk, in the order of `convex_hull`: the flat
+    arrays (hx, hy) of every row's vertices, row after row, and n[b], the
+    count of row b (0 when it has fewer than 3).
+
+    One array kernel serves the whole block. The prefilter's survivors of
+    each row are sorted and made distinct as `sorted(set(points))` does.
+    Each row's lower chain (its sorted points) and upper chain (the same,
+    reversed) lie end to end in flat arrays, and the first and last vertex
+    of each chain stay. A round tests every other vertex against its
+    current neighbours with the float filter of `orientation`, calls
+    `orientation` itself on the triples the filter cannot certify, and
+    deletes every vertex that is no strict left turn. Such a vertex lies on
+    or left of the directed chord between its neighbours, so it is no vertex
+    of its chain of the hull of the current points, and deleting all of
+    them at once leaves both chains of the hull as they were. When a round
+    deletes nothing, every turn is strictly convex: each chain is the
+    monotone chain's, and a row's vertices are `lower[:-1] + upper[:-1]`.
+
+    Rounds run until one deletes nothing. In the worst case each deletes
+    one vertex: a convex arc whose last point drops far below loses only
+    its last interior vertex in a round, then the one before, so a chain of
+    m points takes m - 1 rounds and O(m^2) work. Behind the prefilter, a
+    block of the transform suites' Poisson samples takes 2 to 6 rounds.
+    """
+    b, k = np.nonzero(_hull_candidates(x, y))
+    px, py = x[b, k], y[b, k]
+    order = np.lexsort((py, px, b))
+    b, px, py = b[order], px[order], py[order]
+    # a point equal to the one before it in its row is a duplicate
+    distinct = np.ones(len(b), dtype=bool)
+    distinct[1:] = (b[1:] != b[:-1]) | (px[1:] != px[:-1]) | (py[1:] != py[:-1])
+    b, px, py = b[distinct], px[distinct], py[distinct]
+    # row r of m points fills 2 m slots j: its lower chain p_0 .. p_{m-1},
+    # then its upper chain p_{m-1} .. p_0
+    m = np.bincount(b, minlength=len(x))
+    size = np.repeat(m, 2 * m)
+    j = np.arange(len(size)) - np.repeat(np.cumsum(2 * m) - 2 * m, 2 * m)
+    at = np.repeat(np.cumsum(m) - m, 2 * m) + np.minimum(j, 2 * size - 1 - j)
+    vx, vy, row = px[at], py[at], b[at]
+    last = (j == size - 1) | (j == 2 * size - 1)
+    end = last | (j == 0) | (j == size)
+    while True:
+        i = np.flatnonzero(~end)
+        ax, ay, bx, by = vx[i - 1], vy[i - 1], vx[i], vy[i]
+        t1 = (bx - ax) * (vy[i + 1] - ay)
+        t2 = (by - ay) * (vx[i + 1] - ax)
+        det = t1 - t2
+        certified = np.abs(det) > _ORIENT_FILTER * (np.abs(t1) + np.abs(t2))
+        left = certified & (det > 0.0)
+        for u in np.flatnonzero(~certified).tolist():
+            v = i[u]
+            left[u] = orientation(*zip(vx[v - 1:v + 2].tolist(), vy[v - 1:v + 2].tolist())) > 0
+        if left.all():
+            break
+        keep = np.ones(len(vx), dtype=bool)
+        keep[i[~left]] = False
+        vx, vy, row, last, end = vx[keep], vy[keep], row[keep], last[keep], end[keep]
+    vx, vy, row = vx[~last], vy[~last], row[~last]
+    n = np.bincount(row, minlength=len(x))
+    # rows of fewer than 3 distinct or only collinear points have no hull
+    n[n < 3] = 0
+    hull = n[row] > 0
+    return vx[hull], vy[hull], n
+
+
 def _hulls(x: np.ndarray, y: np.ndarray) -> list:
     """Per row of a (B, N) block, the extreme points of the hull of its
-    points in the closed unit disk (as `convex_hull`), or None when there
-    are fewer than 3."""
-    hulls = []
-    for row_x, row_y, mask in zip(x, y, _hull_candidates(x, y)):
-        hull = convex_hull(zip(row_x[mask].tolist(), row_y[mask].tolist()))
-        hulls.append(tuple(hull) if len(hull) >= 3 else None)
-    return hulls
+    points in the closed unit disk as a tuple (as `convex_hull`), or None
+    when there are fewer than 3: the list view of `_hull_vertices`."""
+    hx, hy, n = _hull_vertices(x, y)
+    vertices = list(zip(hx.tolist(), hy.tolist()))
+    stops = np.cumsum(n).tolist()
+    return [tuple(vertices[stop - count:stop]) if count else None
+            for stop, count in zip(stops, n.tolist())]
 
 
 class _Frames:
-    """Anchors and sector tables of B hulls, as (B, V) arrays.
+    """Anchors and sector tables of the hulls of a block, as (H, V) arrays.
 
-    Row b holds the n[b] counterclockwise vertices of hull b and is padded
-    past them. The vertex and edge tables repeat the row's vertices
+    The hulls are given as `_hull_vertices` returns them: the flat vertex
+    coordinates hx, hy and the vertex counts n of the B rows of a block.
+    `rows` holds the H block rows with a hull, most vertices first, and
+    table row h the counterclockwise vertices of the hull of block row
+    rows[h], padded past them. The vertex and edge tables repeat the row's vertices
     cyclically, so testing a point against every column tests it against
-    every edge of its hull. `deltas` (vertex angles from vertex 0) and `cum`
-    (cumulative sector areas, (B, V + 1)) are padded with +inf, so the count
-    of a row's entries <= a value is its sorted lookup.
+    every edge of its hull; as the rows come by vertex count, column c of
+    the first reach[c] rows holds a vertex of its own, and the others only
+    repeat one. `deltas` (vertex angles from vertex 0) and `cum` (cumulative
+    sector areas, (H, V + 1)) are padded with +inf, so the count of a row's
+    entries <= a value is its sorted lookup.
     """
 
-    def __init__(self, hulls: Sequence[tuple]):
-        n = np.array([len(hull) for hull in hulls])
-        if n.min() < 3:
-            raise ValueError("a hull frame needs at least 3 vertices")
-        rows = np.arange(len(hulls))
+    def __init__(self, hx: np.ndarray, hy: np.ndarray, n: np.ndarray):
+        self.rows = np.argsort(-n, kind="stable")[:np.count_nonzero(n)]
+        start = (np.cumsum(n) - n)[self.rows, None]
+        n = n[self.rows]
+        h = np.arange(len(n))
         slot = np.arange(n.max())
         valid = slot < n[:, None]
-        flat = np.array([vertex for hull in hulls for vertex in hull], dtype=float)
-        start = (np.cumsum(n) - n)[:, None]
-        verts = flat[start + slot % n[:, None]]
+        self.reach = np.count_nonzero(valid, axis=0)
+        at = start + slot % n[:, None]
         # edge i runs from vertex i to vertex i + 1
-        following = flat[start + (slot + 1) % n[:, None]]
+        following = start + (slot + 1) % n[:, None]
+        self.vx, self.vy = hx[at], hy[at]
+        fx, fy = hx[following], hy[following]
         # the vertex centroid, summed in vertex order
-        self.anchor = np.cumsum(verts, axis=1)[rows, n - 1] / n[:, None]
-        self.vx, self.vy = verts[..., 0], verts[..., 1]
-        edges = following - verts
-        self.ex, self.ey = edges[..., 0], edges[..., 1]
-        rel = verts - self.anchor[:, None, :]
-        self.relx, self.rely = rel[..., 0], rel[..., 1]
+        ax = np.cumsum(self.vx, axis=1)[h, n - 1] / n
+        ay = np.cumsum(self.vy, axis=1)[h, n - 1] / n
+        self.anchor = np.stack((ax, ay), axis=1)
+        self.ex, self.ey = fx - self.vx, fy - self.vy
+        self.relx, self.rely = self.vx - ax[:, None], self.vy - ay[:, None]
         angles = np.arctan2(self.rely, self.relx)
         self.theta0 = angles[:, 0]
         # angle of each vertex counterclockwise from vertex 0, increasing
         self.deltas = np.where(valid, (angles - self.theta0[:, None]) % _TWO_PI, np.inf)
         # area of sector i: the triangle (anchor, vertex i, vertex i + 1)
-        nrel = following - self.anchor[:, None, :]
-        tri = 0.5 * (self.relx * nrel[..., 1] - self.rely * nrel[..., 0])
+        tri = 0.5 * (self.relx * (fy - ay[:, None]) - self.rely * (fx - ax[:, None]))
         if not np.all(tri[valid] > 0.0):
             raise ValueError("degenerate hull sector")
         self.tri = np.where(valid, tri, 0.0)
         self.cum = np.concatenate((np.zeros((len(n), 1)), np.cumsum(self.tri, axis=1)), axis=1)
-        self.total = self.cum[rows, n]
+        self.total = self.cum[h, n]
         self.cum[:, 1:][~valid] = np.inf
         self.last = n - 1
 
     def rotate(self, offset: float, x: np.ndarray, y: np.ndarray):
-        """Star rotation by offset * total area of row b's hull of every point
-        of row b of a (B, N) block, as new (x, y) arrays.
+        """Star rotation by offset * total area of row h's hull of every point
+        of row h of an (H, N) block, as new (x, y) arrays.
 
         Points not strictly inside their hull (vertices and edges included)
         and the anchor come back unchanged. The ray of a point anchor + r
@@ -234,10 +318,11 @@ class _Frames:
         area (s + offset * T) mod T.
         """
         x, y = np.array((x, y), dtype=float)
-        # strictly left of every counterclockwise edge
+        # strictly left of every counterclockwise edge, each tested once
         inside = np.ones(x.shape, dtype=bool)
-        for ex, ey, vx, vy in zip(self.ex.T, self.ey.T, self.vx.T, self.vy.T):
-            inside &= ex[:, None] * (y - vy[:, None]) - ey[:, None] * (x - vx[:, None]) > 0.0
+        for c, r in enumerate(self.reach.tolist()):
+            ex, ey, vx, vy = (table[:r, c, None] for table in (self.ex, self.ey, self.vx, self.vy))
+            inside[:r] &= ex * (y[:r] - vy) - ey * (x[:r] - vx) > 0.0
         b, k = np.nonzero(inside)
         rx = x[b, k] - self.anchor[b, 0]
         ry = y[b, k] - self.anchor[b, 1]
@@ -263,10 +348,14 @@ class _Frames:
 
 def _count_at_most(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per k, the count of entries <= values[k] in row rows[k] of a table,
-    taken a column at a time so that no (len(values), columns) array is made."""
+    for rows ascending and finite values, taken a column at a time so that
+    no (len(values), columns) array is made. The finite entries of each
+    column of a `_Frames` table come first, so a column is compared only
+    with the values of those rows, a prefix of the values."""
     count = np.zeros(len(values), dtype=np.intp)
-    for column in table.T:
-        count += column[rows] <= values
+    ends = np.searchsorted(rows, np.count_nonzero(np.isfinite(table), axis=0))
+    for column, end in zip(table.T, ends.tolist()):
+        count[:end] += column[rows[:end]] <= values[:end]
     return count
 
 
@@ -276,7 +365,10 @@ class HullFrame:
 
     def __init__(self, extremal_vertices: tuple):
         self.extremal_vertices = tuple(extremal_vertices)
-        self._frames = _Frames([self.extremal_vertices])
+        if len(self.extremal_vertices) < 3:
+            raise ValueError("a hull frame needs at least 3 vertices")
+        hx, hy = np.array(self.extremal_vertices, dtype=float).T
+        self._frames = _Frames(hx, hy, np.array([len(hx)]))
         self.anchor = tuple(self._frames.anchor[0].tolist())
         self.total_area = float(self._frames.total[0])
 
@@ -313,12 +405,12 @@ def _tau(offset: float, xs: np.ndarray, ys: np.ndarray, x: np.ndarray, y: np.nda
     """
     if offset == 0.0:
         return x, y
-    hulls = _hulls(xs, ys)
-    rows = [b for b, hull in enumerate(hulls) if hull is not None]
-    if not rows:
+    hx, hy, n = _hull_vertices(xs, ys)
+    if not n.any():
         return x, y
+    frames = _Frames(hx, hy, n)
     x, y = np.array((x, y), dtype=float)
-    x[rows], y[rows] = _Frames([hulls[b] for b in rows]).rotate(offset, x[rows], y[rows])
+    x[frames.rows], y[frames.rows] = frames.rotate(offset, x[frames.rows], y[frames.rows])
     return x, y
 
 
@@ -560,12 +652,13 @@ def rho_tau_check(
     function identically 1: mean counts of disjoint boxes must match
     intensity * area and product moments of box pairs must match the product
     of intensities. Boxes form a grid_size x grid_size grid on the square
-    [-_GRID_EXTENT, _GRID_EXTENT]^2 inside the disk. Returns the rows with z,
+    [-_GRID_EXTENT, _GRID_EXTENT]^2 inside the disk, with grid_size from 1
+    to MAX_GRID_SIZE. Returns the rows with z,
     without verdicts, keyed by record name: "rho-tau-first" per box and
     "rho-tau-second" per pair of boxes.
     """
-    if grid_size < 1:
-        raise ValueError("grid_size must be positive")
+    if not 1 <= grid_size <= MAX_GRID_SIZE:
+        raise ValueError(f"grid_size must be between 1 and {MAX_GRID_SIZE}, got {grid_size}")
     step = 2.0 * _GRID_EXTENT / grid_size
     boxes = [
         Box(

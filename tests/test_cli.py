@@ -301,7 +301,9 @@ def test_an_instance_error_ends_the_report_where_the_serial_run_does(
     "suite,seed,instances",
     [(suite, seed, instances) for suite in ("transform-invariance", "rho-tau")
      for seed in (1, 17) for instances in (100, 33)]
-    + [("transform-invariance", 1, transforms._BLOCK), ("rho-tau", 1, transforms._BLOCK)],
+    # one full block of replicates, and three blocks, the last of one row
+    + [(suite, 1, instances) for suite in ("transform-invariance", "rho-tau")
+       for instances in (transforms._BLOCK, 2 * transforms._BLOCK + 1)],
 )
 def test_transform_suites_are_byte_identical_for_every_process_count(
     processes, forks, suite, seed, instances
@@ -324,6 +326,8 @@ def test_transform_suites_are_byte_identical_for_every_process_count(
 def _failing_blocks(monkeypatch, processes, suite, failing):
     """Make transforms._tau raise at the blocks of replicates listed in
     failing, which a serial run tells apart by their points."""
+    # 130 replicates in 5 blocks of 32
+    monkeypatch.setattr(transforms, "_BLOCK", 32)
     tau = transforms._tau
     keys = []
 
@@ -462,6 +466,9 @@ _OUT_OF_RANGE = [
     ("ddd0", "l_max", 9),
     ("ddd0", "lemma_count", -3),
     ("transform-invariance", "condition_instances", -1),
+    # the rho-tau grid: its pair records grow as grid_size^4
+    ("rho-tau", "grid_size", 0),
+    ("rho-tau", "grid_size", transforms.MAX_GRID_SIZE + 1),
     # a Poisson intensity that is not positive
     ("mc-poisson", "intensity", 0),
     ("mc-poisson", "intensity", -1),

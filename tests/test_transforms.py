@@ -1,5 +1,6 @@
 """Geometry and invariance tests for the hull-conditioned transformation."""
 
+import io
 import math
 import warnings
 from collections import Counter
@@ -287,6 +288,78 @@ def test_prefilter_never_changes_a_hull():
     assert kept.sum() < 0.3 * in_disk.sum()
 
 
+def _kernel_cases():
+    """Rows that press on the hull kernel's rounds, ties and exact fallback."""
+    # a convex lower arc whose last point drops far below it: a round
+    # deletes only the arc's last interior vertex
+    arc = [(t, 0.5 * t * t - 0.2) for t in np.linspace(-0.6, 0.2, 12).tolist()] + [(0.3, -0.9)]
+    # columns of equal x, every point twice
+    ties = [(x, y) for x in (-0.4, 0.0, 0.4) for y in (0.3, -0.3, 0.1)] * 2 + [(0.0, -0.5)]
+    # (0.25, 0.25) turns left or right of (0, 0) -> (0.5, 0.5 +- ulp) by a
+    # hair that only the Fraction fallback of orientation decides
+    fallback = [[(0.0, 0.0), (0.0, 0.6), (0.25, 0.25), (0.5, 0.5 + 2.0**-53)],
+                [(0.0, 0.0), (0.0, 0.6), (0.25, 0.25), (0.5, 0.5 - 2.0**-54)]]
+    # triples whose rounded determinant has the wrong sign: exactly a left
+    # turn where it reads 0, and a right turn where it reads a left one;
+    # with a point on either side, each turn is on the lower and the upper
+    # chain in turn
+    for a, b, c in (((-0.288549152555149, 0.29014438711287527),
+                     (0.293119104539025, 0.468308969851169),
+                     (0.49759678278284836, 0.5309403405324603)),
+                    ((-0.4310515691860674, -0.22805048207624545),
+                     (-0.13410796229604643, -0.16333035683152144),
+                     (0.5092590373235354, -0.023105776043953252))):
+        fallback += [[a, b, c, (0.0, 0.8)], [a, b, c, (0.0, -0.8)]]
+    # on the unit circle: the axis points exactly, others to the nearest float
+    circle = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.8, 0.6)] + [
+        (math.cos(t), math.sin(t)) for t in np.linspace(0.0, 2.0 * math.pi, 50).tolist()
+    ]
+    few = [[], [(0.1, 0.2)], [(0.1, 0.2)] * 3, [(0.1, 0.2), (-0.3, 0.4)],
+           [(0.1, 0.2), (2.0, 0.0), (0.0, 2.0), (1.5, -1.5)]]
+    collinear = [[(0.1 * k, -0.05 * k) for k in (3, -6, 0, 6, -2)],
+                 [(0.3, 0.1 * k) for k in (3, -2, 5, 0, -7)],
+                 [(0.1 * k, -0.4) for k in (4, -3, 0, 4)]]
+    return [arc, ties, *fallback, circle, *few, *collinear]
+
+
+def test_hull_kernel_equals_the_monotone_chain_row_by_row(monkeypatch):
+    cases = _kernel_cases()
+    xs, ys, _ = _batch([np.array(case, dtype=float).reshape(-1, 2) for case in cases])
+    expected = [_unfiltered_hull(case) for case in cases]
+    # the few-point and collinear rows, the last eight, have no hull
+    assert [hull is None for hull in expected[-8:]] == [True] * 8
+    calls = []
+    exact = transforms.orientation
+
+    def counting(a, b, c):
+        calls.append(exact(a, b, c))
+        return calls[-1]
+
+    monkeypatch.setattr(transforms, "orientation", counting)
+    # the vertices and their order, behind the prefilter and without it,
+    # where the kernel meets every point in the disk
+    assert _hulls(xs, ys) == expected
+    # the float filter leaves turns of every sign to the exact test
+    assert set(calls) == {-1, 0, 1}
+    monkeypatch.setattr(transforms, "_hull_candidates", lambda x, y: x * x + y * y <= 1.0)
+    assert _hulls(xs, ys) == expected
+    cases = _prefilter_cases()
+    xs, ys, _ = _batch([np.array(case, dtype=float).reshape(-1, 2) for case in cases])
+    assert _hulls(xs, ys) == [_unfiltered_hull(case) for case in cases]
+
+
+def test_the_transform_suites_run_no_monotone_chain(monkeypatch):
+    # convex_hull stays as the reference of the tests above; the suites find
+    # their hulls with the array kernel alone
+    def chain(points):
+        raise AssertionError("convex_hull called")
+
+    monkeypatch.setattr(transforms, "convex_hull", chain)
+    for suite in ("transform-invariance", "rho-tau"):
+        stream = io.StringIO()
+        assert cli.run_suite(cli.SuiteConfig(suite, 1, 300), stream) == cli.EXIT_PASS, suite
+
+
 def _reference_counts(offset, window, intensity, regions, n_replicates, seed):
     """The replicate counts, each replicate of sample_many through hull_frame."""
     counts = np.zeros((n_replicates, len(regions)), dtype=np.int64)
@@ -329,7 +402,9 @@ def test_block_counts_equal_the_per_replicate_reference(monkeypatch, processes, 
         for offset, intensity, regions in ((0.37, 40.0, invariance_regions),
                                            (0.37, 30.0, grid), (0.0, 30.0, grid)):
             expected = _reference_counts(offset, window, intensity, regions, 130, seed)
-            for block, count in product((1, 7, _BLOCK), (1, 2, 3)):
+            # row blocks that split the stream blocks, and _BLOCK, which
+            # holds a whole one
+            for block, count in product((1, 7, 32, _BLOCK), (1, 2, 3)):
                 monkeypatch.setattr(transforms, "_BLOCK", block)
                 processes(count)
                 map_forks.clear()
