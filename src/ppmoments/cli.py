@@ -82,10 +82,10 @@ from .montecarlo import (
 from .parallel import _map
 from .transforms import (
     TransformSpec,
+    _checked_conditions,
     invariance_suite,
     region_from_config,
     rho_tau_check,
-    verify_transform_condition,
 )
 
 EXIT_PASS = 0
@@ -558,21 +558,24 @@ def _run_transform_invariance(config: SuiteConfig):
     ).items():
         for row in group:
             yield _gated({"record": kind, "name": "transform-invariance", **row})
-    # the vanishing-difference condition on sampled tuples
+    # the vanishing-difference condition on sampled tuples, drawn lazily in
+    # instance order and checked a chunk at a time
     rng = np.random.default_rng(_child_seed(config.seed, 1))
-    for i in range(condition_count):
-        sample = sample_poisson(window, intensity / 4.0, rng)
-        length = int(rng.integers(1, 4))
-        points = tuple(
-            (float(x), float(y)) for x, y in rng.uniform(-1.1, 1.1, (length, 2))
-        )
-        ok = verify_transform_condition(TransformSpec(offset), sample, points, 1e-9)
+
+    def draws():
+        for _ in range(condition_count):
+            sample = sample_poisson(window, intensity / 4.0, rng)
+            length = int(rng.integers(1, 4))
+            yield sample, rng.uniform(-1.1, 1.1, (length, 2)).tolist()
+
+    checked = _checked_conditions(TransformSpec(offset), draws(), 1e-9)
+    for i, ((_, points), ok) in enumerate(checked):
         yield {
             "record": "condition",
             "name": "transform-condition",
             "instance": i,
-            "tuple_length": length,
-            "passed": bool(ok),
+            "tuple_length": len(points),
+            "passed": ok,
         }
 
 

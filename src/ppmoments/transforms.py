@@ -24,6 +24,8 @@ hulls of a block come from one array kernel (`_hull_vertices`), which
 deletes the non-convex turns of every row's monotone chains at once and
 ends with the vertices of `convex_hull`, the per-row monotone chain, in its
 order; the sector tables and the rotation are arrays over the block too.
+Points that the hull prefilter certifies strictly inside the hull move
+without the per-edge inside test, which only the disk's other points take.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from itertools import product as _iter_product
 from typing import Sequence
 
@@ -41,6 +43,7 @@ from .combinatorics import falling_factorial
 from .difference_ops import _covers_vanish
 from .montecarlo import (
     Window,
+    _batch,
     _batch_of,
     _block_streams,
     _frozensets,
@@ -138,11 +141,6 @@ def convex_hull(points) -> list:
 # 128 beat 64 in 4 of 4 benchmark runs, and 512 raised peak memory from 112
 # to 121 MB
 _BLOCK = 128
-# the extreme-point prefilter's directions, counterclockwise
-_PREFILTER_DIRECTIONS = (
-    (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
-    (-1.0, 0.0), (-1.0, -1.0), (0.0, -1.0), (1.0, -1.0),
-)
 
 
 def _hull_candidates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -155,22 +153,27 @@ def _hull_candidates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     it is strictly inside the hull and is no extreme point. "Strictly inside"
     is the float filter of `orientation` certifying a left turn on every edge
     of nonzero length. (When every edge has zero length, all the row's
-    points coincide and there is no hull either way.)
+    points coincide and there is no hull either way.) The disk points it
+    drops are the certified interior that `_Frames.rotate` moves without an
+    edge test.
+
+    The directions are (1, 0), (1, 1), (0, 1) and (-1, 1) and their
+    negations, counterclockwise. Their scores x, x + y, y and y - x are
+    exact, and a negation's arg-max is the arg-min of the score; both take
+    the first of tied points.
     """
     keep = x * x + y * y <= 1.0
     if not keep.any():
         return keep
-    corners = np.stack(
-        [np.argmax(np.where(keep, dx * x + dy * y, -np.inf), axis=1)
-         for dx, dy in _PREFILTER_DIRECTIONS],
-        axis=1,
-    )
+    scores = np.stack((x, x + y, y, y - x))
+    corners = np.concatenate((np.where(keep, scores, -np.inf).argmax(axis=2),
+                              np.where(keep, scores, np.inf).argmin(axis=2))).T
     cx = np.take_along_axis(x, corners, axis=1)
     cy = np.take_along_axis(y, corners, axis=1)
     ex = np.roll(cx, -1, axis=1) - cx
     ey = np.roll(cy, -1, axis=1) - cy
     inside = np.ones_like(keep)
-    for k in range(len(_PREFILTER_DIRECTIONS)):
+    for k in range(corners.shape[1]):
         t1 = ex[:, k, None] * (y - cy[:, k, None])
         t2 = ey[:, k, None] * (x - cx[:, k, None])
         certified = t1 - t2 > _ORIENT_FILTER * (np.abs(t1) + np.abs(t2))
@@ -181,8 +184,9 @@ def _hull_candidates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _hull_vertices(x: np.ndarray, y: np.ndarray):
     """Per row of a (B, N) block, the extreme points of the hull of its
     points in the closed unit disk, in the order of `convex_hull`: the flat
-    arrays (hx, hy) of every row's vertices, row after row, and n[b], the
-    count of row b (0 when it has fewer than 3).
+    arrays (hx, hy) of every row's vertices, row after row, n[b], the count
+    of row b (0 when it has fewer than 3), and the (B, N) mask of the
+    prefilter's certified interior, the disk points it drops.
 
     One array kernel serves the whole block. The prefilter's survivors of
     each row are sorted and made distinct as `sorted(set(points))` does.
@@ -204,8 +208,10 @@ def _hull_vertices(x: np.ndarray, y: np.ndarray):
     m points takes m - 1 rounds and O(m^2) work. Behind the prefilter, a
     block of the transform suites' Poisson samples takes 2 to 6 rounds.
     """
-    b, k = np.nonzero(_hull_candidates(x, y))
-    px, py = x[b, k], y[b, k]
+    candidates = _hull_candidates(x, y)
+    at = np.flatnonzero(candidates)
+    b = at // x.shape[1]
+    px, py = x.take(at), y.take(at)
     order = np.lexsort((py, px, b))
     b, px, py = b[order], px[order], py[order]
     # a point equal to the one before it in its row is a duplicate
@@ -242,14 +248,14 @@ def _hull_vertices(x: np.ndarray, y: np.ndarray):
     # rows of fewer than 3 distinct or only collinear points have no hull
     n[n < 3] = 0
     hull = n[row] > 0
-    return vx[hull], vy[hull], n
+    return vx[hull], vy[hull], n, (x * x + y * y <= 1.0) & ~candidates
 
 
 def _hulls(x: np.ndarray, y: np.ndarray) -> list:
     """Per row of a (B, N) block, the extreme points of the hull of its
     points in the closed unit disk as a tuple (as `convex_hull`), or None
     when there are fewer than 3: the list view of `_hull_vertices`."""
-    hx, hy, n = _hull_vertices(x, y)
+    hx, hy, n, _ = _hull_vertices(x, y)
     vertices = list(zip(hx.tolist(), hy.tolist()))
     stops = np.cumsum(n).tolist()
     return [tuple(vertices[stop - count:stop]) if count else None
@@ -270,10 +276,16 @@ class _Frames:
     repeat one. `deltas` (vertex angles from vertex 0) and `cum` (cumulative
     sector areas, (H, V + 1)) are padded with +inf, so the count of a row's
     entries <= a value is its sorted lookup.
+
+    interior, when given, is the prefilter's certified interior: the (B, N)
+    mask of the block's own points that lie strictly inside their row's
+    hull. `rotate` then maps those points, row h holding those of block row
+    rows[h], and moves the certified ones without an edge test.
     """
 
-    def __init__(self, hx: np.ndarray, hy: np.ndarray, n: np.ndarray):
+    def __init__(self, hx: np.ndarray, hy: np.ndarray, n: np.ndarray, interior=None):
         self.rows = np.argsort(-n, kind="stable")[:np.count_nonzero(n)]
+        self.interior = None if interior is None else interior[self.rows]
         start = (np.cumsum(n) - n)[self.rows, None]
         n = n[self.rows]
         h = np.arange(len(n))
@@ -309,40 +321,47 @@ class _Frames:
         """Star rotation by offset * total area of row h's hull of every point
         of row h of an (H, N) block, as new (x, y) arrays.
 
-        Points not strictly inside their hull (vertices and edges included)
-        and the anchor come back unchanged. The ray of a point anchor + r
-        leaves the hull through edge i at anchor + lam * r = vertex i + f *
-        edge i, so the point has sector area s = cum[i] + f * tri[i] and lies
-        at the fraction 1 / lam of the boundary distance R(phi). Its image
-        lies at the same fraction of the way to the boundary point of sector
-        area (s + offset * T) mod T.
+        A point moves when it lies in the closed unit disk and strictly
+        inside its hull: in the certified interior, or strictly left of every
+        counterclockwise edge, a test made only on the disk's other points.
+        Points not strictly inside (vertices and edges included), points
+        outside the disk and the anchor come back unchanged. The ray of a
+        point anchor + r leaves the hull through edge i at anchor + lam * r =
+        vertex i + f * edge i, so the point has sector area s = cum[i] + f *
+        tri[i] and lies at the fraction 1 / lam of the boundary distance
+        R(phi). Its image lies at the same fraction of the way to the
+        boundary point of sector area (s + offset * T) mod T.
         """
         x, y = np.array((x, y), dtype=float)
-        # strictly left of every counterclockwise edge, each tested once
-        inside = np.ones(x.shape, dtype=bool)
-        for c, r in enumerate(self.reach.tolist()):
-            ex, ey, vx, vy = (table[:r, c, None] for table in (self.ex, self.ey, self.vx, self.vy))
-            inside[:r] &= ex * (y[:r] - vy) - ey * (x[:r] - vx) > 0.0
-        b, k = np.nonzero(inside)
-        rx = x[b, k] - self.anchor[b, 0]
-        ry = y[b, k] - self.anchor[b, 1]
+        width, columns = x.shape[1], self.ex.shape[1]
+        inside = x * x + y * y <= 1.0
+        at = np.flatnonzero(inside if self.interior is None else inside & ~self.interior)
+        b = at // width
+        px, py = x.take(at)[:, None], y.take(at)[:, None]
+        left = self.ex[b] * (py - self.vy[b]) - self.ey[b] * (px - self.vx[b]) > 0.0
+        inside.put(at[~left.all(axis=1)], False)
+        at = np.flatnonzero(inside)
+        b = at // width
+        rx = x.take(at) - self.anchor[:, 0].take(b)
+        ry = y.take(at) - self.anchor[:, 1].take(b)
         moved = (rx != 0.0) | (ry != 0.0)
-        b, k, rx, ry = b[moved], k[moved], rx[moved], ry[moved]
-        last = self.last[b]
-        delta = (np.arctan2(ry, rx) - self.theta0[b]) % _TWO_PI
-        i = np.minimum(_count_at_most(self.deltas, b, delta) - 1, last)
-        ax, ay = self.relx[b, i], self.rely[b, i]
-        ex, ey = self.ex[b, i], self.ey[b, i]
-        tri = self.tri[b, i]
+        at, b, rx, ry = at[moved], b[moved], rx[moved], ry[moved]
+        last = self.last.take(b)
+        delta = (np.arctan2(ry, rx) - self.theta0.take(b)) % _TWO_PI
+        # flat indices of (b, i) in the (H, V) tables; i + b is (b, i) in cum
+        i = b * columns + np.minimum(_count_at_most(self.deltas, b, delta) - 1, last)
+        ax, ay = self.relx.take(i), self.rely.take(i)
+        ex, ey = self.ex.take(i), self.ey.take(i)
+        tri = self.tri.take(i)
         cross = rx * ey - ry * ex
         lam = 2.0 * tri / cross
-        s = self.cum[b, i] + tri * (ax * ry - ay * rx) / cross
-        total = self.total[b]
+        s = self.cum.take(i + b) + tri * (ax * ry - ay * rx) / cross
+        total = self.total.take(b)
         target = (s + offset * total) % total
-        j = np.minimum(_count_at_most(self.cum, b, target) - 1, last)
-        f = (target - self.cum[b, j]) / self.tri[b, j]
-        x[b, k] = self.anchor[b, 0] + (self.relx[b, j] + f * self.ex[b, j]) / lam
-        y[b, k] = self.anchor[b, 1] + (self.rely[b, j] + f * self.ey[b, j]) / lam
+        j = b * columns + np.minimum(_count_at_most(self.cum, b, target) - 1, last)
+        f = (target - self.cum.take(j + b)) / self.tri.take(j)
+        x.put(at, self.anchor[:, 0].take(b) + (self.relx.take(j) + f * self.ex.take(j)) / lam)
+        y.put(at, self.anchor[:, 1].take(b) + (self.rely.take(j) + f * self.ey.take(j)) / lam)
         return x, y
 
 
@@ -401,14 +420,16 @@ def _tau(offset: float, xs: np.ndarray, ys: np.ndarray, x: np.ndarray, y: np.nda
 
     The identity when the offset is 0 (no hull is extracted then) and on rows
     whose configuration has no hull frame; otherwise the star rotation in the
-    row's hull frame.
+    row's hull frame. When (x, y) are the configurations' own arrays (x is
+    xs and y is ys), the prefilter's certified interior is moved without
+    the edge test.
     """
     if offset == 0.0:
         return x, y
-    hx, hy, n = _hull_vertices(xs, ys)
+    hx, hy, n, interior = _hull_vertices(xs, ys)
     if not n.any():
         return x, y
-    frames = _Frames(hx, hy, n)
+    frames = _Frames(hx, hy, n, interior if x is xs and y is ys else None)
     x, y = np.array((x, y), dtype=float)
     x[frames.rows], y[frames.rows] = frames.rotate(offset, x[frames.rows], y[frames.rows])
     return x, y
@@ -460,27 +481,80 @@ def verify_transform_condition(
     coordinate projections of tau(x, omega) in every combination across the
     tuple slots, and indicator compositions 1_B(tau(x, omega)) for a fixed
     family of test boxes. True iff every family passes at tolerance tol.
+    This is the one-instance case of `_checked_conditions`.
     """
-    pts = tuple(points)
-    m = len(pts)
-    if not (1 <= m <= MAX_CONDITION_TUPLE):
-        raise ValueError(f"tuple length must satisfy 1 <= m <= {MAX_CONDITION_TUPLE}")
+    return next(_checked_conditions(spec, [(config, points)], tol))[1]
 
-    xs, ys, _ = _batch_of(
-        config | frozenset(pts[i] for i in range(m) if eta >> i & 1)
-        for eta in range(1 << m)
-    )
-    x, y = np.broadcast_to(np.array(pts, dtype=float).T[:, None], (2, 1 << m, m))
-    x, y = _tau(spec.rotation_offset, xs, ys, x, y)
-    # table[column, j, eta]: tau(x_j, config u {x_i : bit i of eta}), then its
-    # indicator in each test box
-    table = np.stack([x.T, y.T, *(Box(*box).contains(x.T, y.T) for box in _TEST_BOXES)])
-    # one value table per assignment of a column to each tuple slot
-    for columns in (range(2), range(2, 2 + len(_TEST_BOXES))):
-        assignments = np.array(list(_iter_product(columns, repeat=m)))
-        if not _covers_vanish(table[assignments, np.arange(m)], tol).all():
-            return False
-    return True
+
+# condition instances checked together: each maps 2^m <= 8 augmented
+# configurations, so a chunk is a _tau block of at most _BLOCK rows
+_CONDITION_CHUNK = _BLOCK >> MAX_CONDITION_TUPLE
+
+
+def _checked_conditions(spec: TransformSpec, instances, tol: float):
+    """Yield each (config, points) instance of an iterable with the verdict
+    of `verify_transform_condition`, in order.
+
+    The instances are taken _CONDITION_CHUNK at a time, and each chunk is
+    checked at once by `_conditions_hold`. When a chunk raises a ValueError
+    it is checked again one instance at a time, so the instances before the
+    failing one come out with their verdicts before the error.
+    """
+    instances = iter(instances)
+    while chunk := [(config, tuple(points))
+                    for config, points in islice(instances, _CONDITION_CHUNK)]:
+        try:
+            verdicts = _conditions_hold(spec.rotation_offset, chunk, tol).tolist()
+        except ValueError:
+            verdicts = (_conditions_hold(spec.rotation_offset, [instance], tol)[0]
+                        for instance in chunk)
+        yield from zip(chunk, map(bool, verdicts))
+
+
+def _conditions_hold(offset: float, instances: list, tol: float) -> np.ndarray:
+    """Per (config, points) instance, whether the cover condition holds, as
+    `verify_transform_condition` states it.
+
+    One `_tau` call maps every instance's tuple points over its 2^m
+    augmented configurations config u {x_i : bit i of eta}, NaN-padded to
+    MAX_CONDITION_TUPLE columns. The cover evaluation takes the instances of
+    each tuple length m together.
+    """
+    rows, mapped = [], []
+    for config, pts in instances:
+        m = len(pts)
+        if not (1 <= m <= MAX_CONDITION_TUPLE):
+            raise ValueError(f"tuple length must satisfy 1 <= m <= {MAX_CONDITION_TUPLE}")
+        config = np.array(list(config), dtype=float).reshape(-1, 2)
+        pts = np.array(pts, dtype=float)
+        rows += [np.concatenate((config, pts[[i for i in range(m) if eta >> i & 1]]))
+                 for eta in range(1 << m)]
+        mapped += [np.pad(pts, ((0, MAX_CONDITION_TUPLE - m), (0, 0)),
+                          constant_values=np.nan)] * (1 << m)
+    xs, ys, _ = _batch(rows)
+    x, y = np.moveaxis(np.array(mapped), 2, 0)
+    x, y = _tau(offset, xs, ys, x, y)
+    lengths = np.array([len(pts) for _, pts in instances])
+    first = np.cumsum(1 << lengths) - (1 << lengths)
+    holds = np.ones(len(instances), dtype=bool)
+    for m in range(1, MAX_CONDITION_TUPLE + 1):
+        if not (lengths == m).any():
+            continue
+        # rows of the instances of length m: (I, 2^m), then their images as
+        # (I, m, 2^m) tables tau(x_j, config u {x_i : bit i of eta})
+        at = first[lengths == m, None] + np.arange(1 << m)
+        tx, ty = x[at, :m].transpose(0, 2, 1), y[at, :m].transpose(0, 2, 1)
+        # table[I, column, j, eta]: both coordinates, then the indicator of
+        # each test box
+        table = np.stack([tx, ty, *(Box(*box).contains(tx, ty) for box in _TEST_BOXES)],
+                         axis=1)
+        # one value table per assignment of a coordinate column, or of a
+        # box column, to each tuple slot
+        assignments = np.array(list(_iter_product(range(2), repeat=m))
+                               + list(_iter_product(range(2, 2 + len(_TEST_BOXES)), repeat=m)))
+        tables = table[:, assignments, np.arange(m)]
+        holds[lengths == m] = _covers_vanish(tables, tol).all(axis=1)
+    return holds
 
 
 # -- fixed planar regions --------------------------------------------------------
@@ -561,10 +635,8 @@ def poisson_count_gof(counts: np.ndarray, mean: float) -> tuple[float, int, floa
     n = counts.size
     top = int(counts.max())
     observed = np.bincount(counts, minlength=top + 2).astype(float)
-    probs = np.array(
-        [_scipy_stats.poisson.pmf(k, mean) for k in range(top + 1)]
-        + [float(_scipy_stats.poisson.sf(top, mean))]
-    )
+    probs = np.append(_scipy_stats.poisson.pmf(np.arange(top + 1), mean),
+                      _scipy_stats.poisson.sf(top, mean))
     obs_cells = observed.tolist()
     exp_cells = (n * probs).tolist()
     # pool from the right until every cell expects at least 5

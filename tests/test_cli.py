@@ -377,6 +377,58 @@ def test_a_block_error_ends_the_transform_report_as_the_serial_run_does(
     ]
 
 
+@pytest.mark.parametrize("failing", [5, 21], ids=["first-chunk", "second-chunk"])
+def test_a_condition_error_mid_chunk_ends_the_report_at_its_instance(monkeypatch, failing):
+    # a _tau that raises on any block holding the sample of one condition
+    # instance, found by a point of it, fails that instance's chunk; the
+    # chunk is checked again one instance at a time
+    parameters = {"condition_instances": 40}
+    samples = []
+    draw = cli.sample_poisson
+
+    def recording(*args):
+        samples.append(draw(*args))
+        return samples[-1]
+
+    monkeypatch.setattr(cli, "sample_poisson", recording)
+    status, expected = run_to_lines("transform-invariance", 1, 200, parameters)
+    assert status == EXIT_PASS and len(samples) == 40
+    marker = min(samples[failing])
+    tau = transforms._tau
+
+    def failing_tau(offset, xs, ys, x, y):
+        if ((xs == marker[0]) & (ys == marker[1])).any():
+            raise ValueError(f"instance {failing} fails")
+        return tau(offset, xs, ys, x, y)
+
+    monkeypatch.setattr(transforms, "_tau", failing_tau)
+    status, lines = run_to_lines("transform-invariance", 1, 200, parameters)
+    assert status == EXIT_VALIDATION_ERROR
+    records = [json.loads(line) for line in expected]
+    cut = next(i for i, record in enumerate(records)
+               if record["record"] == "condition" and record["instance"] == failing)
+    assert _without_timestamp(lines[:-1]) == _without_timestamp(expected[:cut])
+    assert json.loads(lines[-1]) == {"record": "error", "message": f"instance {failing} fails"}
+
+
+def test_a_transform_run_maps_one_block_per_chunk_of_conditions(monkeypatch, processes):
+    # the condition checks of a run with default parameters share their
+    # _tau calls: one per chunk of instances, not one per instance
+    processes(1)
+    calls = []
+    tau = transforms._tau
+
+    def counting(offset, xs, ys, x, y):
+        calls.append(len(xs))
+        return tau(offset, xs, ys, x, y)
+
+    monkeypatch.setattr(transforms, "_tau", counting)
+    assert run_to_lines("transform-invariance", 1, 300)[0] == EXIT_PASS
+    blocks = -(-300 // transforms._BLOCK)
+    chunks = -(-20 // transforms._CONDITION_CHUNK)
+    assert len(calls) <= blocks + chunks < blocks + 20
+
+
 def test_suite_config_validation():
     with pytest.raises(ValueError):
         SuiteConfig.from_dict({"suite": "unknown", "seed": 1})

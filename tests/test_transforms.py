@@ -12,6 +12,7 @@ import pytest
 from scipy import stats
 
 from ppmoments import cli, montecarlo, transforms
+from ppmoments.difference_ops import _covers_vanish
 from ppmoments.montecarlo import (
     P_GATE,
     Z_GATE,
@@ -458,6 +459,90 @@ def test_padding_is_inert_on_rows_of_any_length():
             assert chat[b] == compound_papangelou(model, points[b].tolist(), config)
 
 
+def _all_edges_inside(hulls, x, y):
+    """The oracle of the certified interior, per point of row b of a block:
+    it moves when it lies in the closed unit disk, strictly left of every
+    counterclockwise edge of hulls[b] in the float arithmetic of the edge
+    test, and off the hull's vertex centroid. Rows without a hull get NaN
+    vertices, which pass no edge test."""
+    longest = max((len(hull) for hull in hulls if hull), default=1)
+    vertices = np.array([
+        [hull[c % len(hull)] for c in range(longest + 1)] if hull else [(math.nan,) * 2] * (longest + 1)
+        for hull in hulls
+    ])
+    inside = x * x + y * y <= 1.0
+    for c in range(longest):
+        (ax, ay), (bx, by) = vertices[:, c].T[..., None], vertices[:, c + 1].T[..., None]
+        inside &= (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0.0
+    # the vertex centroid, summed in vertex order as _Frames sums it
+    anchors = np.array([[sum(v[k] for v in hull) / len(hull) for k in (0, 1)] if hull
+                        else (math.nan, math.nan) for hull in hulls])
+    return inside & ((x != anchors[:, :1]) | (y != anchors[:, 1:]))
+
+
+def _assert_own_points_move_as_the_oracle_says(xs, ys):
+    """_tau of a block's own points, where the prefilter's certified interior
+    skips the edge test, against the oracle point for point, and against
+    _tau of copies of the points, where every disk point takes it."""
+    x, y = transforms._tau(0.37, xs, ys, xs, ys)
+    tested_x, tested_y = transforms._tau(0.37, xs, ys, xs.copy(), ys.copy())
+    assert np.array_equal(x, tested_x, equal_nan=True)
+    assert np.array_equal(y, tested_y, equal_nan=True)
+    moved = ((x != xs) | (y != ys)) & ~np.isnan(xs)
+    assert np.array_equal(moved, _all_edges_inside(_hulls(xs, ys), xs, ys))
+    return moved
+
+
+def test_the_certified_interior_moves_as_the_edge_test_does():
+    square = [(x, y) for x in (-0.5, 0.5) for y in (-0.5, 0.5)]
+    # exactly representable points on the square's edges, its anchor (the
+    # origin), interior points, and duplicates
+    on_edges = [(0.5, 0.25), (0.0, 0.5), (-0.5, -0.125), (0.25, -0.5), (-0.5, 0.375)]
+    inner = [(0.1, 0.2), (-0.3, 0.05), (0.0, 0.0), (0.4375, -0.4375)]
+    edges_row = square + on_edges + inner + on_edges[:2] + inner + square[:1]
+    # vertices on the unit circle, with points a few ulps outside and inside
+    # it next to each, off the radius by up to a few ulps of angle
+    circle = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.8, -0.6)]
+    near = [
+        (math.cos(t) * (1.0 + k * 2.0**-52), math.sin(t) * (1.0 + k * 2.0**-52))
+        for vx, vy in circle
+        for t in (math.atan2(vy, vx) + d * 1e-15 for d in (-4, -1, 0, 1, 4))
+        for k in (-3, -1, 1, 2, 5)
+    ]
+    rim_row = circle + near + [(0.1, -0.2), (0.0, 0.3)]
+    # points an ulp from a vertex on the circle that the disk test puts
+    # outside the disk and the edge test alone strictly inside the hull
+    across_rim = [
+        [(-0.8800804354039584, 0.47482462785662144), (-0.9334142937309382, 0.3588004407170841),
+         (-0.995403278685624, -0.0957721921118545), (-0.9681244036211054, -0.25046983673344575),
+         (0.5296988711018027, -0.8481857732557625), (0.5296988711018028, -0.8481857732557626)],
+        [(-0.30479704495361354, 0.9524173252243708), (-0.9634366576998004, 0.26793619874932495),
+         (-0.9997751875905456, -0.021203166704273406), (-0.9227782576674413, -0.3853313991569354),
+         (-0.3047970449536134, 0.952417325224371)],
+    ]
+    for row in across_rim:
+        x, y = row[-1]
+        hull = convex_hull(row[:-1])
+        assert x * x + y * y > 1.0 and _strictly_inside(hull, (x, y))
+    rng = np.random.default_rng(57)
+    samples = [rng.uniform(-1.05, 1.05, (40, 2)).tolist() for _ in range(20)]
+    cases = [edges_row, rim_row, *across_rim, *samples, *_prefilter_cases(), *_kernel_cases()]
+    xs, ys, _ = _batch([np.array(case, dtype=float).reshape(-1, 2) for case in cases])
+    _assert_own_points_move_as_the_oracle_says(xs, ys)
+    # the rim row holds points outside the disk
+    assert not (xs[1] ** 2 + ys[1] ** 2 <= 1.0).all()
+    # every default-size block of the transform suites' sample, its first
+    # _BLOCK rows at seeds 1 to 50; most of its moved points are certified
+    certified = moved = 0
+    for seed in range(1, 51):
+        stream = next(iter(montecarlo._block_streams(seed, 10_000)))
+        xs, ys, n = montecarlo._poisson_batch(DISK_WINDOW, 40.0, [stream])
+        xs, ys, n = xs[:_BLOCK, : n[:_BLOCK].max()], ys[:_BLOCK, : n[:_BLOCK].max()], n[:_BLOCK]
+        moved += _assert_own_points_move_as_the_oracle_says(xs, ys).sum()
+        certified += transforms._hull_vertices(xs, ys)[3].sum()
+    assert 0.8 * moved < certified <= moved
+
+
 def test_hull_frame_degenerate_cases():
     assert hull_frame(frozenset()) is None
     assert hull_frame(frozenset({(0.1, 0.1), (0.3, 0.3)})) is None
@@ -613,21 +698,77 @@ def test_verify_transform_condition_offset_zero_and_guard():
         verify_transform_condition(TransformSpec(0.1), config, ((0.0, 0.0),) * 4)
 
 
-def test_verify_transform_condition_rejects_a_map_of_interior_points(monkeypatch):
-    # negative control: an image that moves with the number of configuration
-    # points in the disk depends on points that are not extremal, so
-    # D_x tau(x, .) != 0 and the cover condition must fail
-    def count_shift(offset, xs, ys, x, y):
-        shift = 0.01 * (np.hypot(xs, ys) <= 1.0).sum(axis=1)[:, None]
-        return x + shift, y + shift
+def _count_shift(offset, xs, ys, x, y):
+    """A mutant of transforms._tau: an image that moves with the number of
+    configuration points in the disk depends on points that are not
+    extremal, so D_x tau(x, .) != 0 wherever a tuple point in the disk
+    changes that number."""
+    shift = 0.01 * (np.hypot(xs, ys) <= 1.0).sum(axis=1)[:, None]
+    return x + shift, y + shift
 
+
+def test_verify_transform_condition_rejects_a_map_of_interior_points(monkeypatch):
+    # negative control: under _count_shift the cover condition must fail
     config = sample_poisson(BIG_WINDOW, 10.0, 31)
     tuples = [((0.1, 0.2),), ((0.1, 0.2), (-0.3, 0.1)), ((0.1, 0.2), (-0.3, 0.1), (0.2, -0.4))]
     for points in tuples:
         assert verify_transform_condition(TransformSpec(0.3), config, points, 1e-9)
-    monkeypatch.setattr(transforms, "_tau", count_shift)
+    monkeypatch.setattr(transforms, "_tau", _count_shift)
     for points in tuples:
         assert not verify_transform_condition(TransformSpec(0.3), config, points, 1e-9)
+
+
+def _reference_condition(spec, config, points, tol):
+    """The cover condition of one instance, its augmented configurations
+    made as frozensets: the reference of the batched checks."""
+    pts = tuple(map(tuple, points))
+    m = len(pts)
+    xs, ys, _ = montecarlo._batch_of(
+        config | frozenset(pts[i] for i in range(m) if eta >> i & 1) for eta in range(1 << m)
+    )
+    x, y = np.broadcast_to(np.array(pts, dtype=float).T[:, None], (2, 1 << m, m))
+    x, y = transforms._tau(spec.rotation_offset, xs, ys, x, y)
+    table = np.stack([x.T, y.T, *(Box(*box).contains(x.T, y.T) for box in transforms._TEST_BOXES)])
+    for columns in (range(2), range(2, 2 + len(transforms._TEST_BOXES))):
+        assignments = np.array(list(product(columns, repeat=m)))
+        if not _covers_vanish(table[assignments, np.arange(m)], tol).all():
+            return False
+    return True
+
+
+def _parity_shift(offset, xs, ys, x, y):
+    """A mutant of transforms._tau that moves every image by 1e-12, below the
+    tolerance, when the configuration has an odd number of disk points: of
+    a tuple point on the edge of a test box, only the box's indicator sees
+    it."""
+    shift = 1e-12 * ((np.hypot(xs, ys) <= 1.0).sum(axis=1) % 2)[:, None]
+    return x + shift, y + shift
+
+
+@pytest.mark.parametrize("mutant", [None, _count_shift, _parity_shift],
+                         ids=["tau", "count-shift", "parity-shift"])
+def test_batched_condition_verdicts_equal_one_instance_verdicts(monkeypatch, mutant):
+    rng = np.random.default_rng(14)
+    instances = []
+    for k in range(240):
+        # sparse samples too, so that some have fewer than 3 disk points
+        config = sample_poisson(BIG_WINDOW, float(rng.choice([0.3, 1.0, 4.0, 10.0])), rng)
+        points = rng.uniform(-1.1, 1.1, (int(rng.integers(1, 4)), 2)).tolist()
+        # every fourth tuple starts on the right edge of the first test box
+        instances.append((config, [[0.0, -0.3]] + points[1:] if k % 4 == 0 else points))
+    assert len(instances) > 2 * transforms._CONDITION_CHUNK
+    assert {len(points) for _, points in instances} == {1, 2, 3}
+    assert sum(sum(x * x + y * y <= 1.0 for x, y in config) < 3 for config, _ in instances) > 20
+    if mutant:
+        monkeypatch.setattr(transforms, "_tau", mutant)
+    spec = TransformSpec(0.41)
+    checked = list(transforms._checked_conditions(spec, iter(instances), 1e-9))
+    assert [instance for instance, _ in checked] == [(c, tuple(p)) for c, p in instances]
+    batched = [ok for _, ok in checked]
+    assert batched == [verify_transform_condition(spec, c, p, 1e-9) for c, p in instances]
+    assert batched == [_reference_condition(spec, c, p, 1e-9) for c, p in instances]
+    # the mutant fails some instances and passes others
+    assert all(batched) if not mutant else 0 < sum(batched) < len(batched)
 
 
 def test_transform_spec_validation():
