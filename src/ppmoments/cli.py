@@ -206,8 +206,14 @@ def _estimate_record(name, instance, lhs, rhs) -> dict:
     })
 
 
+def _raw_window(parameters: dict, default: dict):
+    """parameters["window"], or default when it is absent or null."""
+    window = parameters.get("window")
+    return default if window is None else window
+
+
 def _window(parameters: dict, default: dict):
-    return window_from_config(parameters.get("window") or default)
+    return window_from_config(_raw_window(parameters, default))
 
 
 # -- suite runners -------------------------------------------------------------
@@ -257,7 +263,10 @@ def _exact_suite(
         path = params.get("model_file") if model_file else None
         model = None
         if path is not None:
-            if "m_max" in params:
+            # a number would be read as a file descriptor, as 0 for stdin
+            if not isinstance(path, str):
+                raise ValueError(f"model_file must be a path string, got {path!r}")
+            if params.get("m_max") is not None:
                 raise ValueError("m_max does not apply with model_file: the file fixes the sites")
             try:
                 model = load_model(path)
@@ -433,7 +442,7 @@ def _run_mc_identity(config: SuiteConfig):
     # the default experiments 600 steps when that is longer
     default_steps = 0 if experiments is not None else 600
     if experiments is None:
-        raw_window = params.get("window") or UNIT_WINDOW
+        raw_window = _raw_window(params, UNIT_WINDOW)
         area = window_from_config(raw_window).area
         n_samples = config.instance_count or 20_000
         poisson = {

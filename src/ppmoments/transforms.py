@@ -143,9 +143,10 @@ def convex_hull(points) -> list:
 _BLOCK = 128
 
 
-def _hull_candidates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mask of the points of a (B, N) block that may be extreme points of the
-    hull of their row's points in the closed unit disk.
+def _hull_candidates(x: np.ndarray, y: np.ndarray):
+    """Masks of the points of a (B, N) block that may be extreme points of
+    the hull of their row's points in the closed unit disk, and of the
+    certified interior: the disk points that lie strictly inside that hull.
 
     Keeps the points in the disk, then drops those strictly inside the
     polygon of the row's arg-max points in eight directions (Akl & Toussaint
@@ -154,8 +155,8 @@ def _hull_candidates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     is the float filter of `orientation` certifying a left turn on every edge
     of nonzero length. (When every edge has zero length, all the row's
     points coincide and there is no hull either way.) The disk points it
-    drops are the certified interior that `_Frames.rotate` moves without an
-    edge test.
+    drops are the certified interior, which `_Frames.rotate` moves without
+    an edge test.
 
     The directions are (1, 0), (1, 1), (0, 1) and (-1, 1) and their
     negations, counterclockwise. Their scores x, x + y, y and y - x are
@@ -163,8 +164,6 @@ def _hull_candidates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     the first of tied points.
     """
     keep = x * x + y * y <= 1.0
-    if not keep.any():
-        return keep
     scores = np.stack((x, x + y, y, y - x))
     corners = np.concatenate((np.where(keep, scores, -np.inf).argmax(axis=2),
                               np.where(keep, scores, np.inf).argmin(axis=2))).T
@@ -178,7 +177,7 @@ def _hull_candidates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         t2 = ey[:, k, None] * (x - cx[:, k, None])
         certified = t1 - t2 > _ORIENT_FILTER * (np.abs(t1) + np.abs(t2))
         inside &= certified | ((ex[:, k, None] == 0.0) & (ey[:, k, None] == 0.0))
-    return keep & ~inside
+    return keep & ~inside, keep & inside
 
 
 def _hull_vertices(x: np.ndarray, y: np.ndarray):
@@ -208,7 +207,7 @@ def _hull_vertices(x: np.ndarray, y: np.ndarray):
     m points takes m - 1 rounds and O(m^2) work. Behind the prefilter, a
     block of the transform suites' Poisson samples takes 2 to 6 rounds.
     """
-    candidates = _hull_candidates(x, y)
+    candidates, interior = _hull_candidates(x, y)
     at = np.flatnonzero(candidates)
     b = at // x.shape[1]
     px, py = x.take(at), y.take(at)
@@ -248,7 +247,7 @@ def _hull_vertices(x: np.ndarray, y: np.ndarray):
     # rows of fewer than 3 distinct or only collinear points have no hull
     n[n < 3] = 0
     hull = n[row] > 0
-    return vx[hull], vy[hull], n, (x * x + y * y <= 1.0) & ~candidates
+    return vx[hull], vy[hull], n, interior
 
 
 def _hulls(x: np.ndarray, y: np.ndarray) -> list:
@@ -267,31 +266,29 @@ class _Frames:
 
     The hulls are given as `_hull_vertices` returns them: the flat vertex
     coordinates hx, hy and the vertex counts n of the B rows of a block.
-    `rows` holds the H block rows with a hull, most vertices first, and
-    table row h the counterclockwise vertices of the hull of block row
-    rows[h], padded past them. The vertex and edge tables repeat the row's vertices
-    cyclically, so testing a point against every column tests it against
-    every edge of its hull; as the rows come by vertex count, column c of
-    the first reach[c] rows holds a vertex of its own, and the others only
-    repeat one. `deltas` (vertex angles from vertex 0) and `cum` (cumulative
-    sector areas, (H, V + 1)) are padded with +inf, so the count of a row's
-    entries <= a value is its sorted lookup.
+    The H rows with a hull keep their block order: `row` maps block row b to
+    its table row, or to -1 when it has no hull, and table row h holds the
+    counterclockwise vertices of its hull, padded past them. The vertex and
+    edge tables repeat the row's vertices cyclically, so testing a point
+    against every column tests it against every edge of its hull. `deltas`
+    (vertex angles from vertex 0) and `cum` (the area of the sectors before
+    each sector) are padded with +inf, so the count of a row's entries <= a
+    value is its sorted lookup, and at most its vertex count.
 
     interior, when given, is the prefilter's certified interior: the (B, N)
     mask of the block's own points that lie strictly inside their row's
-    hull. `rotate` then maps those points, row h holding those of block row
-    rows[h], and moves the certified ones without an edge test.
+    hull, which `rotate` moves without an edge test.
     """
 
     def __init__(self, hx: np.ndarray, hy: np.ndarray, n: np.ndarray, interior=None):
-        self.rows = np.argsort(-n, kind="stable")[:np.count_nonzero(n)]
-        self.interior = None if interior is None else interior[self.rows]
-        start = (np.cumsum(n) - n)[self.rows, None]
-        n = n[self.rows]
+        self.interior = interior
+        self.row = np.where(n > 0, np.cumsum(n > 0) - 1, -1)
+        start = (np.cumsum(n) - n)[n > 0, None]
+        n = n[n > 0]
         h = np.arange(len(n))
-        slot = np.arange(n.max())
+        # a block without a hull has (0, 0) tables, and rotate moves nothing
+        slot = np.arange(n.max(initial=0))
         valid = slot < n[:, None]
-        self.reach = np.count_nonzero(valid, axis=0)
         at = start + slot % n[:, None]
         # edge i runs from vertex i to vertex i + 1
         following = start + (slot + 1) % n[:, None]
@@ -304,77 +301,73 @@ class _Frames:
         self.ex, self.ey = fx - self.vx, fy - self.vy
         self.relx, self.rely = self.vx - ax[:, None], self.vy - ay[:, None]
         angles = np.arctan2(self.rely, self.relx)
-        self.theta0 = angles[:, 0]
+        self.theta0 = angles[:, :1]
         # angle of each vertex counterclockwise from vertex 0, increasing
-        self.deltas = np.where(valid, (angles - self.theta0[:, None]) % _TWO_PI, np.inf)
+        self.deltas = np.where(valid, (angles - self.theta0) % _TWO_PI, np.inf)
         # area of sector i: the triangle (anchor, vertex i, vertex i + 1)
         tri = 0.5 * (self.relx * (fy - ay[:, None]) - self.rely * (fx - ax[:, None]))
         if not np.all(tri[valid] > 0.0):
             raise ValueError("degenerate hull sector")
         self.tri = np.where(valid, tri, 0.0)
-        self.cum = np.concatenate((np.zeros((len(n), 1)), np.cumsum(self.tri, axis=1)), axis=1)
-        self.total = self.cum[h, n]
-        self.cum[:, 1:][~valid] = np.inf
-        self.last = n - 1
+        area = np.cumsum(self.tri, axis=1)
+        self.total = area[h, n - 1]
+        self.cum = np.where(valid, np.pad(area[:, :-1], ((0, 0), (1, 0))), np.inf)
 
     def rotate(self, offset: float, x: np.ndarray, y: np.ndarray):
-        """Star rotation by offset * total area of row h's hull of every point
-        of row h of an (H, N) block, as new (x, y) arrays.
+        """Star rotation by offset * total area of block row b's hull of
+        every point of row b of a (B, N) block, as new (x, y) arrays.
 
-        A point moves when it lies in the closed unit disk and strictly
-        inside its hull: in the certified interior, or strictly left of every
-        counterclockwise edge, a test made only on the disk's other points.
-        Points not strictly inside (vertices and edges included), points
-        outside the disk and the anchor come back unchanged. The ray of a
-        point anchor + r leaves the hull through edge i at anchor + lam * r =
-        vertex i + f * edge i, so the point has sector area s = cum[i] + f *
-        tri[i] and lies at the fraction 1 / lam of the boundary distance
-        R(phi). Its image lies at the same fraction of the way to the
-        boundary point of sector area (s + offset * T) mod T.
+        A point moves when its row has a hull, and it lies in the closed
+        unit disk and strictly inside the hull: in the certified interior,
+        or strictly left of every counterclockwise edge, a test made only on
+        the disk's other points. Points not strictly inside (vertices and
+        edges included), points outside the disk and the anchor come back
+        unchanged. The ray of a point anchor + r leaves the hull through edge
+        i at anchor + lam * r = vertex i + f * edge i, so the point has
+        sector area s = cum[i] + f * tri[i] and lies at the fraction 1 / lam
+        of the boundary distance R(phi). Its image lies at the same fraction
+        of the way to the boundary point of sector area (s + offset * T)
+        mod T.
         """
         x, y = np.array((x, y), dtype=float)
         width, columns = x.shape[1], self.ex.shape[1]
-        inside = x * x + y * y <= 1.0
+        inside = (x * x + y * y <= 1.0) & (self.row >= 0)[:, None]
         at = np.flatnonzero(inside if self.interior is None else inside & ~self.interior)
-        b = at // width
+        h = self.row.take(at // width)
         px, py = x.take(at)[:, None], y.take(at)[:, None]
-        left = self.ex[b] * (py - self.vy[b]) - self.ey[b] * (px - self.vx[b]) > 0.0
+        left = self.ex[h] * (py - self.vy[h]) - self.ey[h] * (px - self.vx[h]) > 0.0
         inside.put(at[~left.all(axis=1)], False)
         at = np.flatnonzero(inside)
-        b = at // width
-        rx = x.take(at) - self.anchor[:, 0].take(b)
-        ry = y.take(at) - self.anchor[:, 1].take(b)
+        h = self.row.take(at // width)
+        rx = x.take(at) - self.anchor[:, 0].take(h)
+        ry = y.take(at) - self.anchor[:, 1].take(h)
         moved = (rx != 0.0) | (ry != 0.0)
-        at, b, rx, ry = at[moved], b[moved], rx[moved], ry[moved]
-        last = self.last.take(b)
-        delta = (np.arctan2(ry, rx) - self.theta0.take(b)) % _TWO_PI
-        # flat indices of (b, i) in the (H, V) tables; i + b is (b, i) in cum
-        i = b * columns + np.minimum(_count_at_most(self.deltas, b, delta) - 1, last)
+        at, h, rx, ry = at[moved], h[moved], rx[moved], ry[moved]
+        delta = (np.arctan2(ry, rx) - self.theta0.take(h)) % _TWO_PI
+        # flat indices of (h, i) in the (H, V) tables
+        i = h * columns + _count_at_most(self.deltas, h, delta) - 1
         ax, ay = self.relx.take(i), self.rely.take(i)
         ex, ey = self.ex.take(i), self.ey.take(i)
         tri = self.tri.take(i)
         cross = rx * ey - ry * ex
         lam = 2.0 * tri / cross
-        s = self.cum.take(i + b) + tri * (ax * ry - ay * rx) / cross
-        total = self.total.take(b)
+        s = self.cum.take(i) + tri * (ax * ry - ay * rx) / cross
+        total = self.total.take(h)
         target = (s + offset * total) % total
-        j = b * columns + np.minimum(_count_at_most(self.cum, b, target) - 1, last)
-        f = (target - self.cum.take(j + b)) / self.tri.take(j)
-        x.put(at, self.anchor[:, 0].take(b) + (self.relx.take(j) + f * self.ex.take(j)) / lam)
-        y.put(at, self.anchor[:, 1].take(b) + (self.rely.take(j) + f * self.ey.take(j)) / lam)
+        j = h * columns + _count_at_most(self.cum, h, target) - 1
+        f = (target - self.cum.take(j)) / self.tri.take(j)
+        x.put(at, self.anchor[:, 0].take(h) + (self.relx.take(j) + f * self.ex.take(j)) / lam)
+        y.put(at, self.anchor[:, 1].take(h) + (self.rely.take(j) + f * self.ey.take(j)) / lam)
         return x, y
 
 
 def _count_at_most(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Per k, the count of entries <= values[k] in row rows[k] of a table,
-    for rows ascending and finite values, taken a column at a time so that
-    no (len(values), columns) array is made. The finite entries of each
-    column of a `_Frames` table come first, so a column is compared only
-    with the values of those rows, a prefix of the values."""
+    taken a column at a time so that no (len(values), columns) array is
+    made."""
     count = np.zeros(len(values), dtype=np.intp)
-    ends = np.searchsorted(rows, np.count_nonzero(np.isfinite(table), axis=0))
-    for column, end in zip(table.T, ends.tolist()):
-        count[:end] += column[rows[:end]] <= values[:end]
+    for column in table.T:
+        count += column[rows] <= values
     return count
 
 
@@ -427,12 +420,8 @@ def _tau(offset: float, xs: np.ndarray, ys: np.ndarray, x: np.ndarray, y: np.nda
     if offset == 0.0:
         return x, y
     hx, hy, n, interior = _hull_vertices(xs, ys)
-    if not n.any():
-        return x, y
     frames = _Frames(hx, hy, n, interior if x is xs and y is ys else None)
-    x, y = np.array((x, y), dtype=float)
-    x[frames.rows], y[frames.rows] = frames.rotate(offset, x[frames.rows], y[frames.rows])
-    return x, y
+    return frames.rotate(offset, x, y)
 
 
 def apply_tau(spec: TransformSpec, point, config) -> tuple:
@@ -781,8 +770,10 @@ def _transformed_counts(spec, window, intensity, regions, n_replicates, seed):
     """
 
     def block_counts(rows):
-        # without the batch's padding beyond the block's longest row
-        bx, by = xs[rows, :n[rows].max()], ys[rows, :n[rows].max()]
+        # without the batch's padding beyond the block's longest row, and
+        # as a batch, at least one column wide
+        width = n[rows].max(initial=1)
+        bx, by = xs[rows, :width], ys[rows, :width]
         x, y = _tau(spec.rotation_offset, bx, by, bx, by)
         return np.stack(
             [np.count_nonzero(region.contains(x, y), axis=1) for region in regions], axis=1

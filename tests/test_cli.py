@@ -545,6 +545,19 @@ _OUT_OF_RANGE = [
 _OUT_OF_RANGE_IDS = [
     f"{suite}-{name}-{value}".replace("_", "-") for suite, name, value in _OUT_OF_RANGE
 ]
+# (suite, parameter, value) of a value that must not stand for the default:
+# a model_file that is no path string, which open() would take for a file
+# descriptor (0 is stdin, 1 stdout), and a window that is falsy but not null
+_NOT_THE_DEFAULT = [
+    *[("exact-gnz", "model_file", value) for value in (0, 1, True, 2.5, [])],
+    *[(suite, "window", value)
+      for suite in ("mc-poisson", "mc-identity", "transform-invariance", "rho-tau")
+      for value in ({}, 0, False, [], "")],
+]
+_NOT_THE_DEFAULT_IDS = [
+    f"{suite}-{name}-{json.dumps(value)}".replace("_", "-")
+    for suite, name, value in _NOT_THE_DEFAULT
+]
 # every parameter of the registry, each of which must reject a malformed value
 # before the first record: a parameter that is declared but never read would
 # accept it silently
@@ -698,6 +711,8 @@ _DECLARED = [(suite, name) for suite in SUITES for name in SUITES[suite].paramet
           for suite, name, value in _OUT_OF_RANGE],
         *[([], {"suite": suite, "seed": 1, "parameters": {name: "x"}}, ["header", "error"])
           for suite, name in _DECLARED],
+        *[([], {"suite": suite, "seed": 1, "parameters": {name: value}}, ["header", "error"])
+          for suite, name, value in _NOT_THE_DEFAULT],
     ],
     ids=[
         "instances-0",
@@ -757,6 +772,7 @@ _DECLARED = [(suite, name) for suite in SUITES for name in SUITES[suite].paramet
         "model-file-missing",
         *_OUT_OF_RANGE_IDS,
         *[f"{suite}-{name}-malformed".replace("_", "-") for suite, name in _DECLARED],
+        *_NOT_THE_DEFAULT_IDS,
     ],
 )
 def test_bad_input_is_exit_3_without_traceback(argv, config, records, tmp_path, capsys):
@@ -847,6 +863,15 @@ def test_out_of_range_errors_name_the_parameter(suite, name, value):
     assert status == EXIT_VALIDATION_ERROR
     message = json.loads(lines[-1])["message"]
     assert message.startswith(f"{name} must be ") and message.endswith(f", got {value}")
+
+
+@pytest.mark.parametrize("suite,name,value", _NOT_THE_DEFAULT, ids=_NOT_THE_DEFAULT_IDS)
+def test_a_value_that_is_not_the_default_names_the_parameter(suite, name, value):
+    status, lines = run_to_lines(suite, 1, 50, {name: value})
+    assert status == EXIT_VALIDATION_ERROR
+    records = [json.loads(line) for line in lines]
+    assert [r["record"] for r in records] == ["header", "error"]
+    assert records[1]["message"].startswith(f"{name} ")
 
 
 @pytest.mark.parametrize(
@@ -979,6 +1004,15 @@ def test_model_file_conflicts_are_exit_3(tmp_path, sites, parameters, message):
     assert message in records[1]["message"]
 
 
+def test_a_null_m_max_with_a_model_file_is_unset(tmp_path):
+    path = _write_model(tmp_path / "model.json", 4)
+    status, lines = run_to_lines("exact-gnz", 1, 5, {"model_file": path})
+    assert status == EXIT_PASS
+    nulled_status, nulled_lines = run_to_lines("exact-gnz", 1, 5,
+                                               {"model_file": path, "m_max": None})
+    assert nulled_status == status and body_of(nulled_lines) == body_of(lines)
+
+
 def test_gate_failure_exit_code():
     # an impossible statistical gate: target mean shifted by parameters is
     # not available, so force failure through a tiny replicate count with a
@@ -1028,7 +1062,8 @@ def _pull_toward_anchor(monkeypatch):
     def pulled(frames, offset, x, y):
         new_x, new_y = rotate(frames, offset, x, y)
         moved = (new_x != x) | (new_y != y)
-        ax, ay = frames.anchor[:, :1], frames.anchor[:, 1:]
+        # the anchor of each block row; a row without a hull has no moved point
+        ax, ay = frames.anchor[frames.row, :1], frames.anchor[frames.row, 1:]
         return (np.where(moved, ax + 0.9 * (new_x - ax), new_x),
                 np.where(moved, ay + 0.9 * (new_y - ay), new_y))
 

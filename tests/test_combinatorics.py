@@ -144,6 +144,32 @@ def test_partition_validation():
     )
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: Partition((), 0), "ground_size must be positive"),
+        (lambda: Partition((frozenset(), frozenset({1})), 1), "empty block"),
+        (lambda: Partition((frozenset({1}),), 2), "blocks must cover"),
+        (lambda: Cover((), 0), "ground_size must be positive"),
+        (lambda: Cover((frozenset({1}), frozenset()), 1), "empty part"),
+        (lambda: Cover((frozenset({2}),), 2), "parts must cover"),
+        (lambda: moments_from_factorial([1.0], 0), "order must be positive"),
+        (lambda: stirling_reindex_gap([[]], [1.0], 1, 0), "m must satisfy"),
+        (lambda: stirling_reindex_gap([[1.0] * (MAX_REINDEX_M + 1)], [1.0], 1,
+                                      MAX_REINDEX_M + 1), "m must satisfy"),
+        (lambda: stirling_reindex_gap([[1.0]] * (MAX_REINDEX_P + 1),
+                                      [1.0] * (MAX_REINDEX_P + 1), 1, 1), "p must satisfy"),
+    ],
+    ids=["partition-ground-size-0", "partition-empty-block", "partition-misses-an-element",
+         "cover-ground-size-0", "cover-empty-part", "cover-misses-an-element",
+         "moments-from-factorial-order-0", "reindex-m-0", "reindex-m-above-bound",
+         "reindex-p-above-bound"],
+)
+def test_guards_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_cover_counts():
     assert sum(1 for _ in covers(1, 1)) == 1
     two_part = [c for c in covers(2, 2) if c.n_parts == 2]

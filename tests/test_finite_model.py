@@ -336,6 +336,28 @@ def test_model_description_rejects_values_that_are_not_real_numbers(description)
         model_from_description(description)
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: q1_model([1.0] * (finite_model.MAX_SITES + 1)), "at most"),
+        (lambda: FiniteModel(GroundSpace((1.0,)), lambda config: 1000.0), "density overflow"),
+        # every q(omega) is finite, but a site weight carries q w past the
+        # float range
+        (lambda: FiniteModel(GroundSpace((1e300,)), lambda config: 700.0),
+         "partition constant must be positive and finite"),
+        (lambda: pairwise_log_density(-0.5, [(0, 1)]), "gamma must be nonnegative"),
+        (lambda: pairwise_log_density(0.5, [(0, 1), (1, 1)]), "must join distinct sites"),
+        (lambda: model_from_description({"weights": [1.0], "density": {"type": "poisson"}}),
+         "malformed model description"),
+    ],
+    ids=["above-max-sites", "density-overflow", "partition-constant-overflow",
+         "gamma-negative", "self-pair", "description-without-sites"],
+)
+def test_model_guards_name_the_fault(build, message):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_model_description_reads_integral_floats_as_integers():
     model = model_from_description(
         {"sites": 2.0, "weights": [1, 2], "density": {**_PAIRWISE, "pairs": [[0.0, 1.0]]}}

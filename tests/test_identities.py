@@ -13,6 +13,7 @@ from ppmoments.finite_model import (
     poisson_log_density,
 )
 from ppmoments.identities import (
+    MAX_IDENTITY_SITES,
     CoverConditionError,
     DisjointnessError,
     NotPoissonError,
@@ -319,6 +320,28 @@ def test_poisson_independence_error_discrimination():
     overlapping = [lambda x, c: x < 2, lambda x, c: x < 3]
     with pytest.raises(DisjointnessError):
         poisson_independence_check(poisson, overlapping, 2)
+
+
+_TWO_SITES = FiniteModel(GroundSpace((1.0, 1.0)), poisson_log_density())
+_SITE_REGIONS = [lambda x, c: x == 0, lambda x, c: x == 1]
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: factorial_moment_identity(
+            FiniteModel(GroundSpace((1.0,) * (MAX_IDENTITY_SITES + 1)), poisson_log_density()),
+            lambda c: 1.0, lambda x, c: True, 1),
+         f"at most {MAX_IDENTITY_SITES} sites"),
+        (lambda: poisson_independence_check(_TWO_SITES, _SITE_REGIONS, 0),
+         "max_order must be positive"),
+        (lambda: poisson_independence_check(_TWO_SITES, [], 2), "at least one region"),
+    ],
+    ids=["above-max-identity-sites", "independence-max-order-0", "independence-no-regions"],
+)
+def test_guards_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_order_guard():

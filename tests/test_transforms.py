@@ -31,6 +31,7 @@ from ppmoments.transforms import (
     _BLOCK,
     Box,
     Disk,
+    HullFrame,
     TransformSpec,
     apply_tau,
     convex_hull,
@@ -282,11 +283,15 @@ def test_prefilter_never_changes_a_hull():
     # polygon's zero-length edges do not stop it dropping interior points
     triangle = np.array([(0.8, 0.0), (0.0, 0.0), (-0.4, 0.6), (0.1, 0.1), (-0.4, -0.6)])
     x, y = triangle.T[:, None]
-    assert _hull_candidates(x, y).tolist() == [[True, False, True, False, True]]
-    # the filter does drop most of a default-size sample
-    kept = _hull_candidates(xs[:300], ys[:300]).sum(axis=1)
-    in_disk = (xs[:300] ** 2 + ys[:300] ** 2 <= 1.0).sum(axis=1)
-    assert kept.sum() < 0.3 * in_disk.sum()
+    candidates, interior = _hull_candidates(x, y)
+    assert candidates.tolist() == [[True, False, True, False, True]]
+    assert interior.tolist() == [[False, True, False, True, False]]
+    # the filter does drop most of a default-size sample, and what it drops
+    # in the disk is the certified interior
+    candidates, interior = _hull_candidates(xs[:300], ys[:300])
+    in_disk = xs[:300] ** 2 + ys[:300] ** 2 <= 1.0
+    assert candidates.sum() < 0.3 * in_disk.sum()
+    assert np.array_equal(candidates | interior, in_disk) and not (candidates & interior).any()
 
 
 def _kernel_cases():
@@ -342,7 +347,8 @@ def test_hull_kernel_equals_the_monotone_chain_row_by_row(monkeypatch):
     assert _hulls(xs, ys) == expected
     # the float filter leaves turns of every sign to the exact test
     assert set(calls) == {-1, 0, 1}
-    monkeypatch.setattr(transforms, "_hull_candidates", lambda x, y: x * x + y * y <= 1.0)
+    monkeypatch.setattr(transforms, "_hull_candidates",
+                        lambda x, y: (x * x + y * y <= 1.0, np.zeros(x.shape, dtype=bool)))
     assert _hulls(xs, ys) == expected
     cases = _prefilter_cases()
     xs, ys, _ = _batch([np.array(case, dtype=float).reshape(-1, 2) for case in cases])
@@ -550,6 +556,18 @@ def test_hull_frame_degenerate_cases():
     assert hull_frame(collinear) is None
     outside = frozenset({(2.0, 0.0), (0.0, 2.0), (2.0, 2.0)})
     assert hull_frame(outside) is None
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        HullFrame(((0.1, 0.1), (0.3, 0.3)))
+
+
+def test_blocks_without_a_point_or_a_hull_map_to_zero_counts():
+    # at this intensity every replicate is empty: each block is one column
+    # of NaN padding, and the second holds a single replicate
+    box = Box(-0.5, 0.5, -0.5, 0.5)
+    counts = _transformed_counts(TransformSpec(0.3), DISK_WINDOW, 1e-9, [box], _BLOCK + 1, 1)
+    assert counts.shape == (_BLOCK + 1, 1) and not counts.any()
+    x = np.full((2, 1), np.nan)
+    assert np.array_equal(transforms._tau(0.3, x, x, x, x), (x, x), equal_nan=True)
 
 
 def test_hull_frame_restricted_to_unit_disk():
@@ -821,6 +839,8 @@ def test_poisson_count_gof_calibration():
     # a clearly wrong mean is rejected
     _, _, p_bad = poisson_count_gof(counts, 7.0)
     assert p_bad < 1e-6
+    # when every cell pools into one there is nothing to test
+    assert poisson_count_gof(np.zeros(3, dtype=np.int64), 0.1) == (0.0, 0, 1.0)
 
 
 # seeds of a seeded statistical test: its first seed and the ones after it
@@ -945,7 +965,8 @@ def _keep_distance(frames, offset, x, y):
     skipped."""
     new_x, new_y = _rotate(frames, offset, x, y)
     moved = (new_x != x) | (new_y != y)
-    ax, ay = frames.anchor[:, :1], frames.anchor[:, 1:]
+    # the anchor of each block row; a row without a hull has no moved point
+    ax, ay = frames.anchor[frames.row, :1], frames.anchor[frames.row, 1:]
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.hypot(x - ax, y - ay) / np.hypot(new_x - ax, new_y - ay)
     return (np.where(moved, ax + scale * (new_x - ax), new_x),
