@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
@@ -50,8 +52,17 @@ def test_the_sides_alternate_which_runs_first(monkeypatch, capsys):
         return bench_pairs.run_record(_output(0.2 if checkout == "p" else 0.1, 0.1))
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    assert bench_pairs.main(["--parent", "p", "--change", "c", "--workload", "w",
-                             "--pairs", "3", "--seconds", "2"]) == 0
-    assert runs == [(side, "w", 1, 2.0) for side in ("p", "c", "c", "p", "p", "c")]
+    assert bench_pairs.main(["--parent", "p", "--change", "c", "--workload", "w"]) == 0
+    seconds = json.loads(bench_pairs.BENCHMARK.read_text())["run_seconds"]
+    assert runs == [(side, "w", 1, seconds) for side in ("p", "c", "c", "p") * 5]
     assert capsys.readouterr().out.splitlines()[-4] == (
-        "wall_s: parent 0.2 [0.2, 0.2], change 0.1 [0.1, 0.1], change wins 3 of 3")
+        "wall_s: parent 0.2 [0.2, 0.2], change 0.1 [0.1, 0.1], change wins 10 of 10")
+
+
+@pytest.mark.parametrize("argv", [["--pairs", "9"], ["--seconds", "6"]],
+                         ids=["fewer-than-10-pairs", "a-run-length-of-its-own"])
+def test_runs_shorter_or_fewer_than_the_benchmark_are_refused(argv, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "run_once", pytest.fail)
+    with pytest.raises(SystemExit) as refused:
+        bench_pairs.main(["--parent", "p", "--change", "c", "--workload", "w", *argv])
+    assert refused.value.code == 2

@@ -1061,6 +1061,8 @@ def _pull_toward_anchor(monkeypatch):
 
     def pulled(frames, offset, x, y):
         new_x, new_y = rotate(frames, offset, x, y)
+        if not len(frames.anchor):
+            return new_x, new_y
         moved = (new_x != x) | (new_y != y)
         # the anchor of each block row; a row without a hull has no moved point
         ax, ay = frames.anchor[frames.row, :1], frames.anchor[frames.row, 1:]
@@ -1105,6 +1107,13 @@ def test_negative_controls_fail_the_gates(suite, instances, parameters, fault, m
     status, lines = run_to_lines(suite, 1, instances, parameters)
     assert status == EXIT_GATE_FAILURE
     assert json.loads(lines[-1])["n_failures"] > 0
+
+
+def test_the_pulled_map_leaves_blocks_without_a_hull_alone(monkeypatch):
+    # rows of two points and of none: the block has no hull, so the tables are empty
+    _pull_toward_anchor(monkeypatch)
+    x, y = np.array([[0.1, -0.2], [np.nan, np.nan]]), np.array([[0.3, 0.1], [np.nan, np.nan]])
+    assert np.array_equal(transforms._tau(0.3, x, y, x, y), (x, y), equal_nan=True)
 
 
 def test_generate_random_instance_determinism_and_kinds():

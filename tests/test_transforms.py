@@ -964,6 +964,8 @@ def _keep_distance(frames, offset, x, y):
     anchor: the rescale rho' = rho R(phi')/R(phi) that preserves area is
     skipped."""
     new_x, new_y = _rotate(frames, offset, x, y)
+    if not len(frames.anchor):
+        return new_x, new_y
     moved = (new_x != x) | (new_y != y)
     # the anchor of each block row; a row without a hull has no moved point
     ax, ay = frames.anchor[frames.row, :1], frames.anchor[frames.row, 1:]
@@ -981,3 +983,10 @@ def test_seeded_gates_fail_on_a_map_that_skips_the_area_rescale(monkeypatch, sui
     monkeypatch.setattr(transforms._Frames, "rotate", _keep_distance)
     failures, bound, _ = seeded_gate_failures(suite, first_seed)
     assert len(failures) > bound
+
+
+def test_the_map_that_skips_the_rescale_leaves_blocks_without_a_hull_alone(monkeypatch):
+    # rows of two points and of none: the block has no hull, so the tables are empty
+    monkeypatch.setattr(transforms._Frames, "rotate", _keep_distance)
+    x, y = np.array([[0.1, -0.2], [np.nan, np.nan]]), np.array([[0.3, 0.1], [np.nan, np.nan]])
+    assert np.array_equal(transforms._tau(0.3, x, y, x, y), (x, y), equal_nan=True)

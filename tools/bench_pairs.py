@@ -1,15 +1,17 @@
 """Alternating benchmark pairs of two checkouts.
 
     python tools/bench_pairs.py --parent ../parent --change . \\
-        --workload mc-poisson-hull [--seed 1] [--seconds 6] [--pairs 10]
+        --workload mc-poisson-hull [--seed 1] [--pairs 10]
 
 Each pair runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once in each checkout, one run at a time. The parent goes first in even
-pairs and the change in odd ones, so that a slow spell of a shared host
-falls on both sides alike. A run's last two output lines are its `info`
+once in each checkout, one run at a time, where T is the benchmark's
+`run_seconds` in BENCHMARK.json, so both sides run as long as the
+benchmark runs them. At least 10 pairs are run. The parent goes first in
+even pairs and the change in odd ones, so that a slow spell of a shared
+host falls on both sides alike. A run's last two output lines are its `info`
 record, which holds `raw_wall_s`, and its result, which holds `metrics`
 and `failed`.
 
@@ -26,8 +28,12 @@ import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+MIN_PAIRS = 10
 
 
 def run_record(output: str) -> dict:
@@ -78,17 +84,17 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=6.0)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be at least {MIN_PAIRS}")
+    seconds = json.loads(BENCHMARK.read_text())["run_seconds"]
     pairs = []
     for index in range(args.pairs):
         sides = {}
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         for side in order:
-            sides[side] = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
+            sides[side] = run_once(getattr(args, side), args.workload, args.seed, seconds)
         pairs.append((sides["parent"], sides["change"]))
         print(pair_line(index, *pairs[-1]), flush=True)
     print("\n".join(summary(pairs)))
