@@ -220,8 +220,6 @@ def _window(parameters: dict, default: dict):
 # Each runner yields report records; a record with "passed": False fails the
 # suite gate.
 
-# the exact-gnz parameter "kernels" is the instance generator's n_kernels bound
-_BOUND_NAMES = {"kernels": "n_kernels"}
 # instances per map of an exact suite: above every default count, so a
 # default run forks once, and small enough that a large --instances holds
 # the records of one chunk at a time
@@ -259,7 +257,7 @@ def _exact_suite(
         bounds = {"m_min": m_min}
         for name, default in defaults.items():
             low, high = ranges.get(name, (1, None))
-            bounds[_BOUND_NAMES.get(name, name)] = _count(params, name, default, low, high)
+            bounds[name] = _count(params, name, default, low, high)
         path = params.get("model_file") if model_file else None
         model = None
         if path is not None:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, product
+from operator import or_
 from typing import Iterator, Sequence
 
 MAX_STIRLING_N = 25
@@ -130,30 +131,24 @@ def stirling2(n: int, k: int) -> int:
 def partitions(n: int) -> Iterator[Partition]:
     """Yield every partition of {1..n} exactly once.
 
-    Enumeration follows restricted growth strings: the label of element 1 is
-    0 and each later label is at most one more than the running maximum.
-    That order is deterministic and puts blocks in canonical order for free.
+    Enumeration is in the lexicographic order of restricted growth strings:
+    the label of element 1 is 0 and each later label is at most one more
+    than the running maximum. That order puts blocks in canonical order for
+    free.
     """
     if not (1 <= n <= MAX_PARTITION_N):
         raise ValueError(f"partitions requires 1 <= n <= {MAX_PARTITION_N}, got {n}")
-    labels = [0] * n
-    while True:
-        n_blocks = max(labels) + 1
-        blocks: list[list[int]] = [[] for _ in range(n_blocks)]
-        for element, label in enumerate(labels, start=1):
-            blocks[label].append(element)
-        yield Partition(tuple(frozenset(b) for b in blocks), n)
-        # advance to the next restricted growth string
-        j = n - 1
-        while j > 0:
-            if labels[j] <= max(labels[:j]):
-                break
-            j -= 1
-        if j == 0:
+
+    def grow(blocks: tuple[frozenset[int], ...], element: int) -> Iterator[Partition]:
+        if element > n:
+            yield Partition(blocks, n)
             return
-        labels[j] += 1
-        for i in range(j + 1, n):
-            labels[i] = 0
+        # the element joins each block in turn, then opens a new last block
+        for i in range(len(blocks) + 1):
+            joined = blocks[i] | {element} if i < len(blocks) else frozenset({element})
+            yield from grow(blocks[:i] + (joined,) + blocks[i + 1:], element + 1)
+
+    yield from grow((), 1)
 
 
 def covers(n: int, max_parts: int) -> Iterator[Cover]:
@@ -170,38 +165,18 @@ def covers(n: int, max_parts: int) -> Iterator[Cover]:
         raise ValueError(
             f"covers requires 1 <= max_parts <= {MAX_COVER_PARTS}, got {max_parts}"
         )
-    subsets = [frozenset(_bits(mask)) for mask in range(1 << n)]
+    subsets = [frozenset(i + 1 for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
     for k in range(1, max_parts + 1):
         for masks in _cover_tuples(n, k):
             yield Cover(tuple(subsets[m] for m in masks), n)
 
 
 def _cover_tuples(n: int, k: int, allow_empty: bool = False) -> Iterator[tuple[int, ...]]:
-    """Ordered k-tuples of subset bitmasks with union {1..n}; the subsets
-    are nonempty unless allow_empty."""
+    """Ordered k-tuples of subset bitmasks with union {1..n}, in lexicographic
+    order; the subsets are nonempty unless allow_empty."""
     full = (1 << n) - 1
-    start = 0 if allow_empty else 1
-
-    def rec(prefix, union_mask, remaining):
-        if remaining == 0:
-            if union_mask == full:
-                yield tuple(prefix)
-            return
-        for mask in range(start, full + 1):
-            prefix.append(mask)
-            yield from rec(prefix, union_mask | mask, remaining - 1)
-            prefix.pop()
-
-    yield from rec([], 0, k)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    index = 1
-    while mask:
-        if mask & 1:
-            yield index
-        mask >>= 1
-        index += 1
+    masks = range(0 if allow_empty else 1, full + 1)
+    return (family for family in product(masks, repeat=k) if reduce(or_, family, 0) == full)
 
 
 def moments_from_factorial(factorial_moments: Sequence, n: int):
@@ -338,10 +313,6 @@ def _reindex_terms(n: int, m: int, p: int):
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of nonnegative integers of given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Ordered tuples of nonnegative integers of given length summing to total,
+    in lexicographic order."""
+    return (comp for comp in product(range(total + 1), repeat=parts) if sum(comp) == total)

@@ -91,10 +91,6 @@ class GroundSpace:
     def m(self) -> int:
         return len(self.weights)
 
-    @property
-    def sites(self) -> range:
-        return range(len(self.weights))
-
 
 class FiniteModel:
     """Point process defined by a hereditary unnormalized density.
@@ -455,11 +451,13 @@ def pairwise_log_density(gamma: float, pairs: Sequence[tuple[int, int]]) -> Func
 
 
 def _real(value, name: str, kind=float):
-    """value as kind (float or int) when it is a real number, which a bool
-    or a string is not, and for kind int an integral one (int(2.5) would
-    truncate it); else a ValueError that names it."""
+    """value as kind (float or int) when it is a finite real number, which a
+    bool, a string, NaN or an infinity is not, and for kind int an integral
+    one (int(2.5) would truncate it); else a ValueError that names it."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, not {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, not {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{name} must be an integer, not {value!r}")
     try:

@@ -449,10 +449,12 @@ def _assert_cover_condition(model: FiniteModel, tables: Sequence[np.ndarray]):
 
 
 def _factorial_moment_table(probs: Sequence[float], max_order: int) -> list[float]:
-    """table[k] = k! e_k(probs), the k-th factorial moment of the count."""
+    """table[k] = k! e_k(probs), the k-th factorial moment of the count; 0
+    above the site count, where e_k = 0 and k! may not convert to a float."""
+    top = min(max_order, len(probs))
     elementary = [0.0] * (max_order + 1)
     elementary[0] = 1.0
     for p in probs:
-        for k in range(min(max_order, len(probs)), 0, -1):
+        for k in range(top, 0, -1):
             elementary[k] += p * elementary[k - 1]
-    return [math.factorial(k) * elementary[k] for k in range(max_order + 1)]
+    return [math.factorial(k) * elementary[k] if k <= top else 0.0 for k in range(max_order + 1)]

@@ -38,7 +38,7 @@ def generate_random_instance(kind: str, size_bounds: dict, seed: int) -> dict:
       "expansion"    -> {"model", "kernels", "points", "config"}
       "cover-lemma"  -> {"model", "kernels", "points", "config"}
 
-    size_bounds may set m_min, m_max, n_max, n_kernels; unset entries use
+    size_bounds may set m_min, m_max, n_max, kernels; unset entries use
     the guards' defaults.
     """
     rng = np.random.default_rng(seed)
@@ -52,7 +52,7 @@ def generate_random_instance(kind: str, size_bounds: dict, seed: int) -> dict:
     m = int(rng.integers(m_min, m_max + 1))
 
     if kind == "gnz":
-        n_kernels = int(size_bounds.get("n_kernels", 5))
+        n_kernels = int(size_bounds.get("kernels", 5))
         model = _random_model(rng, m)
         return {
             "model": model,

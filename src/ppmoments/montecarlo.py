@@ -196,12 +196,6 @@ def z_score(lhs: Estimate, rhs: Estimate) -> float:
     return z_value(lhs.mean, rhs.mean, math.hypot(lhs.std_error, rhs.std_error))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _child_seed(seed: int, index: int) -> int:
     """The integer seed of child index of seed: a 64-bit word of
     SeedSequence(seed, spawn_key=(index,)). Two (seed, index) pairs share a
@@ -284,7 +278,7 @@ def _poisson_batch(window: Window, intensity: float, blocks: Sequence) -> Batch:
 def sample_poisson(window: Window, intensity: float, seed) -> Configuration:
     """One draw of a Poisson process: N ~ Poisson(intensity * area), then
     N points uniform on the window. Deterministic given the seed."""
-    return _frozensets(_poisson_batch(window, intensity, [(_as_rng(seed), 1)]))[0]
+    return _frozensets(_poisson_batch(window, intensity, [(np.random.default_rng(seed), 1)]))[0]
 
 
 def default_burn_in(model: StraussModel) -> int:
@@ -347,7 +341,6 @@ def _strauss_chains(model: StraussModel, n_steps: int | None, blocks: Sequence) 
     n_steps = _chain_steps(model, n_steps)
     window = model.window
     area = window.area
-    beta_area = model.beta * area
     width = window.x_max - window.x_min
     height = window.y_max - window.y_min
     r2 = model.r * model.r
@@ -374,10 +367,6 @@ def _strauss_chains(model: StraussModel, n_steps: int | None, blocks: Sequence) 
         # births, NaN at the steps of the other move, where no test passes
         death_accepts = np.where(deaths, birth_accepts, np.nan)
         np.copyto(birth_accepts, np.nan, where=deaths)
-        if not interacting:
-            # the death test accept * c * area < n at c = beta
-            death_accepts *= model.beta
-            death_accepts *= area
         # the birth proposals x_min + width u and y_min + height v, written
         # over the move and v rows, which no step reads
         birth_xs = np.multiply(width, us, out=move)
@@ -392,6 +381,7 @@ def _strauss_chains(model: StraussModel, n_steps: int | None, blocks: Sequence) 
             np.minimum(flat, n - 1, out=flat)
             flat *= chains
             flat += columns
+            c = model.beta
             if interacting:
                 death = deaths[step]
                 px = np.where(death, xs.take(flat), birth_xs[step])
@@ -403,12 +393,9 @@ def _strauss_chains(model: StraussModel, n_steps: int | None, blocks: Sequence) 
                 dx += dy
                 # a dying point is at distance 0 from itself
                 c = c_of_t.take(_count_rows(dx <= r2, used) - death)
-                born = (birth_accepts[step] * (n + 1) < c * area).nonzero()[0]
-                # accept a death iff accept < n / (c * area), written division-free
-                died = (death_accepts[step] * c * area < n).nonzero()[0]
-            else:
-                born = (birth_accepts[step] * (n + 1) < beta_area).nonzero()[0]
-                died = (death_accepts[step] < n).nonzero()[0]
+            born = (birth_accepts[step] * (n + 1) < c * area).nonzero()[0]
+            # accept a death iff accept < n / (c * area), written division-free
+            died = (death_accepts[step] * c * area < n).nonzero()[0]
             if born.size:
                 slot = n.take(born)
                 top = int(slot.max()) + 1
@@ -462,7 +449,7 @@ def sample_gibbs(model: StraussModel, n_steps: int, seed) -> Configuration:
     the chain did. This is the lockstep engine on one block of one chain;
     the estimators and sample_many run it on all their blocks at once.
     """
-    return _frozensets(_strauss_chains(model, n_steps, [(_as_rng(seed), 1)]))[0]
+    return _frozensets(_strauss_chains(model, n_steps, [(np.random.default_rng(seed), 1)]))[0]
 
 
 def sample_process(model: ProcessModel, seed, n_steps: int | None = None) -> Configuration:

@@ -64,7 +64,7 @@ def test_criterion_01_exact_gnz_residuals():
     checked = 0
     for i in range(200):
         bundle = generate_random_instance(
-            "gnz", {"m_min": 3, "m_max": 8, "n_kernels": 5}, 100_000 + i
+            "gnz", {"m_min": 3, "m_max": 8, "kernels": 5}, 100_000 + i
         )
         model = bundle["model"]
         for kernel in bundle["kernels"]:

@@ -27,21 +27,48 @@ def test_a_run_record_reads_the_info_and_result_lines():
         "wall_s": 0.25, "peak_rss_mb": 100.25, "raw_wall_s": 0.2, "failed": 1}
 
 
+def _pairs(walls):
+    return [(bench_pairs.run_record(_output(p, p - 0.05)),
+             bench_pairs.run_record(_output(c, c - 0.05, failed=k == 1)))
+            for k, (p, c) in enumerate(walls)]
+
+
+_BOUNDS = {"wall_s": 0.25, "peak_rss_mb": 0.2}
+
+
 def test_the_summary_gives_medians_quartiles_and_wins():
     walls = [(0.20, 0.15), (0.18, 0.19), (0.22, 0.14), (0.19, 0.16), (0.21, 0.13)]
-    pairs = [(bench_pairs.run_record(_output(p, p - 0.05)),
-              bench_pairs.run_record(_output(c, c - 0.05, failed=k == 1)))
-             for k, (p, c) in enumerate(walls)]
-    assert bench_pairs.summary(pairs) == [
+    pairs = _pairs(walls)
+    assert bench_pairs.summary(pairs, _BOUNDS) == [
         "wall_s: parent 0.2 [0.19, 0.21], change 0.15 [0.14, 0.16], change wins 4 of 5",
+        "wall_s: change/parent 0.75, parent spread 0.1, bound 0.25: within bound",
         "peak_rss_mb: parent 100.2 [100.2, 100.2], change 100.2 [100.1, 100.2], "
         "change wins 4 of 5",
+        "peak_rss_mb: change/parent 0.9995, parent spread 0.0001996, bound 0.2: within bound",
         "raw_wall_s: parent 0.15 [0.14, 0.16], change 0.1 [0.09, 0.11], change wins 4 of 5",
         "failed: parent 0, change 1",
     ]
     assert bench_pairs.pair_line(1, *pairs[1]) == (
         "pair 2 (change first): wall_s 0.18 -> 0.19 peak_rss_mb 100.2 -> 100.2 "
         "raw_wall_s 0.13 -> 0.14")
+
+
+@pytest.mark.parametrize(
+    "walls,verdict",
+    [
+        # a median ratio of 1.5 over a parent without spread
+        ([(0.2, 0.3)] * 5, "change/parent 1.5, parent spread 0, bound 0.25: worse than bound"),
+        # a parent spread of 2/3 of its median hides a ratio of 1
+        ([(0.1, 0.3), (0.2, 0.3), (0.3, 0.3), (0.4, 0.3), (0.5, 0.3)],
+         "change/parent 1, parent spread 0.6667, bound 0.25: unresolved"),
+        # unless every change run beats every parent run
+        ([(0.1, 0.05), (0.2, 0.05), (0.3, 0.05), (0.4, 0.05), (0.5, 0.05)],
+         "change/parent 0.1667, parent spread 0.6667, bound 0.25: within bound"),
+    ],
+    ids=["worse", "unresolved", "wide-parent-beaten-by-every-run"],
+)
+def test_the_verdict_weighs_the_ratio_against_the_bound_and_the_spread(walls, verdict):
+    assert bench_pairs.summary(_pairs(walls), _BOUNDS)[1] == f"wall_s: {verdict}"
 
 
 def test_the_sides_alternate_which_runs_first(monkeypatch, capsys):
@@ -55,8 +82,10 @@ def test_the_sides_alternate_which_runs_first(monkeypatch, capsys):
     assert bench_pairs.main(["--parent", "p", "--change", "c", "--workload", "w"]) == 0
     seconds = json.loads(bench_pairs.BENCHMARK.read_text())["run_seconds"]
     assert runs == [(side, "w", 1, seconds) for side in ("p", "c", "c", "p") * 5]
-    assert capsys.readouterr().out.splitlines()[-4] == (
-        "wall_s: parent 0.2 [0.2, 0.2], change 0.1 [0.1, 0.1], change wins 10 of 10")
+    assert capsys.readouterr().out.splitlines()[-6:-4] == [
+        "wall_s: parent 0.2 [0.2, 0.2], change 0.1 [0.1, 0.1], change wins 10 of 10",
+        "wall_s: change/parent 0.5, parent spread 0, bound 0.25: within bound",
+    ]
 
 
 @pytest.mark.parametrize("argv", [["--pairs", "9"], ["--seconds", "6"]],

@@ -500,6 +500,14 @@ _ONE_SAMPLE_EXPERIMENT = {
     "n_samples": 1,
 }
 _TWO_SAMPLE_EXPERIMENT = {**_ONE_SAMPLE_EXPERIMENT, "n_samples": 2}
+_STRAUSS_EXPERIMENT = {
+    "process": "strauss",
+    "window": _ONE_SAMPLE_EXPERIMENT["window"],
+    "beta": 5.0,
+    "gamma": 0.5,
+    "r": 0.1,
+    "n_samples": 2,
+}
 
 # (suite, parameter, value) of a bound or count outside its range
 _OUT_OF_RANGE = [
@@ -706,6 +714,17 @@ _DECLARED = [(suite, name) for suite in SUITES for name in SUITES[suite].paramet
         ([], {"suite": "exact-gnz", "seed": 1, "instance_count": 5,
               "parameters": {"model_file": "no-such-model.json"}},
          ["header", "error"]),
+        # NaN and the infinities, which Python's json reads, are not finite numbers
+        ([], {"suite": "mc-poisson", "seed": 1, "parameters": {"intensity": math.nan}},
+         ["header", "error"]),
+        ([], {"suite": "mc-poisson", "seed": 1, "parameters": {"intensity": math.inf}},
+         ["header", "error"]),
+        ([], {"suite": "mc-identity", "seed": 1,
+              "parameters": {"experiments": [{**_STRAUSS_EXPERIMENT, "r": math.inf}]}},
+         ["header", "error"]),
+        ([], {"suite": "mc-identity", "seed": 1,
+              "parameters": {"experiments": [{**_STRAUSS_EXPERIMENT, "beta": -math.inf}]}},
+         ["header", "error"]),
         # a bound or count outside its range, before any other record
         *[([], {"suite": suite, "seed": 1, "parameters": {name: value}}, ["header", "error"])
           for suite, name, value in _OUT_OF_RANGE],
@@ -770,6 +789,10 @@ _DECLARED = [(suite, name) for suite in SUITES for name in SUITES[suite].paramet
         "experiment-mean-count-validated-first",
         "experiment-burn-in-validated-first",
         "model-file-missing",
+        "intensity-NaN",
+        "intensity-Infinity",
+        "experiment-r-Infinity",
+        "experiment-beta--Infinity",
         *_OUT_OF_RANGE_IDS,
         *[f"{suite}-{name}-malformed".replace("_", "-") for suite, name in _DECLARED],
         *_NOT_THE_DEFAULT_IDS,
@@ -845,9 +868,14 @@ def test_transform_invariance_reads_disk_regions():
         ([_BOX, _disk(0.0, 0.0, 0.25)], "regions 0 and 1 overlap"),
         ([_disk(0.0, 0.8, 0.25)], "regions must lie inside the unit disk"),
         ([_disk(0.0, 0.0, 0.0)], "disk radius must be positive"),
+        # a NaN centre would fail no comparison, and the disk would hold no point
+        ([_disk(math.nan, 0.0, 0.25)], "region cx must be a finite number, not nan"),
+        ([_disk(0.0, 0.0, 0.25), _disk(0.0, math.nan, 0.25)],
+         "region cy must be a finite number, not nan"),
+        ([_disk(0.0, 0.0, math.inf)], "region radius must be a finite number, not inf"),
     ],
     ids=["disk-disk-overlap", "disk-box-overlap", "box-disk-overlap", "disk-outside",
-         "disk-radius-0"],
+         "disk-radius-0", "disk-cx-NaN", "second-disk-cy-NaN", "disk-radius-Infinity"],
 )
 def test_bad_disk_regions_are_exit_3(regions, message):
     status, lines = run_to_lines("transform-invariance", 1, 50, {"regions": regions})
@@ -909,7 +937,7 @@ def test_an_unset_n_steps_is_the_default_or_the_longer_burn_in(
 
 _STRAUSS_EXPERIMENT = {
     "process": "strauss",
-    "window": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1},
+    "window": _ONE_SAMPLE_EXPERIMENT["window"],
     "beta": 5.0,
     "gamma": 0.5,
     "r": 0.1,
@@ -958,12 +986,12 @@ def test_list_suites_and_explain(capsys):
     assert main(["explain", "nope"]) == EXIT_VALIDATION_ERROR
 
 
-def _write_model(path, m):
+def _write_model(path, m, first_weight=0.5):
     path.write_text(
         json.dumps(
             {
                 "sites": m,
-                "weights": [0.5, 1.0, 0.7, 1.2] * (m // 4) + [0.9] * (m % 4),
+                "weights": [first_weight, 1.0, 0.7, 1.2] * (m // 4) + [0.9] * (m % 4),
                 "density": {"type": "pairwise", "gamma": 0.5, "pairs": [[0, 1], [2, 3]]},
             }
         )
@@ -991,12 +1019,17 @@ def test_model_file_parameter(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "sites,parameters,message",
-    [(MAX_INSTANCE_SITES + 1, {}, "at most"), (4, {"m_max": 5}, "m_max")],
-    ids=["above-instance-bound", "and-m-max"],
+    "sites,first_weight,parameters,message",
+    [
+        (MAX_INSTANCE_SITES + 1, 0.5, {}, "at most"),
+        (4, 0.5, {"m_max": 5}, "m_max"),
+        (4, math.nan, {}, "weights must be a finite number, not nan"),
+        (4, math.inf, {}, "weights must be a finite number, not inf"),
+    ],
+    ids=["above-instance-bound", "and-m-max", "weight-NaN", "weight-Infinity"],
 )
-def test_model_file_conflicts_are_exit_3(tmp_path, sites, parameters, message):
-    path = _write_model(tmp_path / "model.json", sites)
+def test_model_file_conflicts_are_exit_3(tmp_path, sites, first_weight, parameters, message):
+    path = _write_model(tmp_path / "model.json", sites, first_weight)
     status, lines = run_to_lines("exact-gnz", 1, 5, {"model_file": path, **parameters})
     assert status == EXIT_VALIDATION_ERROR
     records = [json.loads(line) for line in lines]

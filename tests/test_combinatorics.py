@@ -14,6 +14,7 @@ from ppmoments.combinatorics import (
     MAX_REINDEX_P,
     Cover,
     Partition,
+    _compositions,
     compound_poisson_moment,
     covers,
     falling_factorial,
@@ -22,6 +23,7 @@ from ppmoments.combinatorics import (
     stirling2,
     stirling_reindex_gap,
 )
+from ppmoments.difference_ops import _families
 
 
 def stirling_by_surjections(n, k):
@@ -124,6 +126,31 @@ def test_partitions_unique_and_canonical():
 def test_partition_one_element():
     only = list(partitions(1))
     assert only == [Partition((frozenset({1}),), 1)]
+
+
+def test_enumeration_orders_are_pinned():
+    # report bodies depend on these orders: partitions lays out the
+    # mc-identity right-side points, _families orders ddd0's running sum and
+    # _compositions orders stir1's sum
+    assert [[sorted(b) for b in part.blocks] for part in partitions(4)] == [
+        [[1, 2, 3, 4]], [[1, 2, 3], [4]], [[1, 2, 4], [3]], [[1, 2], [3, 4]],
+        [[1, 2], [3], [4]], [[1, 3, 4], [2]], [[1, 3], [2, 4]], [[1, 3], [2], [4]],
+        [[1, 4], [2, 3]], [[1], [2, 3, 4]], [[1], [2, 3], [4]], [[1, 4], [2], [3]],
+        [[1], [2, 4], [3]], [[1], [2], [3, 4]], [[1], [2], [3], [4]],
+    ]
+    assert [[sorted(p) for p in cover.parts] for cover in covers(2, 2)] == [
+        [[1, 2]], [[1], [2]], [[1], [1, 2]], [[2], [1]], [[2], [1, 2]], [[1, 2], [1]],
+        [[1, 2], [2]], [[1, 2], [1, 2]],
+    ]
+    assert _families(2, False).tolist() == [
+        [1, 2], [1, 3], [2, 1], [2, 3], [3, 1], [3, 2], [3, 3],
+    ]
+    assert _families(2, True).tolist() == [
+        [0, 3], [1, 2], [1, 3], [2, 1], [2, 3], [3, 0], [3, 1], [3, 2], [3, 3],
+    ]
+    assert list(_compositions(2, 3)) == [
+        (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0),
+    ]
 
 
 def test_partition_range_guard():

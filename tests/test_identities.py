@@ -272,6 +272,18 @@ def test_poisson_independence_swap_regions():
             assert report.rel_gap <= GATE, report.to_dict()
 
 
+def test_poisson_independence_orders_above_170():
+    # 171! does not convert to a float, but e_171 of a few sites is 0
+    bundle = generate_random_instance(
+        "independence", {"m_min": 3, "m_max": 5, "n_max": 3}, 2550
+    )
+    reports = poisson_independence_check(bundle["model"], bundle["regions"][:1], 171)
+    assert [r.parameters["orders"] for r in reports] == [[k] for k in range(1, 172)]
+    for report in reports:
+        assert report.rel_gap <= GATE, report.to_dict()
+    assert [r.rhs for r in reports[bundle["model"].m:]] == [0.0] * (171 - bundle["model"].m)
+
+
 def test_poisson_independence_calls_each_region_once_per_site_and_configuration():
     # validate_disjoint tabulates R[x, mask]; the cover check reads that
     # table and never calls a region again

@@ -20,6 +20,13 @@ median with its quartiles and the number of pairs the change wins. Every
 metric of the benchmark's `--trace 0` runs (`wall_s`, `setup_s`,
 `peak_rss_mb`) and `raw_wall_s` is better lower, so a win is a pair whose
 change value is the lower. The last line adds up `failed` per side.
+
+A metric with a `bound` in the benchmark's `end_to_end` list gets a second
+line: the change/parent ratio of the medians, the parent's quartile spread
+(q3 - q1) relative to its median, and a verdict. The verdict is
+`unresolved` when that spread is wider than the bound, unless every change
+run beats every parent run; else `worse than bound` when the ratio exceeds
+1 + bound, and `within bound` otherwise.
 """
 
 from __future__ import annotations
@@ -60,9 +67,10 @@ def pair_line(index: int, parent: dict, change: dict) -> str:
     return f"pair {index + 1} ({first} first): {values}"
 
 
-def summary(pairs: list) -> list[str]:
+def summary(pairs: list, bounds: dict) -> list[str]:
     """Per metric, the median [first quartile, third quartile] of each side
-    and the pairs the change wins; then the failed count of each side."""
+    and the pairs the change wins, and for a metric in bounds (name -> bound)
+    its ratio, spread and verdict; then the failed count of each side."""
     lines = []
     for name in pairs[0][0]:
         if name == "failed":
@@ -73,6 +81,17 @@ def summary(pairs: list) -> list[str]:
         lines.append(f"{name}: parent {median[0]:.4g} [{q1[0]:.4g}, {q3[0]:.4g}], "
                      f"change {median[1]:.4g} [{q1[1]:.4g}, {q3[1]:.4g}], "
                      f"change wins {wins} of {len(pairs)}")
+        if name not in bounds:
+            continue
+        bound = bounds[name]
+        ratio = median[1] / median[0]
+        spread = (q3[0] - q1[0]) / median[0]
+        if spread > bound and not sides[:, 1].max() < sides[:, 0].min():
+            verdict = "unresolved"
+        else:
+            verdict = "worse than bound" if ratio > 1 + bound else "within bound"
+        lines.append(f"{name}: change/parent {ratio:.4g}, parent spread {spread:.4g}, "
+                     f"bound {bound:g}: {verdict}")
     failed = [sum(pair[side]["failed"] for pair in pairs) for side in (0, 1)]
     lines.append(f"failed: parent {failed[0]}, change {failed[1]}")
     return lines
@@ -88,7 +107,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < MIN_PAIRS:
         parser.error(f"--pairs must be at least {MIN_PAIRS}")
-    seconds = json.loads(BENCHMARK.read_text())["run_seconds"]
+    benchmark = json.loads(BENCHMARK.read_text())
+    seconds = benchmark["run_seconds"]
+    bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]
+              if "bound" in metric}
     pairs = []
     for index in range(args.pairs):
         sides = {}
@@ -97,7 +119,7 @@ def main(argv=None) -> int:
             sides[side] = run_once(getattr(args, side), args.workload, args.seed, seconds)
         pairs.append((sides["parent"], sides["change"]))
         print(pair_line(index, *pairs[-1]), flush=True)
-    print("\n".join(summary(pairs)))
+    print("\n".join(summary(pairs, bounds)))
     return 0
 
 
