@@ -1,6 +1,7 @@
 """Calibration of the statistical gates: failure rates over many seeds.
 
     python3 calibration/run.py --out CALIBRATION.json
+    python3 calibration/run.py --suite mc-strauss/mc-gibbs --seeds 4500
 
 Run from the root of a source checkout; ppmoments is imported from its src/
 directory. For each of the SEED_COUNT = 500 workload seeds s from FIRST_SEED
@@ -10,7 +11,14 @@ at seed s and runs every Monte Carlo suite among them through
 `cli.run_suite`: mc-poisson, transform-invariance, rho-tau and mc-identity
 at their mc-poisson-hull sizes, mc-gibbs and mc-identity at their mc-strauss
 sizes. The seeds are fixed, clear of the benchmark seeds (1, 17, 105, 9001)
-and of every seed the tests pin (all below 800,000).
+and of every seed the tests pin (all below 800,000). Run without options,
+the tool runs what produced CALIBRATION.json.
+
+`--first-seed` and `--seeds` (a count) set another seed range, and
+`--suite` (repeatable) keeps only the named runs, each a run label such as
+mc-strauss/mc-gibbs or a suite name such as mc-identity for its runs in
+both workloads, so that one family can be rerun at many seeds. The result
+records the range and the names kept.
 
 A gate family is one kind of gated record of one suite run, such as the
 factorial moments of mc-poisson or the chi-square fits of
@@ -63,13 +71,15 @@ def clopper_pearson(failures: int, trials: int) -> tuple[float, float]:
     return float(low), float(high)
 
 
-def suite_runs(seed: int):
-    """(run label, suite config) of every Monte Carlo suite run at workload seed."""
+def suite_runs(seed: int, only=()):
+    """(run label, suite config) of every Monte Carlo suite run at workload
+    seed, or of those whose label or suite is in only when it is given."""
     for workload in ("mc-poisson-hull", "mc-strauss"):
         build, _ = workloads.WORKLOADS[workload]
         for config in build(seed)["configs"]:
-            if config.suite in MC_SUITES:
-                yield f"{workload}/{config.suite}", config
+            label = f"{workload}/{config.suite}"
+            if config.suite in MC_SUITES and (not only or {label, config.suite} & set(only)):
+                yield label, config
 
 
 def gates(text: str):
@@ -114,8 +124,21 @@ def summarize(families: dict, runs: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="JSON result path (default: none)")
+    parser.add_argument("--first-seed", type=int, default=FIRST_SEED,
+                        help=f"first workload seed (default: {FIRST_SEED})")
+    parser.add_argument("--seeds", type=int, default=SEED_COUNT,
+                        help=f"number of workload seeds (default: {SEED_COUNT})")
+    parser.add_argument("--suite", action="append", default=[], metavar="NAME",
+                        help="keep only this run label or suite; repeatable (default: all)")
     args = parser.parse_args(argv)
-    seeds = range(FIRST_SEED, FIRST_SEED + SEED_COUNT)
+    if args.first_seed < 0 or args.seeds < 1:
+        parser.error("--first-seed must be nonnegative and --seeds at least 1")
+    names = {name for label, config in suite_runs(args.first_seed)
+             for name in (label, config.suite)}
+    unknown = sorted(set(args.suite) - names)
+    if unknown:
+        parser.error(f"no Monte Carlo suite run is named {', '.join(unknown)}")
+    seeds = range(args.first_seed, args.first_seed + args.seeds)
 
     # (run label, family) -> [gate kind, values, failures]
     families = defaultdict(lambda: [None, [], 0])
@@ -123,7 +146,7 @@ def main(argv=None) -> int:
     runs = defaultdict(lambda: [0, 0, 0.0])
     start = time.perf_counter()
     for done, seed in enumerate(seeds, 1):
-        for label, config in suite_runs(seed):
+        for label, config in suite_runs(seed, args.suite):
             _, text = workloads.report(config)
             failed = False
             survive = 1.0
@@ -141,7 +164,8 @@ def main(argv=None) -> int:
             print(f"{done} seeds, {time.perf_counter() - start:.0f} s", file=sys.stderr, flush=True)
 
     result = {
-        "seeds": {"first": FIRST_SEED, "count": SEED_COUNT},
+        "seeds": {"first": args.first_seed, "count": args.seeds},
+        **({"only": sorted(args.suite)} if args.suite else {}),
         "confidence": CONFIDENCE,
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,

@@ -59,8 +59,8 @@ from .montecarlo import (
     P_GATE,
     Z_GATE,
     _PROCESSES,
-    PoissonModel,
     StraussModel,
+    _birth_death_counts,
     _block_streams,
     _chain_steps,
     _child_seed,
@@ -68,11 +68,11 @@ from .montecarlo import (
     _factorial_parts,
     _gnz_parts,
     _partition_parts,
+    _poisson_counts,
     gnz_estimates,
     mean_and_se,
     poisson_mean,
     process_from_config,
-    sample_batch,
     sample_poisson,
     target_check,
     window_from_config,
@@ -385,9 +385,7 @@ def _run_mc_poisson(config: SuiteConfig):
         targets = [target_mean**order for order in orders]
     except OverflowError as exc:
         raise ValueError(f"orders must keep (intensity * area)^n a finite float: {exc}") from exc
-    # the counts are the first draw of each block stream, as in sample_batch
-    blocks = _block_streams(config.seed, replicates)
-    counts = np.concatenate([rng.poisson(target_mean, size) for rng, size in blocks]).astype(float)
+    counts = _poisson_counts(target_mean, _block_streams(config.seed, replicates)).astype(float)
     for order, target in zip(orders, targets):
         yield _gated({
             "record": "moment",
@@ -414,12 +412,12 @@ def _run_mc_gibbs(config: SuiteConfig):
     pairs = gnz_estimates(model, kernels, n_samples, _child_seed(config.seed, 0), n_steps)
     for j, (lhs, rhs) in enumerate(pairs):
         yield {**_estimate_record("strauss-gnz", j, lhs, rhs), "kernel": j}
-    # gamma = 1 chain against the direct sampler, mean count
-    poisson_like = StraussModel(window, beta, 1.0, radius)
-    _, _, chain = sample_batch(poisson_like, max(400, n_samples // 3),
-                               _child_seed(config.seed, 1), n_steps)
-    _, _, direct = sample_batch(PoissonModel(window, beta), 4 * n_samples,
-                                _child_seed(config.seed, 2))
+    # gamma = 1 chain against the direct sampler, mean count: the counts of
+    # sample_batch's replicates at these seeds, drawn without their points
+    chain_blocks = _block_streams(_child_seed(config.seed, 1), max(400, n_samples // 3))
+    chain = _birth_death_counts(StraussModel(window, beta, 1.0, radius), n_steps, chain_blocks)
+    direct = _poisson_counts(poisson_mean(window, beta),
+                             _block_streams(_child_seed(config.seed, 2), 4 * n_samples))
     chain_mean, chain_se = mean_and_se(chain)
     direct_mean, direct_se = mean_and_se(direct)
     # np.hypot, not math.hypot: the two differ in the last bit on some inputs
@@ -676,7 +674,9 @@ SUITES = {
         "independent weight multisets satisfying the vanishing-cover "
         "condition, joint factorial moments factorize into the per-region "
         "predictions n! e_n(p_x), the atomic analogue of independent "
-        "Poisson counts with parameters sigma(A_i).",
+        "Poisson counts with parameters sigma(A_i). The orders sum to at "
+        "most n_max, and each stops at its region's site count, above "
+        "which both sides are 0.",
         "independence", 25, 6, {"m_max": 8, "n_max": 3},
         lambda b, i: poisson_independence_check(b["model"], b["regions"], b["max_order"]),
         model_file=False,
@@ -724,7 +724,11 @@ SUITES = {
         "A birth-death Metropolis-Hastings chain with acceptance ratios "
         "driven by c(x, omega) = beta gamma^t targets the Strauss process; "
         "the GNZ identity must hold statistically, and gamma = 1 reduces "
-        "the chain to the Poisson process.",
+        "the chain to the Poisson process. At gamma = 1, c = beta whatever "
+        "the points are, so the count is a birth-death chain of its own: "
+        "the reduction check runs only that count chain, which gives the "
+        "counts of the full chain bit for bit, and compares its mean count "
+        "with direct Poisson(beta |W|) counts.",
         ("window", "beta", "gamma", "r", "n_steps"),
     ),
     "mc-identity": Suite(

@@ -366,7 +366,8 @@ def poisson_independence_check(
     weight multisets, and satisfy the vanishing-cover condition, the counts
     N(A_i) are independent with the same law as the count of a fixed region
     carrying the same weights. The check reports, for every multi-order
-    (n_1, ..., n_p) with sum <= max_order,
+    (n_1, ..., n_p) with sum <= max_order and each n_i at most the site
+    count of A_i (above it both sides are 0),
 
         lhs = E[prod_i N(A_i)_(n_i)]  versus
         rhs = prod_i n_i! e_{n_i}(p_x : x in A_i),
@@ -384,13 +385,12 @@ def poisson_independence_check(
     weight_multisets = [_region_weight_multiset(model, table) for table in tables]
     _assert_cover_condition(model, tables)
 
-    predictions = []
-    for weights in weight_multisets:
-        probs = [w / (1.0 + w) for w in weights]
-        predictions.append(_factorial_moment_table(probs, max_order))
+    predictions = [_factorial_moment_table([w / (1.0 + w) for w in weights])
+                   for weights in weight_multisets]
 
     reports = []
-    for orders in product(range(1, max_order + 1), repeat=len(regions)):
+    ranges = [range(1, min(len(weights), max_order) + 1) for weights in weight_multisets]
+    for orders in product(*ranges):
         if sum(orders) > max_order:
             continue
         lhs = _factorial_moment(model, 1.0, tables, orders)
@@ -448,13 +448,11 @@ def _assert_cover_condition(model: FiniteModel, tables: Sequence[np.ndarray]):
                 raise CoverConditionError(f"cover condition fails at points {first}")
 
 
-def _factorial_moment_table(probs: Sequence[float], max_order: int) -> list[float]:
-    """table[k] = k! e_k(probs), the k-th factorial moment of the count; 0
-    above the site count, where e_k = 0 and k! may not convert to a float."""
-    top = min(max_order, len(probs))
-    elementary = [0.0] * (max_order + 1)
-    elementary[0] = 1.0
+def _factorial_moment_table(probs: Sequence[float]) -> list[float]:
+    """table[k] = k! e_k(probs), the k-th factorial moment of the count, for
+    k up to the site count len(probs)."""
+    elementary = [1.0] + [0.0] * len(probs)
     for p in probs:
-        for k in range(top, 0, -1):
+        for k in range(len(probs), 0, -1):
             elementary[k] += p * elementary[k - 1]
-    return [math.factorial(k) * elementary[k] if k <= top else 0.0 for k in range(max_order + 1)]
+    return [math.factorial(k) * e for k, e in enumerate(elementary)]

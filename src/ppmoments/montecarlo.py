@@ -44,7 +44,9 @@ streams. So sides drawn in separate processes give the same chains and
 points as one call, and _draw_sides cuts a large Strauss draw between its
 sides. This is the one stream layout of the Monte Carlo suites: the
 transform suites push forward the replicates of sample_batch, one block
-stream at a time (`transforms._transformed_counts`).
+stream at a time (`transforms._transformed_counts`), and mc-poisson and the
+gamma = 1 check of mc-gibbs keep only the counts of its replicates
+(_poisson_counts, _birth_death_counts).
 """
 
 from __future__ import annotations
@@ -275,6 +277,13 @@ def _poisson_batch(window: Window, intensity: float, blocks: Sequence) -> Batch:
     return _batch_from(np.concatenate(counts), points)
 
 
+def _poisson_counts(mean: float, blocks: Sequence) -> np.ndarray:
+    """The Poisson(mean) counts of the replicates of the (generator, size)
+    blocks, in order: the first draw of each block stream, as
+    _poisson_batch reads it, without the points drawn after it."""
+    return np.concatenate([rng.poisson(mean, size) for rng, size in blocks])
+
+
 def sample_poisson(window: Window, intensity: float, seed) -> Configuration:
     """One draw of a Poisson process: N ~ Poisson(intensity * area), then
     N points uniform on the window. Deterministic given the seed."""
@@ -420,6 +429,44 @@ def _strauss_chains(model: StraussModel, n_steps: int | None, blocks: Sequence) 
                     coordinate.put(freed, coordinate.take(last))
                     coordinate.put(last, np.nan)
     return xs.T.copy(), ys.T.copy(), n
+
+
+def _birth_death_counts(model: StraussModel, n_steps: int | None, blocks: Sequence) -> np.ndarray:
+    """The counts n of _strauss_chains(model, n_steps, blocks) for gamma = 1,
+    bit for bit, without the points.
+
+    With gamma = 1, c = beta whatever the points are, so the count of each
+    chain is a birth-death chain of its own. A block's stream is read as
+    _strauss_chains reads it: the Poisson(beta) starts, the two uniforms of
+    each start point (drawn and dropped), then one (size, steps, 4) array
+    of uniforms per chunk of _CHUNK_STEPS steps, of which a step reads only
+    move and accept. A step applies the chain's birth and death tests with
+    the same floats in the same order; a birth step leaves the death test
+    NaN and the reverse, so applying the birth before the death test reads
+    the count from before the step, as the chain does.
+    """
+    if model.gamma != 1.0:
+        raise ValueError(f"the count chain needs gamma = 1, got {model.gamma:g}")
+    n_steps = _chain_steps(model, n_steps)
+    c, area = model.beta, model.window.area
+    mean = poisson_mean(model.window, c)
+    counts = []
+    for rng, size in blocks:
+        counts.append(rng.poisson(mean, size))
+        rng.random((int(counts[-1].sum()), 2))
+    n = np.concatenate(counts)
+    for first in range(0, n_steps, _CHUNK_STEPS):
+        steps = min(_CHUNK_STEPS, n_steps - first)
+        uniforms = np.concatenate([rng.random((size, steps, 4)) for rng, size in blocks])
+        # (step, chain) views of the move and accept uniforms
+        move, accept = uniforms[:, :, 0].T, uniforms[:, :, 3].T
+        deaths = move >= 0.5
+        birth_accepts = np.where(deaths, np.nan, accept)
+        death_tests = np.where(deaths, accept * c * area, np.nan)
+        for step in range(steps):
+            n += birth_accepts[step] * (n + 1) < c * area
+            n -= death_tests[step] < n
+    return n
 
 
 def _count_rows(mask: np.ndarray, rows: int) -> np.ndarray:

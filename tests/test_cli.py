@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from ppmoments.cli import (
     run_suite,
 )
 from ppmoments import cli
+from ppmoments.identities import validate_disjoint
 from ppmoments.instances import MAX_INSTANCE_SITES, generate_random_instance
 
 from conftest import assert_no_children
@@ -87,6 +89,26 @@ def test_exact_suites_pass(suite, instances):
     for line in body_of(lines)[:-1]:
         record = json.loads(line)
         assert record["passed"] is True
+
+
+@pytest.mark.parametrize("n_max", [None, 40], ids=["default-n-max", "n-max-40"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_independence_records_stop_at_each_region_site_count(seed, n_max):
+    # an order above a region's site count reads 0 = 0 and tests nothing
+    parameters = {} if n_max is None else {"n_max": n_max}
+    instances = 25 if n_max is None else 5
+    status, lines = run_to_lines("exact-independence", seed, instances, parameters)
+    assert status == EXIT_PASS
+    records = [json.loads(line) for line in body_of(lines)[:-1]]
+    assert not [r for r in records if r["lhs"] == r["rhs"] == 0.0]
+    bounds = {"m_min": 6, "m_max": 8, "n_max": n_max or 3}
+    for i in range(instances):
+        bundle = generate_random_instance("independence", bounds, montecarlo._child_seed(seed, i))
+        sites = [int(table[:, 0].sum())
+                 for table in validate_disjoint(bundle["model"], bundle["regions"])]
+        orders = [r["parameters"]["orders"] for r in records if r["instance"] == i]
+        assert orders == [list(o) for o in itertools.product(*(range(1, k + 1) for k in sites))
+                          if sum(o) <= bounds["n_max"]]
 
 
 def test_mc_poisson_suite_small():
@@ -1164,8 +1186,6 @@ def test_generate_random_instance_determinism_and_kinds():
 
 
 def test_generated_disjoint_regions_validate():
-    from ppmoments.identities import validate_disjoint
-
     for seed in range(10):
         bundle = generate_random_instance(
             "joint", {"m_min": 4, "m_max": 8, "n_max": 4}, 4000 + seed

@@ -1,7 +1,7 @@
 """Identity evaluator tests: every report must close to float roundoff."""
 
 import math
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -272,16 +272,51 @@ def test_poisson_independence_swap_regions():
             assert report.rel_gap <= GATE, report.to_dict()
 
 
+def _site_counts(model, regions):
+    """The site count of each region, which the independence check requires
+    to be the same at every configuration."""
+    return [int(table[:, 0].sum()) for table in validate_disjoint(model, regions)]
+
+
 def test_poisson_independence_orders_above_170():
-    # 171! does not convert to a float, but e_171 of a few sites is 0
+    # 171! does not convert to a float; the orders stop at the site count
     bundle = generate_random_instance(
-        "independence", {"m_min": 3, "m_max": 5, "n_max": 3}, 2550
+        "independence", {"m_min": 8, "m_max": 8, "n_max": 3}, 2550
     )
-    reports = poisson_independence_check(bundle["model"], bundle["regions"][:1], 171)
-    assert [r.parameters["orders"] for r in reports] == [[k] for k in range(1, 172)]
+    regions = bundle["regions"][:1]
+    (sites,) = _site_counts(bundle["model"], regions)
+    assert sites == 2
+    reports = poisson_independence_check(bundle["model"], regions, 171)
+    assert [r.parameters["orders"] for r in reports] == [[k] for k in range(1, sites + 1)]
     for report in reports:
         assert report.rel_gap <= GATE, report.to_dict()
-    assert [r.rhs for r in reports[bundle["model"].m:]] == [0.0] * (171 - bundle["model"].m)
+
+
+def _independence_cases():
+    """(model, regions) of three generated bundles and of fixed regions of
+    3, 2 and 1 sites."""
+    for seed in range(3):
+        bundle = generate_random_instance(
+            "independence", {"m_min": 6, "m_max": 8, "n_max": 3}, 2650 + seed
+        )
+        yield bundle["model"], bundle["regions"]
+    model = FiniteModel(GroundSpace((0.4, 1.3, 0.8, 1.0, 0.6, 2.0)), poisson_log_density())
+    yield model, [lambda x, cfg: x < 3, lambda x, cfg: x in (3, 4), lambda x, cfg: x == 5]
+
+
+@pytest.mark.parametrize("max_order", [1, 3, 40])
+def test_poisson_independence_orders_stop_at_each_region_site_count(max_order):
+    # above a region's site count both sides are 0, and such a record tests
+    # nothing; every order up to the site counts is still checked, in order
+    for model, regions in _independence_cases():
+        sites = _site_counts(model, regions)
+        reports = poisson_independence_check(model, regions, max_order)
+        expected = [list(orders) for orders in product(*(range(1, k + 1) for k in sites))
+                    if sum(orders) <= max_order]
+        assert [r.parameters["orders"] for r in reports] == expected
+        for report in reports:
+            assert report.rel_gap <= GATE, report.to_dict()
+            assert report.rhs > 0.0
 
 
 def test_poisson_independence_calls_each_region_once_per_site_and_configuration():

@@ -16,10 +16,12 @@ from ppmoments.montecarlo import (
     PoissonModel,
     StraussModel,
     Window,
+    _birth_death_counts,
     _block_streams,
     _frozensets,
     _point_sums,
     _poisson_batch,
+    _poisson_counts,
     _side_seeds,
     _strauss_chains,
     compound_papangelou,
@@ -29,6 +31,7 @@ from ppmoments.montecarlo import (
     estimate_partition_moment,
     gnz_estimates,
     mean_and_se,
+    poisson_mean,
     process_from_config,
     sample_batch,
     sample_gibbs,
@@ -331,6 +334,45 @@ def test_strauss_chains_of_several_blocks_match_the_reference(beta, gamma, r, se
         # every pair interacts, so a birth counts every point: more than
         # the 127 that a neighbour count in int8 holds
         assert largest > 128
+
+
+@pytest.mark.parametrize(
+    "window,beta,seed,n_samples,steps",
+    [
+        (UNIT, 30.0, 1, 400, 900),
+        (UNIT, 30.0, 2, 400, None),
+        (UNIT, 30.0, 3, 2100, 900),
+        (Window(0.0, 2.0, 0.0, 0.75), 20.0, 4, 700, 901),
+        (UNIT, 2.0, 5, 600, 3000),
+    ],
+    # 900 and 901 steps end in a short chunk; 2100 chains are three blocks
+    ids=["steps-900", "burn-in", "three-blocks", "non-unit-window", "chains-reach-zero"],
+)
+def test_count_chain_is_the_strauss_chain_count_at_gamma_one(window, beta, seed, n_samples, steps):
+    # the count chain reads each block stream as the full chain does and
+    # makes the same birth and death decisions, so its counts are the
+    # chain's bit for bit and each generator ends at the same place
+    model = StraussModel(window, beta, 1.0, 0.05)
+    chained, counted = _block_streams(seed, n_samples), _block_streams(seed, n_samples)
+    expected = _strauss_chains(model, steps, chained)[2]
+    counts = _birth_death_counts(model, steps, counted)
+    assert counts.dtype == expected.dtype and np.array_equal(counts, expected)
+    assert [rng.random() for rng, _ in counted] == [rng.random() for rng, _ in chained]
+    if beta == 2.0:
+        assert (counts == 0).any()
+
+
+def test_count_chain_needs_gamma_one():
+    with pytest.raises(ValueError, match="gamma = 1"):
+        _birth_death_counts(StraussModel(UNIT, 30.0, 0.5, 0.05), 900, _block_streams(1, 10))
+
+
+def test_poisson_counts_are_the_counts_of_the_batch():
+    # two blocks: each block's counts are the first draw of its stream
+    mean = poisson_mean(UNIT, 30.0)
+    counts = _poisson_counts(mean, _block_streams(7, 1500))
+    _, _, n = sample_batch(PoissonModel(UNIT, 30.0), 1500, 7)
+    assert counts.dtype == n.dtype and np.array_equal(counts, n)
 
 
 def test_gibbs_count_law_with_all_pairs_interacting():
