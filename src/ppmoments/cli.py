@@ -64,7 +64,7 @@ from .montecarlo import (
     _block_streams,
     _chain_steps,
     _child_seed,
-    _draw_sides,
+    _draw_estimators,
     _factorial_parts,
     _gnz_parts,
     _partition_parts,
@@ -462,20 +462,31 @@ def _run_mc_identity(config: SuiteConfig):
     if not isinstance(experiments, list) or not experiments:
         raise ValueError("experiments must be a nonempty list")
     # every experiment is validated before the first one runs
-    runs = [_experiment(experiment, index, _child_seed(config.seed, index), default_steps)
+    runs = [_experiment(experiment, index, default_steps)
             for index, experiment in enumerate(experiments)]
-    # the experiments that share (model, n_samples, n_steps) draw their sides
-    # in one call, so their Strauss chains run in lockstep; every side comes
-    # out as it would if drawn alone
+    # an experiment without a seed key takes the child seed of the first
+    # such experiment on its (model, n_samples, n_steps)
+    defaults = {}
+    for index, run in enumerate(runs):
+        if run.seed is None:
+            defaults.setdefault(run.draw, _child_seed(config.seed, index))
+    sides, records = zip(*(run.parts(defaults[run.draw] if run.seed is None else run.seed)
+                           for run in runs))
+    # the experiments that share (model, n_samples, n_steps) and seed form a
+    # seed group: they share the side seeds _side_seeds(seed), so the group
+    # draws one left and one right side, and its experiments read the same
+    # configurations and each its own right-side points. All seed groups on
+    # one (model, n_samples, n_steps) draw in one call, so their Strauss
+    # chains run in lockstep; every side's replicates come out as they
+    # would if drawn alone
     drawn = {}
     for index, run in enumerate(runs):
         if index not in drawn:
             group = [i for i, other in enumerate(runs) if other.draw == run.draw]
             model, n_samples, n_steps = run.draw
-            sides = [side for i in group for side in runs[i].sides]
-            sides = iter(_draw_sides(model, sides, n_samples, n_steps))
-            drawn.update((i, [next(sides) for _ in runs[i].sides]) for i in group)
-        yield run.record(drawn.pop(index))
+            drawn.update(zip(group, _draw_estimators(model, [sides[i] for i in group],
+                                                     n_samples, n_steps)))
+        yield records[index](drawn.pop(index))
 
 
 # the keys an experiment may carry: every experiment, then per process and
@@ -488,18 +499,20 @@ _IDENTITY_KEYS = {"gnz": set(), "factorial": {"n"}, "partition": {"n"}}
 
 class _ExperimentRun(NamedTuple):
     """A validated mc-identity experiment: draw is the (model, n_samples,
-    n_steps) that its (seed, extra) sides are drawn at, and record(drawn)
-    its estimate record, given the drawn sides."""
+    n_steps) that its sides are drawn at, seed its seed key (None without
+    one), and parts(seed) its estimator at a seed: the (seed, extras) sides
+    it draws and record(drawn), its estimate record given the drawn sides."""
 
     draw: tuple
-    sides: tuple
-    record: Callable
+    seed: int | None
+    parts: Callable
 
 
-def _experiment(experiment: dict, index: int, seed: int, default_steps: int) -> _ExperimentRun:
+def _experiment(experiment: dict, index: int, default_steps: int) -> _ExperimentRun:
     """The estimator run of an experiment description, validated; a Strauss
     experiment without n_steps runs the larger of default_steps and the
-    default burn-in.
+    default burn-in. Its seed is chosen by _run_mc_identity, which draws
+    the experiments of a seed group from one pair of sides.
 
     The test integrands are fixed bounded functions of the window: the
     region is the left half, the functional 1 + 0.1 |omega| and the kernel
@@ -520,7 +533,7 @@ def _experiment(experiment: dict, index: int, seed: int, default_steps: int) -> 
     if n_samples < 2:
         raise ValueError("experiment n_samples must be at least 2")
     n_steps = _number(experiment, "n_steps", None, int)
-    seed = _number(experiment, "seed", seed, int)
+    seed = _number(experiment, "seed", None, int)
     n = _number(experiment, "n", 2, int)
     if isinstance(model, StraussModel):
         n_steps = _chain_steps(model, n_steps, default_steps)
@@ -529,15 +542,18 @@ def _experiment(experiment: dict, index: int, seed: int, default_steps: int) -> 
     region = lambda x, y, count: x <= half_x
     functional = lambda count: 1.0 + 0.1 * count
     kernel = lambda x, y, count: 1.0 + y - 0.05 * count
-    if identity == "gnz":
-        sides, evaluate_all = _gnz_parts(model, [kernel], seed)
-        evaluate = lambda drawn: evaluate_all(drawn)[0]
-    elif identity == "factorial":
-        sides, evaluate = _factorial_parts(model, functional, region, n, seed)
-    else:
-        sides, evaluate = _partition_parts(model, kernel, n, seed)
-    record = lambda drawn: _estimate_record(name, index, *evaluate(drawn))
-    return _ExperimentRun((model, n_samples, n_steps), sides, record)
+
+    def parts(seed: int) -> tuple[tuple, Callable]:
+        if identity == "gnz":
+            sides, evaluate_all = _gnz_parts(model, [kernel], seed)
+            evaluate = lambda drawn: evaluate_all(drawn)[0]
+        elif identity == "factorial":
+            sides, evaluate = _factorial_parts(model, functional, region, n, seed)
+        else:
+            sides, evaluate = _partition_parts(model, kernel, n, seed)
+        return sides, lambda drawn: _estimate_record(name, index, *evaluate(drawn))
+
+    return _ExperimentRun((model, n_samples, n_steps), seed, parts)
 
 
 _DEFAULT_REGIONS = (
@@ -738,7 +754,13 @@ SUITES = {
         "The factorial and partition moment identities estimated on "
         "continuous windows: left sides from sampled configurations, right "
         "sides from the window-uniform importance representation of the "
-        "intensity integrals.",
+        "intensity integrals. The identities hold for every integrand on "
+        "one process, so experiments that agree on model, n_samples, "
+        "n_steps and seed form a seed group that samples one left-side and "
+        "one right-side set of configurations; each experiment draws only "
+        "its own right-side points, after those of the experiments before "
+        "it. Without a seed key an experiment takes the child seed of the "
+        "first experiment without one on its model, n_samples and n_steps.",
         ("experiments", "window", "intensity", "beta", "gamma", "r", "n_steps"),
     ),
     "transform-invariance": Suite(

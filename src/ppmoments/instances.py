@@ -106,8 +106,9 @@ def generate_random_instance(kind: str, size_bounds: dict, seed: int) -> dict:
 
 
 def _random_model(rng, m: int) -> FiniteModel:
-    weights = tuple(float(w) for w in rng.uniform(0.1, 2.0, m))
-    gamma = float(rng.choice(GAMMA_CHOICES))
+    weights = tuple(rng.uniform(0.1, 2.0, m).tolist())
+    # the same draw as rng.choice(GAMMA_CHOICES), without its overhead
+    gamma = GAMMA_CHOICES[int(rng.integers(0, len(GAMMA_CHOICES)))]
     # one uniform per pair (a, b), a < b, in lexicographic order
     kept = rng.random(m * (m - 1) // 2) < 0.3
     pairs = list(compress(combinations(range(m), 2), kept.tolist()))

@@ -32,8 +32,13 @@ fixed layout:
 3. for the Strauss chains, one (size, steps, 4) array of uniforms per chunk
    of _CHUNK_STEPS steps: chain k reads row k, 4 uniforms per step (move, u,
    v, accept), whatever the step does;
-4. the right-side points of an estimator, extra per replicate, replicate
-   after replicate.
+4. the right-side points, experiment after experiment: for each entry
+   extra_j of the side's extras (one per estimator that reads the side), one
+   sample_points call of extra_j points per replicate, replicate after
+   replicate. An estimator drawn alone has at most one entry; estimators
+   that share a side seed (_draw_estimators, such as the mc-identity
+   experiments of one seed group) share the side and have one entry each,
+   so an estimator's points do not depend on the estimators after it.
 
 Results depend on BLOCK_REPLICATES, but not on how blocks are grouped into
 calls: every block can be drawn alone, and the Strauss chains of all blocks
@@ -513,10 +518,16 @@ def sample_process(model: ProcessModel, seed, n_steps: int | None = None) -> Con
 _SPLIT_MIN = 1_000_000
 
 
-def _draw_sides(model: ProcessModel, sides: Sequence[tuple[int, int]], n_samples: int,
-                n_steps: int | None) -> list[tuple[Batch, np.ndarray]]:
-    """Per (seed, extra) side, the batch of its n_samples replicates and the
-    (n_samples, extra, 2) right-side points of each.
+# a side to draw: (seed, extras), extras holding the right-side points per
+# replicate of each estimator that reads the side's points, in draw order
+_Side = tuple[int, tuple[int, ...]]
+
+
+def _draw_sides(model: ProcessModel, sides: Sequence[_Side], n_samples: int,
+                n_steps: int | None) -> list[tuple[Batch, tuple[np.ndarray, ...]]]:
+    """Per (seed, extras) side, the batch of its n_samples replicates and,
+    per entry extra of extras, the (n_samples, extra, 2) right-side points
+    of each replicate.
 
     All sides are drawn in one _draw_group call, so the Strauss chains of all
     sides run in lockstep, unless the draw holds at least _SPLIT_MIN chain
@@ -535,11 +546,11 @@ def _draw_sides(model: ProcessModel, sides: Sequence[tuple[int, int]], n_samples
 
 
 def _draw_group(model: ProcessModel, n_samples: int, n_steps: int | None,
-                sides: Sequence[tuple[int, int]]) -> list[tuple[Batch, np.ndarray]]:
+                sides: Sequence[_Side]) -> list[tuple[Batch, tuple[np.ndarray, ...]]]:
     """_draw_sides for sides drawn in one call: the configurations of the
     block streams of all sides (Poisson draws, or Strauss chains in
-    lockstep), then each block's extra points per replicate in one
-    sample_points call."""
+    lockstep), then per block and per entry extra of the side's extras, in
+    order, extra points per replicate in one sample_points call."""
     streams = [_block_streams(seed, n_samples) for seed, _ in sides]
     blocks = [block for side in streams for block in side]
     if isinstance(model, PoissonModel):
@@ -547,11 +558,38 @@ def _draw_group(model: ProcessModel, n_samples: int, n_steps: int | None,
     else:
         xs, ys, n = _strauss_chains(model, n_steps, blocks)
     result = []
-    for i, ((_, extra), side) in enumerate(zip(sides, streams)):
+    for i, ((_, extras), side) in enumerate(zip(sides, streams)):
         rows = slice(i * n_samples, (i + 1) * n_samples)
-        points = [model.window.sample_points(rng, size * extra) for rng, size in side]
-        points = np.concatenate([np.zeros((0, 2)), *points]).reshape(n_samples, extra, 2)
+        # per extra, its points of each block; the empty first entries keep
+        # a call without blocks valid
+        points = [[np.zeros((0, 2))] for _ in extras]
+        for rng, size in side:
+            for drawn, extra in zip(points, extras):
+                drawn.append(model.window.sample_points(rng, size * extra))
+        points = tuple(np.concatenate(drawn).reshape(n_samples, extra, 2)
+                       for drawn, extra in zip(points, extras))
         result.append(((xs[rows], ys[rows], n[rows]), points))
+    return result
+
+
+def _draw_estimators(model: ProcessModel, estimators: Sequence[Sequence[_Side]], n_samples: int,
+                     n_steps: int | None) -> list[list[tuple[Batch, tuple[np.ndarray, ...]]]]:
+    """Per estimator, given as the sides it draws, its drawn sides, from one
+    _draw_sides call that draws each side seed once: estimators whose sides
+    share a seed read that side's batch, and its extras are theirs in
+    estimator order, so each estimator reads its own right-side points."""
+    extras = {}
+    for sides in estimators:
+        for seed, counts in sides:
+            extras[seed] = extras.get(seed, ()) + counts
+    left = dict(zip(extras, _draw_sides(model, list(extras.items()), n_samples, n_steps)))
+    result = []
+    for sides in estimators:
+        result.append([])
+        for seed, counts in sides:
+            batch, points = left[seed]
+            result[-1].append((batch, points[:len(counts)]))
+            left[seed] = batch, points[len(counts):]
     return result
 
 
@@ -559,7 +597,7 @@ def sample_batch(model: ProcessModel, n_samples: int, seed: int,
                  n_steps: int | None = None) -> Batch:
     """Independent replicates as one batch (xs, ys, n), drawn from the block
     streams of seed."""
-    ((batch, _),) = _draw_sides(model, [(seed, 0)], n_samples, n_steps)
+    ((batch, _),) = _draw_sides(model, [(seed, ())], n_samples, n_steps)
     return batch
 
 
@@ -600,11 +638,12 @@ def compound_papangelou(model: ProcessModel, points: Sequence, config: Configura
 
 # -- estimators ---------------------------------------------------------------
 #
-# Each estimator is two parts: _<name>_parts gives the (seed, extra) sides it
-# draws and the array expression that it evaluates on them (the output of
-# _draw_sides for those sides). The public estimators compose the two;
-# mc-identity draws the sides of all its experiments that share (model,
-# n_samples, n_steps) in one call.
+# Each estimator is two parts: _<name>_parts gives the two sides it draws,
+# (lhs seed, ()) and (rhs seed, (extra,)), and the array expression that it
+# evaluates on them (the output of _draw_sides for those sides). The public
+# estimators compose the two; mc-identity draws all its experiments that
+# share (model, n_samples, n_steps) in one _draw_estimators call, in which
+# the experiments of a seed group share their two sides.
 
 
 def _point_sums(batch: Batch, integrand: Callable) -> np.ndarray:
@@ -651,7 +690,7 @@ def _gnz_parts(model: ProcessModel, kernels: Sequence[Callable], seed: int):
     lhs_seed, rhs_seed = _side_seeds(seed)
 
     def evaluate(drawn) -> list[tuple[Estimate, Estimate]]:
-        (lhs, _), (rhs, points) = drawn
+        (lhs, _), (rhs, (points,)) = drawn
         weight = model.window.area * _chat(model, rhs, points)
         x, y = points[:, 0, 0], points[:, 0, 1]
         count = rhs[2] + 1
@@ -663,7 +702,7 @@ def _gnz_parts(model: ProcessModel, kernels: Sequence[Callable], seed: int):
             for u in kernels
         ]
 
-    return ((lhs_seed, 0), (rhs_seed, 1)), evaluate
+    return ((lhs_seed, ()), (rhs_seed, (1,))), evaluate
 
 
 def estimate_factorial_identity(
@@ -693,7 +732,7 @@ def _factorial_parts(model: ProcessModel, functional: Callable, region: Callable
     lhs_seed, rhs_seed = _side_seeds(seed)
 
     def evaluate(drawn) -> tuple[Estimate, Estimate]:
-        (lhs, _), (rhs, points) = drawn
+        (lhs, _), (rhs, (points,)) = drawn
         lhs_values = functional(lhs[2]) * falling_factorial(_point_sums(lhs, region), n)
         count = rhs[2] + n
         chat = _chat(model, rhs, points)
@@ -705,7 +744,7 @@ def _factorial_parts(model: ProcessModel, functional: Callable, region: Callable
         )
         return _estimate(lhs_values, lhs_seed), _estimate(rhs_values, rhs_seed)
 
-    return ((lhs_seed, 0), (rhs_seed, n)), evaluate
+    return ((lhs_seed, ()), (rhs_seed, (n,))), evaluate
 
 
 def estimate_partition_moment(
@@ -735,7 +774,7 @@ def _partition_parts(model: ProcessModel, kernel: Callable, n: int, seed: int):
     area = model.window.area
 
     def evaluate(drawn) -> tuple[Estimate, Estimate]:
-        (lhs, _), (rhs, points) = drawn
+        (lhs, _), (rhs, (points,)) = drawn
         # float_power is the C pow of Python's float ** int; ** on arrays
         # squares by multiplication, which differs in the last bit
         lhs_values = np.float_power(_point_sums(lhs, kernel), n)
@@ -750,7 +789,7 @@ def _partition_parts(model: ProcessModel, kernel: Callable, n: int, seed: int):
             rhs_values += np.where(chat != 0.0, area**k * chat * product, 0.0)
         return _estimate(lhs_values, lhs_seed), _estimate(rhs_values, rhs_seed)
 
-    return ((lhs_seed, 0), (rhs_seed, int(ends[-1]))), evaluate
+    return ((lhs_seed, ()), (rhs_seed, (int(ends[-1]),))), evaluate
 
 
 def _check_order(n: int):

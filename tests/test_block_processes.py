@@ -232,7 +232,7 @@ def _start_width(model, seeds, n_samples):
 
 @pytest.mark.parametrize(
     "sides",
-    [[(5, 2)], [(0, 0), (5, 2)], [(0, 0), (5, 2), (16, 1)]],
+    [[(5, (2,))], [(0, ()), (5, (2, 1))], [(0, ()), (5, (2,)), (16, (1, 3))]],
     ids=["one-side", "two-sides", "three-sides"],
 )
 def test_strauss_side_groups_draw_what_one_process_draws(processes, forks, monkeypatch, sides):
@@ -263,7 +263,9 @@ def test_strauss_side_groups_draw_what_one_process_draws(processes, forks, monke
             assert np.array_equal(batch[2], expected[2])
             for got, want in zip(_used_slots(batch), _used_slots(expected)):
                 assert np.array_equal(got, want)
-            assert np.array_equal(points, expected_points)
+            assert len(points) == len(expected_points)
+            for got, want in zip(points, expected_points):
+                assert np.array_equal(got, want)
     # a Poisson draw never splits
     before = len(forks)
     montecarlo._draw_sides(PoissonModel(UNIT, 5.0), sides, 6, None)
@@ -288,6 +290,35 @@ def test_strauss_estimates_are_equal_for_every_process_count(processes, monkeypa
     assert_no_children()
 
 
+def test_grouped_mc_identity_records_are_equal_for_every_process_count(
+    processes, forks, monkeypatch
+):
+    # two seed groups on one model, the first of three experiments, draw 4
+    # sides in one call: at 2 processes the split cuts between the groups,
+    # at 3 also between the first group's left and right sides
+    monkeypatch.setattr(montecarlo, "BLOCK_REPLICATES", 3)
+    strauss = {"process": "strauss", "window": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1},
+               "beta": 60.0, "gamma": 0.5, "r": 0.05, "n_samples": 7}
+    experiments = [{**strauss, "identity": "factorial", "n": 2},
+                   {**strauss, "identity": "partition", "n": 3},
+                   {**strauss, "identity": "gnz", "seed": 5},
+                   {**strauss, "identity": "factorial", "n": 1}]
+    config = cli.SuiteConfig("mc-identity", 13, parameters={"experiments": experiments})
+    bodies = []
+    for count, split_min in ((1, montecarlo._SPLIT_MIN), (2, 0), (3, 0)):
+        processes(count)
+        monkeypatch.setattr(montecarlo, "_SPLIT_MIN", split_min)
+        stream = io.StringIO()
+        before = len(forks)
+        # 7 samples are too few for every gate to pass; only equality counts
+        status = cli.run_suite(config, stream)
+        bodies.append((status, stream.getvalue().splitlines()[1:]))
+        assert len(forks) - before == count - 1
+    assert bodies[0] == bodies[1] == bodies[2]
+    assert len(bodies[0][1]) == len(experiments) + 1
+    assert_no_children()
+
+
 def test_strauss_draws_of_the_mc_strauss_benchmark_make_no_fork(processes, forks):
     processes(2)
     strauss = {"process": "strauss", "window": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1},
@@ -299,8 +330,8 @@ def test_strauss_draws_of_the_mc_strauss_benchmark_make_no_fork(processes, forks
         assert cli.run_suite(config, io.StringIO()) == cli.EXIT_PASS
     assert forks == []
     # the default mc-gibbs (2 x 1500 chains, 900 steps) and mc-identity
-    # (4 x 2000 chains, 600 steps) draws split
-    assert min(2 * 1500 * 900, 4 * 2000 * 600) >= montecarlo._SPLIT_MIN
+    # (one seed group of 2 x 2000 chains, 600 steps) draws split
+    assert min(2 * 1500 * 900, 2 * 2000 * 600) >= montecarlo._SPLIT_MIN
 
 
 def _names(tree):
