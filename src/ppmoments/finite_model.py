@@ -43,9 +43,12 @@ A callable may carry an array form, which fills a table in one call:
                                       bitmasks of one broadcast shape
 
 It is called on the same configurations (and sites) as the callable and
-must agree with it bit for bit. The densities below and the generated
-instances carry one; a user callable needs neither and is then called
-once per configuration, or per site of each configuration.
+must agree with it bit for bit. The densities below carry one. Each
+generated instance callable (instances.py) is one table over the
+configurations, read by the callable at its bitmask and passed whole as
+its array form, so the two agree by construction. A user callable needs
+neither and is then called once per configuration, or per site of each
+configuration.
 """
 
 from __future__ import annotations

@@ -1,15 +1,25 @@
 """Seeded random instance generation for the verification suites.
 
 Every builder is deterministic given its seed: numpy's PCG64 drives all
-draws and generated callables close over plain Python floats, so identical
-seeds reproduce identical instances byte for byte.
+draws, so identical seeds reproduce identical instances byte for byte.
 
-Functionals and kernels are bounded and configuration dependent (site
-tables plus a parity term). Random regions flip site membership with the
-parity of a control set; disjoint families restrict each region to its own
-site pool so disjointness holds for every configuration by construction.
-Each generated callable carries its array form (on_masks or on_sites, see
-finite_model), equal to it bit for bit.
+Every generated functional, kernel and random region is one numpy table
+over the 2^m configurations, and nothing else holds its values: the
+callable reads the table at the configuration's bitmask (_tabled), and
+the table itself is its array form (on_masks or on_sites, see
+finite_model), so the two agree by construction. The draws, in order:
+
+  functional  (2^m,) uniforms on [-1, 1), indexed by bitmask
+  kernel      (m, 2^m) uniforms on [-1, 1), row x at site x
+  region      (m, 2^m) uniforms, x in A(omega) when below 0.5
+  disjoint    a permutation of the sites split into pools, then per pool
+              (pool size, 2^m) uniforms, below 0.7 on the pool's rows in
+              permutation order; every other row is False, so the
+              regions are disjoint for every configuration
+
+The independence bundle and the cover-safe kernels need a parity
+structure for their conditions: their tables switch between two site
+rows with the parity of |omega n control| (_by_parity).
 """
 
 from __future__ import annotations
@@ -38,8 +48,12 @@ def generate_random_instance(kind: str, size_bounds: dict, seed: int) -> dict:
       "expansion"    -> {"model", "kernels", "points", "config"}
       "cover-lemma"  -> {"model", "kernels", "points", "config"}
 
-    size_bounds may set m_min, m_max, n_max, kernels; unset entries use
-    the guards' defaults.
+    size_bounds may set m_min and m_max (the site count, default 3 to 8),
+    n_max (the largest moment order, default 3), kernels (the gnz kernel
+    count, default 5) and l_max (the largest tuple length of expansion
+    and cover-lemma, default 3). Every functional, kernel and region of
+    the bundle is a table over the configurations, read by its callable
+    and passed whole as its array form.
     """
     rng = np.random.default_rng(seed)
     m_min = int(size_bounds.get("m_min", 3))
@@ -118,69 +132,41 @@ def _random_model(rng, m: int) -> FiniteModel:
 
 
 def _random_functional(rng, m: int):
-    base = float(rng.uniform(-1.0, 1.0))
-    table = [float(v) for v in rng.uniform(-1.0, 1.0, m)]
-    parity_term = float(rng.uniform(-1.0, 1.0))
-    parity_set = _sites(rng, range(m), 0.5)
-    control = _mask(parity_set)
-
-    # both forms add the site terms in ascending site order, so they agree
-    # bit for bit (frozenset iteration is not ascending for every mask)
-    def functional(config):
-        total = base
-        for x in sorted(config):
-            total += table[x]
-        if len(config & parity_set) % 2 == 0:
-            return total + parity_term
-        return total - parity_term
-
-    def on_masks(masks):
-        total = np.full(len(masks), base)
-        for x, value in enumerate(table):
-            total = np.where(masks >> x & 1, total + value, total)
-        odd = np.bitwise_count(masks & control) & 1
-        return np.where(odd, total - parity_term, total + parity_term)
-
-    functional.on_masks = on_masks
-    return functional
+    return _tabled(rng.uniform(-1.0, 1.0, 1 << m))
 
 
 def _random_kernel(rng, m: int):
-    site_term = [float(v) for v in rng.uniform(-1.0, 1.0, m)]
-    parity_scale = [float(v) for v in rng.uniform(-1.0, 1.0, m)]
-    parity_set = _sites(rng, range(m), 0.5)
-    return _by_parity(
-        [s + p for s, p in zip(site_term, parity_scale)],
-        [s - p for s, p in zip(site_term, parity_scale)],
-        parity_set,
-    )
+    return _tabled(rng.uniform(-1.0, 1.0, (m, 1 << m)))
 
 
 def _random_region(rng, m: int):
-    base = (rng.random(m) < 0.5).tolist()
-    flip = (rng.random(m) < 0.4).tolist()
-    control = _sites(rng, range(m), 0.4)
-    return _by_parity(base, [b != f for b, f in zip(base, flip)], control)
+    return _tabled(rng.random((m, 1 << m)) < 0.5)
+
+
+def _tabled(table: np.ndarray):
+    """The callable that reads table at the configuration's bitmask, with
+    the table as its array form: omega -> table[mask] with on_masks for a
+    (2^m,) table, (x, omega) -> table[x, mask] with on_sites for an
+    (m, 2^m) one."""
+    if table.ndim == 1:
+        def functional(config):
+            return table[_mask(config)].item()
+
+        functional.on_masks = lambda masks: table[masks]
+        return functional
+
+    def value(x, config):
+        return table[x, _mask(config)].item()
+
+    value.on_sites = lambda sites, masks: table[sites, masks]
+    return value
 
 
 def _by_parity(even: list, odd: list, control: frozenset):
-    """(x, omega) -> even[x] when |omega n control| is even, else odd[x].
-
-    The callable carries its array form on_sites(sites, masks) for the
-    exact engine: the same values at integer arrays of sites and bitmasks.
-    """
-    rows = (even, odd)
-    table = np.array(rows)
-    control_mask = _mask(control)
-
-    def value(x, config):
-        return rows[len(config & control) % 2][x]
-
-    def on_sites(sites, masks):
-        return table[np.bitwise_count(masks & control_mask) & 1, sites]
-
-    value.on_sites = on_sites
-    return value
+    """(x, omega) -> even[x] when |omega n control| is even, else odd[x],
+    tabled over every configuration."""
+    masks = np.arange(1 << len(even))
+    return _tabled(np.array((even, odd))[np.bitwise_count(masks & _mask(control)) & 1].T)
 
 
 def _sites(rng, sites, p: float) -> frozenset:
@@ -201,13 +187,12 @@ def _disjoint_regions(rng, m: int, p: int):
     """Regions confined to disjoint site pools; disjoint for every omega."""
     sites = rng.permutation(m).tolist()
     cut = m // p
-    pools = [sites[i * cut : (i + 1) * cut] for i in range(p)]
     regions = []
-    for pool in pools:
-        even = _sites(rng, pool, 0.7)
-        odd = _sites(rng, pool, 0.7)
-        control = _sites(rng, range(m), 0.4)
-        regions.append(_by_parity(_members(m, even), _members(m, odd), control))
+    for i in range(p):
+        pool = sites[i * cut : (i + 1) * cut]
+        table = np.zeros((m, 1 << m), bool)
+        table[pool] = rng.random((len(pool), 1 << m)) < 0.7
+        regions.append(_tabled(table))
     return regions
 
 

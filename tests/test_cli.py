@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ppmoments import montecarlo, transforms
+from ppmoments import identities, montecarlo, transforms
 from ppmoments.combinatorics import falling_factorial
 from ppmoments.cli import (
     EXIT_CONFIG_ERROR,
@@ -1168,8 +1168,24 @@ def _chains_at_higher_beta(monkeypatch):
         dataclasses.replace(model, beta=1.1 * model.beta), n_steps, blocks))
 
 
-# negative controls: each statistical suite passes at its size and seed, and
-# fails its gates there with a fault patched into the engine
+def _regions_read_at_omega(monkeypatch):
+    # the right sides read each region at omega instead of omega u t, while
+    # F is still read at omega u t
+    def joint_rhs(model, f, slots):
+        def integrand(sites, up):
+            base = up & ~sum(1 << x for x in sites)
+            value = f[up]
+            for x, table in zip(sites, slots):
+                value = value * table[x, base]
+            return value
+
+        return identities._tuple_sum(model, len(slots), integrand)
+
+    monkeypatch.setattr(identities, "_joint_rhs", joint_rhs)
+
+
+# negative controls: each suite passes at its size and seed, and fails its
+# gates there with a fault patched into the engine
 @pytest.mark.parametrize(
     "suite,instances,parameters,fault",
     [
@@ -1178,10 +1194,15 @@ def _chains_at_higher_beta(monkeypatch):
         ("mc-identity", None, {"experiments": [_POISSON_FACTORIAL]}, _unit_papangelou),
         ("transform-invariance", 1000, {"condition_instances": 0}, _pull_toward_anchor),
         ("rho-tau", 600, {}, _pull_toward_anchor),
+        ("exact-factorial", None, {}, _regions_read_at_omega),
+        ("exact-joint", None, {}, _regions_read_at_omega),
+        ("exact-stirling", None, {}, _regions_read_at_omega),
     ],
     ids=["mc-poisson-counts-at-1.05-mean", "mc-gibbs-chains-at-1.1-beta",
          "mc-identity-unit-papangelou",
-         "transform-invariance-pulled-to-anchor", "rho-tau-pulled-to-anchor"],
+         "transform-invariance-pulled-to-anchor", "rho-tau-pulled-to-anchor",
+         "exact-factorial-regions-at-omega", "exact-joint-regions-at-omega",
+         "exact-stirling-regions-at-omega"],
 )
 def test_negative_controls_fail_the_gates(suite, instances, parameters, fault, monkeypatch):
     assert run_to_lines(suite, 1, instances, parameters)[0] == EXIT_PASS
@@ -1198,14 +1219,36 @@ def test_the_pulled_map_leaves_blocks_without_a_hull_alone(monkeypatch):
     assert np.array_equal(transforms._tau(0.3, x, y, x, y), (x, y), equal_nan=True)
 
 
+def _array_forms(bundle):
+    """The bundle's entries, with the model and every callable replaced by
+    its full array form: all sites at all configurations."""
+    model = bundle["model"]
+    masks, sites = np.arange(1 << model.m), np.arange(model.m)[:, None]
+
+    def form(value):
+        if hasattr(value, "on_masks"):
+            return value.on_masks(masks)
+        if hasattr(value, "on_sites"):
+            return value.on_sites(sites, masks)
+        return value
+
+    forms = {key: form(value) for key, value in bundle.items()}
+    forms.update({key: [form(v) for v in bundle[key]] for key in ("kernels", "regions")
+                  if key in bundle})
+    forms["model"] = [np.array(model.weights), form(model.log_density)]
+    return forms
+
+
 def test_generate_random_instance_determinism_and_kinds():
-    a = generate_random_instance("gnz", {"m_min": 3, "m_max": 5}, 11)
-    b = generate_random_instance("gnz", {"m_min": 3, "m_max": 5}, 11)
-    assert a["model"].m == b["model"].m
-    assert a["model"].partition_constant == b["model"].partition_constant
-    cfg = a["model"].config(1)
-    for ka, kb in zip(a["kernels"], b["kernels"]):
-        assert ka(0, cfg) == kb(0, cfg)
+    for kind in ("gnz", "factorial", "joint", "stirling", "partition", "dtheta",
+                 "independence", "expansion", "cover-lemma"):
+        a = _array_forms(generate_random_instance(kind, {"m_min": 3, "m_max": 6}, 11))
+        b = _array_forms(generate_random_instance(kind, {"m_min": 3, "m_max": 6}, 11))
+        assert a.keys() == b.keys()
+        for key in a:
+            pairs = zip(a[key], b[key]) if isinstance(a[key], list) else [(a[key], b[key])]
+            for x, y in pairs:
+                assert np.array_equal(x, y), (kind, key)
     with pytest.raises(ValueError):
         generate_random_instance("unknown", {}, 1)
     with pytest.raises(ValueError):
